@@ -34,10 +34,8 @@ from .features import (
 )
 from .geometry import (
     Homography,
-    RansacConfig,
     VerificationResult,
     estimate_homography,
-    estimate_similarity,
     project_point,
     ransac_verify,
     reprojection_errors,
@@ -53,7 +51,7 @@ from .image import (
     to_grayscale,
 )
 from .image_io import read_image, write_ppm
-from .matching import Match, MatchConfig, distance, match_descriptors
+from .matching import Match, distance, match_descriptors
 from .store import (
     Database,
     ObjectRecord,
@@ -84,14 +82,12 @@ __all__ = [
     "InterestPoint",
     "LineBlob",
     "Match",
-    "MatchConfig",
     "NoFeatures",
     "ObjectRecord",
     "ParseError",
     "PointAtInfinity",
     "QueryResult",
     "RankedCandidate",
-    "RansacConfig",
     "RasterImage",
     "ResponseMap",
     "SingularSystem",
@@ -110,7 +106,6 @@ __all__ = [
     "detect_lineblobs",
     "distance",
     "estimate_homography",
-    "estimate_similarity",
     "extract_descriptor",
     "extract_features",
     "filter_sizes",

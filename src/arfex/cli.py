@@ -24,13 +24,13 @@ from .errors import (
     VersionMismatch,
 )
 from .features import ExtractionConfig, extract_features
-from .geometry import RansacConfig
 from .image import to_grayscale
 from .store import (
     Database,
     UNRECOGNIZED,
     index_image,
     load_db,
+    point_to_json,
     query_image,
     save_db,
 )
@@ -107,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
     p.add_argument("--annotate", help="write the query with inliers + object frame (PPM P6)")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--ratio", type=_ratio_arg, default=None)
+    p.add_argument("--ratio", type=_ratio_arg, default=0.7)
 
     p = sub.add_parser("annotate", help="write a keypoint overlay image only")
     p.add_argument("--input", required=True)
@@ -134,24 +134,13 @@ def _write_json(path, doc) -> None:
     Path(path).write_text(json.dumps(doc) + "\n", encoding="ascii")
 
 
-def _point_json(p) -> dict:
-    return {
-        "x": p.x,
-        "y": p.y,
-        "scale": p.scale,
-        "orientation": p.orientation,
-        "laplacian": p.laplacian_sign,
-        "response": p.response,
-    }
-
-
 def cmd_extract(args) -> int:
     img = image_io.read_image(args.input)
     cfg = _extraction_config(args)
     points, descriptors = extract_features(img, cfg)
     doc = {
         "config": cfg.to_dict(),
-        "points": [_point_json(p) for p in points],
+        "points": [point_to_json(p) for p in points],
         "descriptors": [d.components.tolist() for d in descriptors],
     }
     _write_json(args.output, doc)
@@ -186,7 +175,10 @@ def cmd_index(args) -> int:
     img = image_io.read_image(args.input)
     info = args.info
     if info.startswith("@"):
-        info = Path(info[1:]).read_text(encoding="utf-8")
+        try:
+            info = Path(info[1:]).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{info[1:]}: info file is not UTF-8 text ({exc})") from exc
     db = index_image(db, img, args.id, args.name, info)
     save_db(db, db_path)
     return EXIT_OK
@@ -202,13 +194,7 @@ def _seed(args) -> int:
 def cmd_query(args) -> int:
     db = load_db(args.db)
     img = image_io.read_image(args.input)
-    from .matching import MatchConfig
-
-    match_cfg = MatchConfig()
-    if args.ratio is not None:
-        match_cfg.ratio_threshold = args.ratio
-    ransac_cfg = RansacConfig(rng_seed=_seed(args))
-    result, query_points = query_image(db, img, match_cfg, ransac_cfg)
+    result, query_points = query_image(db, img, args.ratio, _seed(args))
     doc = {
         "best": result.best,
         "ranked": [

@@ -26,7 +26,7 @@ class SingularSystem(ArfexError):
 
 
 class InsufficientMatches(ArfexError):
-    """Fewer matches than the minimal sample size for verification."""
+    """Fewer distinct matched points than the minimal sample size for verification."""
 
 
 class DuplicateId(ArfexError):

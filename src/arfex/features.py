@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -41,6 +41,21 @@ from .image import (
 
 FILTER_BASE = 9  # smallest filter; also the minimum image side
 SIGMA_BASE = 1.2  # sigma of the 9x9 filter
+INTERVALS = 4  # response maps per octave
+DXY_WEIGHT = 0.9  # balances the box-filter Dxy against the Gaussian one
+
+# Orientation and descriptor geometry of SURF (Bay et al., CVIU 2008), in
+# multiples of the interest point's sigma s unless noted.
+ORIENTATION_RADIUS = 6  # sample disc radius, in steps of s
+ORIENTATION_HAAR = 4.0  # Haar wavelet size
+ORIENTATION_SIGMA = 2.5  # Gaussian weight
+ORIENTATION_WINDOW = math.pi / 3  # sliding window width, radians
+ORIENTATION_STEP = math.pi / 32  # sliding window step, radians
+DESCRIPTOR_GRID = 4  # subregions per side
+DESCRIPTOR_SAMPLES = 5  # samples per subregion side, spaced s apart
+DESCRIPTOR_HAAR = 2.0  # Haar wavelet size
+DESCRIPTOR_SIGMA = 3.3  # Gaussian weight
+DESCRIPTOR_LENGTH = 4 * DESCRIPTOR_GRID * DESCRIPTOR_GRID  # four sums per subregion
 
 
 def filter_sizes(octave: int, intervals: int) -> list[int]:
@@ -55,35 +70,19 @@ def filter_sizes(octave: int, intervals: int) -> list[int]:
 
 @dataclass
 class ExtractionConfig:
-    """All numeric knobs of the extraction chain, echoed into output JSON.
-
-    Scale-relative parameters (suffix meaning: multiples of the interest
-    point's sigma) are fixed defaults recorded here for reproducibility.
-    """
+    """The extraction settings a caller may choose, echoed into output JSON."""
 
     octaves: int = 3
-    intervals: int = 4
     threshold: float = 4e-4
     upright: bool = False
-    dxy_weight: float = 0.9
-    orientation_radius: float = 6.0
-    orientation_haar: float = 4.0
-    orientation_sigma: float = 2.5
-    orientation_window: float = math.pi / 3
-    orientation_step: float = math.pi / 32
-    descriptor_window: float = 20.0
-    descriptor_grid: int = 4
-    descriptor_samples: int = 5
-    descriptor_haar: float = 2.0
-    descriptor_sigma: float = 3.3
 
     def __post_init__(self):
-        if not 1 <= self.octaves <= 4:
-            raise ValueError(f"octaves must be in [1, 4], got {self.octaves}")
-        if self.intervals < 3:
-            raise ValueError(f"need >= 3 intervals per octave, got {self.intervals}")
-        if self.threshold < 0:
-            raise ValueError(f"threshold must be >= 0, got {self.threshold}")
+        if not isinstance(self.octaves, int) or not 1 <= self.octaves <= 4:
+            raise ValueError(f"octaves must be an integer in [1, 4], got {self.octaves!r}")
+        if not isinstance(self.threshold, (int, float)) or not self.threshold >= 0:
+            raise ValueError(f"threshold must be a number >= 0, got {self.threshold!r}")
+        if not isinstance(self.upright, bool):
+            raise ValueError(f"upright must be true or false, got {self.upright!r}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -145,8 +144,8 @@ def build_response_maps(ii: IntegralImage, config: Optional[ExtractionConfig] = 
         xs = np.arange(0, ii.width, stride, dtype=np.int64)
         ys = np.arange(0, ii.height, stride, dtype=np.int64)
         gx, gy = np.meshgrid(xs, ys)
-        for interval, size in enumerate(filter_sizes(octave, config.intervals), start=1):
-            resp, signs = _hessian_grid(ii, gx, gy, size, config.dxy_weight)
+        for interval, size in enumerate(filter_sizes(octave, INTERVALS), start=1):
+            resp, signs = _hessian_grid(ii, gx, gy, size)
             maps.append(
                 ResponseMap(
                     octave=octave,
@@ -161,7 +160,7 @@ def build_response_maps(ii: IntegralImage, config: Optional[ExtractionConfig] = 
     return maps
 
 
-def _hessian_grid(ii: IntegralImage, gx: np.ndarray, gy: np.ndarray, size: int, dxy_weight: float):
+def _hessian_grid(ii: IntegralImage, gx: np.ndarray, gy: np.ndarray, size: int):
     lobe = size // 3
     border = (size - 1) // 2
     half = (lobe - 1) // 2
@@ -188,7 +187,7 @@ def _hessian_grid(ii: IntegralImage, gx: np.ndarray, gy: np.ndarray, size: int, 
     dxx = dxx * inv_area
     dyy = dyy * inv_area
     dxy = dxy * inv_area
-    responses = np.where(inside, dxx * dyy - (dxy_weight * dxy) ** 2, 0.0)
+    responses = np.where(inside, dxx * dyy - (DXY_WEIGHT * dxy) ** 2, 0.0)
     signs = np.where(inside & (dxx + dyy < 0), -1, 1).astype(np.int8)
     return responses, signs
 
@@ -286,7 +285,7 @@ def _even_size(target: float) -> int:
     return 2 * max(1, iround(target / 2.0))
 
 
-def assign_orientation(ii: IntegralImage, ip: InterestPoint, config: Optional[ExtractionConfig] = None) -> InterestPoint:
+def assign_orientation(ii: IntegralImage, ip: InterestPoint) -> InterestPoint:
     """Dominant Haar-gradient direction over a pi/3 sliding window.
 
     Haar responses (size ~4s) are sampled on a radius-6s disc at step s and
@@ -294,23 +293,21 @@ def assign_orientation(ii: IntegralImage, ip: InterestPoint, config: Optional[Ex
     orientation is the angle of the largest summed response vector.  Zero
     total response gives orientation 0.
     """
-    config = config or ExtractionConfig()
     s = ip.scale
-    radius = int(config.orientation_radius)
-    size = _even_size(config.orientation_haar * s)
-    grid = np.arange(-radius, radius + 1)
+    size = _even_size(ORIENTATION_HAAR * s)
+    grid = np.arange(-ORIENTATION_RADIUS, ORIENTATION_RADIUS + 1)
     ui, vi = np.meshgrid(grid, grid)
-    disc = ui * ui + vi * vi <= radius * radius
+    disc = ui * ui + vi * vi <= ORIENTATION_RADIUS * ORIENTATION_RADIUS
     ui = ui[disc]
     vi = vi[disc]
     px = np.floor(ip.x + ui * s + 0.5).astype(np.int64)
     py = np.floor(ip.y + vi * s + 0.5).astype(np.int64)
-    weight = np.exp(-(ui * ui + vi * vi) / (2.0 * config.orientation_sigma**2))
+    weight = np.exp(-(ui * ui + vi * vi) / (2.0 * ORIENTATION_SIGMA**2))
     gx = weight * _haar_x(ii, px, py, size)
     gy = weight * _haar_y(ii, px, py, size)
     angles = np.mod(np.arctan2(gy, gx), 2.0 * math.pi)
-    starts = np.arange(0.0, 2.0 * math.pi, config.orientation_step)
-    in_window = np.mod(angles[None, :] - starts[:, None], 2.0 * math.pi) < config.orientation_window
+    starts = np.arange(0.0, 2.0 * math.pi, ORIENTATION_STEP)
+    in_window = np.mod(angles[None, :] - starts[:, None], 2.0 * math.pi) < ORIENTATION_WINDOW
     sum_x = in_window @ gx
     sum_y = in_window @ gy
     mag2 = sum_x * sum_x + sum_y * sum_y
@@ -321,12 +318,7 @@ def assign_orientation(ii: IntegralImage, ip: InterestPoint, config: Optional[Ex
     return dataclasses.replace(ip, orientation=theta)
 
 
-def extract_descriptor(
-    ii: IntegralImage,
-    ip: InterestPoint,
-    upright: bool = False,
-    config: Optional[ExtractionConfig] = None,
-) -> Descriptor:
+def extract_descriptor(ii: IntegralImage, ip: InterestPoint, upright: bool = False) -> Descriptor:
     """64-d descriptor: per-subregion (sum dx, sum dy, sum |dx|, sum |dy|).
 
     A 20s x 20s window aligned to the orientation (axis-aligned if upright)
@@ -335,13 +327,12 @@ def extract_descriptor(
     keypoint frame before accumulation.  The concatenated vector is
     L2-normalized; an all-zero vector stays all-zero.
     """
-    config = config or ExtractionConfig()
     s = ip.scale
     theta = 0.0 if upright else ip.orientation
     cos_t = math.cos(theta)
     sin_t = math.sin(theta)
-    size = _even_size(config.descriptor_haar * s)
-    n = config.descriptor_grid * config.descriptor_samples
+    size = _even_size(DESCRIPTOR_HAAR * s)
+    n = DESCRIPTOR_GRID * DESCRIPTOR_SAMPLES
     idx = np.arange(n) - (n - 1) / 2.0  # -9.5 .. 9.5 in units of s
     u, v = np.meshgrid(idx, idx)  # u along x (columns), v along y (rows)
     rx = (u * cos_t - v * sin_t) * s
@@ -350,10 +341,10 @@ def extract_descriptor(
     py = np.floor(ip.y + ry + 0.5).astype(np.int64)
     dx0 = _haar_x(ii, px, py, size)
     dy0 = _haar_y(ii, px, py, size)
-    weight = np.exp(-(u * u + v * v) / (2.0 * config.descriptor_sigma**2))
+    weight = np.exp(-(u * u + v * v) / (2.0 * DESCRIPTOR_SIGMA**2))
     dx = weight * (dx0 * cos_t + dy0 * sin_t)
     dy = weight * (-dx0 * sin_t + dy0 * cos_t)
-    g, m = config.descriptor_grid, config.descriptor_samples
+    g, m = DESCRIPTOR_GRID, DESCRIPTOR_SAMPLES
     blocks_dx = dx.reshape(g, m, g, m)
     blocks_dy = dy.reshape(g, m, g, m)
     vec = np.stack(
@@ -385,6 +376,6 @@ def extract_features(
     maps = build_response_maps(ii, config)
     points = detect_interest_points(maps, config.threshold)
     if not config.upright:
-        points = [assign_orientation(ii, p, config) for p in points]
-    descriptors = [extract_descriptor(ii, p, config.upright, config) for p in points]
+        points = [assign_orientation(ii, p) for p in points]
+    descriptors = [extract_descriptor(ii, p, config.upright) for p in points]
     return points, descriptors

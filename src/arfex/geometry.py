@@ -1,14 +1,16 @@
-"""Planar-model estimation and RANSAC geometric verification.
+"""Planar homography estimation and RANSAC geometric verification.
 
-The default model is a planar homography fit by DLT on the 8-unknown system
+The model is a planar homography fit by DLT on the 8-unknown system
 (h33 = 1), with coordinates pre-scaled toward [0, 1] to bound conditioning.
-A similarity-transform mode is available for degenerate scenes.
+RANSAC (Fischler & Bolles, CACM 1981) draws 4-point samples, adapts its
+iteration count to the best consensus so far, and polishes the winner with
+bounded least-squares refits.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -23,6 +25,11 @@ from .errors import (
 _COLLINEAR_TOL = 1e-9
 _DENOM_TOL = 1e-12
 
+SAMPLE_SIZE = 4  # pairs in a minimal homography sample
+MAX_ITERATIONS = 2000
+CONFIDENCE = 0.99  # chance of drawing one all-inlier sample, for the adaptive stop
+INLIER_THRESHOLD = 3.0  # reprojection error in pixels
+
 
 @dataclass(eq=False)
 class Homography:
@@ -35,29 +42,6 @@ class Homography:
         if m.shape != (3, 3):
             raise ValueError(f"expected 3x3 matrix, got {m.shape}")
         self.h = m
-
-    @classmethod
-    def identity(cls) -> "Homography":
-        return cls(np.eye(3))
-
-
-@dataclass
-class RansacConfig:
-    """min_inliers=None uses the adaptive rule max(8, ceil(0.15 * n_matches));
-    model is 'homography' (4-point samples) or 'similarity' (2-point)."""
-
-    max_iterations: int = 2000
-    confidence: float = 0.99
-    inlier_threshold: float = 3.0
-    min_inliers: Optional[int] = None
-    rng_seed: int = 0
-    model: str = "homography"
-
-    def __post_init__(self):
-        if self.model not in ("homography", "similarity"):
-            raise ValueError(f"model must be 'homography' or 'similarity', got {self.model!r}")
-        if not 0.0 < self.confidence < 1.0:
-            raise ValueError(f"confidence must be in (0, 1), got {self.confidence}")
 
 
 @dataclass
@@ -157,36 +141,6 @@ def estimate_homography(src, dst) -> Homography:
     return Homography(h)
 
 
-def estimate_similarity(src, dst) -> Homography:
-    """Least-squares similarity (rotation + uniform scale + translation).
-
-    Minimal sample is 2 distinct points; returned as a Homography with the
-    bottom row (0, 0, 1).
-    """
-    src = _as_points(src)
-    dst = _as_points(dst)
-    if len(src) != len(dst) or len(src) < 2:
-        raise DegenerateConfiguration(f"need >= 2 pairs, got {len(src)}/{len(dst)}")
-    n = len(src)
-    a = np.zeros((2 * n, 4))
-    b = np.zeros(2 * n)
-    a[0::2, 0] = src[:, 0]
-    a[0::2, 1] = -src[:, 1]
-    a[0::2, 2] = 1.0
-    b[0::2] = dst[:, 0]
-    a[1::2, 0] = src[:, 1]
-    a[1::2, 1] = src[:, 0]
-    a[1::2, 3] = 1.0
-    b[1::2] = dst[:, 1]
-    sol, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
-    if rank < 4:
-        raise SingularSystem(f"rank-deficient system (rank {rank})")
-    p, q, tx, ty = sol
-    if p * p + q * q <= _DENOM_TOL:
-        raise SingularSystem("similarity scale collapsed to zero")
-    return Homography(np.array([[p, -q, tx], [q, p, ty], [0.0, 0.0, 1.0]]))
-
-
 def reprojection_errors(hom: Homography, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """Euclidean distance between projected src and dst; inf where the
     projective denominator underflows."""
@@ -207,53 +161,52 @@ def default_min_inliers(n_matches: int) -> int:
     return max(8, math.ceil(0.15 * n_matches))
 
 
-def ransac_verify(src, dst, cfg: Optional[RansacConfig] = None) -> VerificationResult:
-    """Adaptive-iteration RANSAC over minimal samples, least-squares refit.
+def ransac_verify(src, dst, seed: int = 0) -> VerificationResult:
+    """Adaptive-iteration RANSAC over 4-point samples, least-squares refit.
 
     src/dst are matched (n, 2) coordinate arrays.  Deterministic for a fixed
-    rng_seed.  Inlier = reprojection error <= threshold; verified iff the
-    final consensus reaches min_inliers.
+    seed.  Inlier = reprojection error <= INLIER_THRESHOLD; verified iff the
+    final consensus reaches default_min_inliers(n).  Fewer than 4 distinct
+    source points raise InsufficientMatches: every sample would be degenerate.
     """
-    cfg = cfg or RansacConfig()
     src = _as_points(src)
     dst = _as_points(dst)
     n = len(src)
     if n != len(dst):
         raise ValueError(f"mismatched correspondence arrays: {n} vs {len(dst)}")
-    if n < 4:
-        raise InsufficientMatches(f"need >= 4 matches, got {n}")
-    estimator = estimate_homography if cfg.model == "homography" else estimate_similarity
-    sample_size = 4 if cfg.model == "homography" else 2
-    min_inliers = cfg.min_inliers if cfg.min_inliers is not None else default_min_inliers(n)
-    rng = np.random.default_rng(cfg.rng_seed)
+    distinct = len(np.unique(src, axis=0))
+    if distinct < SAMPLE_SIZE:
+        raise InsufficientMatches(f"need >= {SAMPLE_SIZE} distinct source points, got {distinct}")
+    min_inliers = default_min_inliers(n)
+    rng = np.random.default_rng(seed)
 
     best_count = 0
     best_model: Optional[Homography] = None
     best_mask: Optional[np.ndarray] = None
-    needed = cfg.max_iterations
+    needed = MAX_ITERATIONS
     it = 0
     while it < needed:
         it += 1
-        idx = rng.choice(n, size=sample_size, replace=False)
+        idx = rng.choice(n, size=SAMPLE_SIZE, replace=False)
         try:
-            candidate = estimator(src[idx], dst[idx])
+            candidate = estimate_homography(src[idx], dst[idx])
         except (DegenerateConfiguration, SingularSystem):
             continue
         err = reprojection_errors(candidate, src, dst)
-        mask = err <= cfg.inlier_threshold
+        mask = err <= INLIER_THRESHOLD
         count = int(mask.sum())
         if count > best_count:
             best_count = count
             best_model = candidate
             best_mask = mask
             w = count / n
-            miss = 1.0 - w**sample_size
+            miss = 1.0 - w**SAMPLE_SIZE
             if miss <= 0.0:
                 needed = it
             else:
                 needed = min(
-                    cfg.max_iterations,
-                    math.ceil(math.log(1.0 - cfg.confidence) / math.log(miss)),
+                    MAX_ITERATIONS,
+                    math.ceil(math.log(1.0 - CONFIDENCE) / math.log(miss)),
                 )
 
     if best_model is None:
@@ -267,14 +220,14 @@ def ransac_verify(src, dst, cfg: Optional[RansacConfig] = None) -> VerificationR
     def tighten(model, mask):
         for _ in range(10):
             consensus = np.flatnonzero(mask)
-            if len(consensus) < sample_size:
+            if len(consensus) < SAMPLE_SIZE:
                 break
             try:
-                refit = estimator(src[consensus], dst[consensus])
+                refit = estimate_homography(src[consensus], dst[consensus])
             except (DegenerateConfiguration, SingularSystem):
                 break
             err = reprojection_errors(refit, src, dst)
-            new_mask = err <= cfg.inlier_threshold
+            new_mask = err <= INLIER_THRESHOLD
             if int(new_mask.sum()) < int(mask.sum()):
                 break
             converged = bool(np.array_equal(new_mask, mask))
@@ -287,11 +240,11 @@ def ransac_verify(src, dst, cfg: Optional[RansacConfig] = None) -> VerificationR
     def widened(model):
         for factor in (2.0, 1.5):
             err = reprojection_errors(model, src, dst)
-            wide = np.flatnonzero(err <= factor * cfg.inlier_threshold)
-            if len(wide) < sample_size:
+            wide = np.flatnonzero(err <= factor * INLIER_THRESHOLD)
+            if len(wide) < SAMPLE_SIZE:
                 continue
             try:
-                model = estimator(src[wide], dst[wide])
+                model = estimate_homography(src[wide], dst[wide])
             except (DegenerateConfiguration, SingularSystem):
                 continue
         return model
@@ -304,7 +257,7 @@ def ransac_verify(src, dst, cfg: Optional[RansacConfig] = None) -> VerificationR
 
     model_a, mask_a = tighten(best_model, best_mask)
     model_b = widened(best_model)
-    mask_b = reprojection_errors(model_b, src, dst) <= cfg.inlier_threshold
+    mask_b = reprojection_errors(model_b, src, dst) <= INLIER_THRESHOLD
     model_b, mask_b = tighten(model_b, mask_b)
     count_a, err_a = score(model_a, mask_a)
     count_b, err_b = score(model_b, mask_b)
@@ -314,7 +267,7 @@ def ransac_verify(src, dst, cfg: Optional[RansacConfig] = None) -> VerificationR
         model, mask = model_a, mask_a
 
     err = reprojection_errors(model, src, dst)
-    inliers = np.flatnonzero(err <= cfg.inlier_threshold)
+    inliers = np.flatnonzero(err <= INLIER_THRESHOLD)
     mean_err = float(err[inliers].mean()) if len(inliers) else math.inf
     verified = len(inliers) >= min_inliers
     return VerificationResult(

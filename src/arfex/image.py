@@ -10,7 +10,7 @@ Values are immutable after construction; all functions are pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -17,19 +16,9 @@ class Match:
     distance: float
 
 
-@dataclass
-class MatchConfig:
-    """ratio_threshold gates d1/d2; the sign filter restricts candidates to
-    targets with the same Laplacian sign.  A lone candidate is accepted below
-    an absolute distance cap instead of the (undefined) ratio."""
-
-    ratio_threshold: float = 0.7
-    use_sign_filter: bool = True
-    single_candidate_max_distance: float = 0.5
-
-    def __post_init__(self):
-        if not 0.0 < self.ratio_threshold <= 1.0:
-            raise ValueError(f"ratio_threshold must be in (0, 1], got {self.ratio_threshold}")
+# A lone same-sign candidate has no second neighbour for the ratio test; it is
+# accepted below this absolute distance instead.
+LONE_CANDIDATE_MAX_DISTANCE = 0.5
 
 
 def distance(a: Descriptor, b: Descriptor) -> float:
@@ -40,39 +29,39 @@ def distance(a: Descriptor, b: Descriptor) -> float:
 def match_descriptors(
     query: list[Descriptor],
     target: list[Descriptor],
-    cfg: Optional[MatchConfig] = None,
+    ratio: float = 0.7,
 ) -> list[Match]:
     """One-directional nearest-neighbor matching with the ratio test.
 
-    Per query descriptor: candidates are same-sign targets (all targets with
-    the filter off); the nearest candidate is kept iff d1 < ratio * d2, or,
-    with exactly one candidate, iff d1 < the absolute cap.  d1 = d2 = 0
+    Per query descriptor: candidates are the targets with the same Laplacian
+    sign; the nearest candidate is kept iff d1 < ratio * d2, or, with exactly
+    one candidate, iff d1 < LONE_CANDIDATE_MAX_DISTANCE.  d1 = d2 = 0
     (duplicate targets) is rejected as ambiguous.  At most one match per
     query index; output sorted by ascending distance, ties by
     (query_index, target_index).
     """
-    cfg = cfg or MatchConfig()
+    if not 0.0 < ratio <= 1.0:
+        raise ValueError(f"ratio must be in (0, 1], got {ratio}")
     if not query or not target:
         return []
     tmat = np.stack([d.components for d in target])
     tsigns = np.array([d.laplacian_sign for d in target])
-    all_idx = np.arange(len(target))
     matches: list[Match] = []
     for qi, q in enumerate(query):
-        cand = all_idx[tsigns == q.laplacian_sign] if cfg.use_sign_filter else all_idx
+        cand = np.flatnonzero(tsigns == q.laplacian_sign)
         if cand.size == 0:
             continue
         diff = tmat[cand] - q.components
         dists = np.sqrt(np.einsum("ij,ij->i", diff, diff))
         if cand.size == 1:
             d1 = float(dists[0])
-            if d1 < cfg.single_candidate_max_distance:
+            if d1 < LONE_CANDIDATE_MAX_DISTANCE:
                 matches.append(Match(qi, int(cand[0]), d1))
             continue
         order = np.argsort(dists, kind="stable")
         d1 = float(dists[order[0]])
         d2 = float(dists[order[1]])
-        if d1 < cfg.ratio_threshold * d2:
+        if d1 < ratio * d2:
             matches.append(Match(qi, int(cand[order[0]]), d1))
     matches.sort(key=lambda m: (m.distance, m.query_index, m.target_index))
     return matches

@@ -9,17 +9,17 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from .errors import DuplicateId, InsufficientMatches, NoFeatures, ParseError, VersionMismatch
-from .features import Descriptor, ExtractionConfig, InterestPoint, extract_features
-from .geometry import RansacConfig, VerificationResult, ransac_verify
+from .features import DESCRIPTOR_LENGTH, Descriptor, ExtractionConfig, InterestPoint, extract_features
+from .geometry import VerificationResult, ransac_verify
 from .image import RasterImage
-from .matching import Match, MatchConfig, match_descriptors
+from .matching import Match, match_descriptors
 
 DB_VERSION = 1
 UNRECOGNIZED = "unrecognized"
@@ -96,27 +96,26 @@ def index_image(db: Database, img: RasterImage, object_id: str, name: str, info:
 def query_image(
     db: Database,
     img: RasterImage,
-    match_cfg: Optional[MatchConfig] = None,
-    ransac_cfg: Optional[RansacConfig] = None,
+    ratio: float = 0.7,
+    seed: int = 0,
 ) -> tuple[QueryResult, list[InterestPoint]]:
     """Match the query against every record and rank verified candidates.
 
-    Query extraction is forced to the database's extraction_config.  Ranking:
-    verified desc, inlier count desc, match count desc, id asc.  Returns the
-    result plus the query's interest points (for overlay drawing).
+    `ratio` is the matcher's ratio test and `seed` seeds each record's
+    RANSAC.  Query extraction is forced to the database's extraction_config.
+    Ranking: verified desc, inlier count desc, match count desc, id asc.
+    Returns the result plus the query's interest points (for overlay drawing).
     """
-    match_cfg = match_cfg or MatchConfig()
-    ransac_cfg = ransac_cfg or RansacConfig()
     points, descriptors = extract_features(img, db.extraction_config)
     if not points:
         raise NoFeatures("query image produced no interest points")
     ranked: list[RankedCandidate] = []
     for rec in db.records:
-        matches = match_descriptors(descriptors, rec.descriptors, match_cfg)
+        matches = match_descriptors(descriptors, rec.descriptors, ratio)
         try:
             src = np.array([[rec.keypoints[m.target_index].x, rec.keypoints[m.target_index].y] for m in matches])
             dst = np.array([[points[m.query_index].x, points[m.query_index].y] for m in matches])
-            verification = ransac_verify(src, dst, ransac_cfg)
+            verification = ransac_verify(src, dst, seed)
         except InsufficientMatches:
             verification = VerificationResult(None, [], math.inf, False)
         ranked.append(
@@ -148,7 +147,11 @@ def query_image(
 
 # --- persistence --------------------------------------------------------
 
-def _point_to_json(p: InterestPoint) -> dict:
+_POINT_FLOATS = ("x", "y", "scale", "response", "orientation")
+
+
+def point_to_json(p: InterestPoint) -> dict:
+    """The JSON form of an interest point, in databases and `arfex extract` output."""
     return {
         "x": p.x,
         "y": p.y,
@@ -160,13 +163,40 @@ def _point_to_json(p: InterestPoint) -> dict:
 
 
 def _point_from_json(d: dict) -> InterestPoint:
+    values = [float(d[k]) for k in _POINT_FLOATS]
+    if not all(map(math.isfinite, values)):
+        raise ParseError(f"keypoint has a non-finite field: {d!r}")
+    x, y, scale, response, orientation = values
+    laplacian = d["laplacian"]
+    if laplacian not in (1, -1):
+        raise ParseError(f"keypoint laplacian must be 1 or -1, got {laplacian!r}")
     return InterestPoint(
-        x=float(d["x"]),
-        y=float(d["y"]),
-        scale=float(d["scale"]),
-        response=float(d["response"]),
-        laplacian_sign=int(d["laplacian"]),
-        orientation=float(d["orientation"]),
+        x=x,
+        y=y,
+        scale=scale,
+        response=response,
+        laplacian_sign=int(laplacian),
+        orientation=orientation,
+    )
+
+
+def _record_from_json(obj: dict) -> ObjectRecord:
+    keypoints = [_point_from_json(p) for p in obj["keypoints"]]
+    if not keypoints or len(keypoints) != len(obj["descriptors"]):
+        raise ParseError(f"object {obj['id']!r} has mismatched or empty features")
+    rows = np.asarray(obj["descriptors"])
+    if rows.shape != (len(keypoints), DESCRIPTOR_LENGTH) or rows.dtype.kind not in "fi":
+        raise ParseError(f"object {obj['id']!r}: descriptors must be {DESCRIPTOR_LENGTH} numbers each")
+    rows = rows.astype(np.float64, copy=False)
+    if not np.isfinite(rows).all():
+        raise ParseError(f"object {obj['id']!r} has a non-finite descriptor component")
+    return ObjectRecord(
+        object_id=str(obj["id"]),
+        name=str(obj["name"]),
+        info=str(obj["info"]),
+        image_size=(int(obj["image_size"][0]), int(obj["image_size"][1])),
+        keypoints=keypoints,
+        descriptors=[Descriptor(components=c, laplacian_sign=p.laplacian_sign) for c, p in zip(rows, keypoints)],
     )
 
 
@@ -180,7 +210,7 @@ def db_to_json(db: Database) -> dict:
                 "name": r.name,
                 "info": r.info,
                 "image_size": list(r.image_size),
-                "keypoints": [_point_to_json(p) for p in r.keypoints],
+                "keypoints": [point_to_json(p) for p in r.keypoints],
                 "descriptors": [d.components.tolist() for d in r.descriptors],
             }
             for r in db.records
@@ -189,31 +219,19 @@ def db_to_json(db: Database) -> dict:
 
 
 def db_from_json(doc: dict) -> Database:
+    """Validate a database document and build its snapshot.
+
+    Any missing, malformed, non-finite or out-of-range value raises
+    ParseError; an unsupported version raises VersionMismatch.  Unknown
+    extraction_config keys are ignored.
+    """
     try:
         version = doc["version"]
         if version != DB_VERSION:
             raise VersionMismatch(f"unsupported database version {version}")
         config = ExtractionConfig.from_dict(doc["extraction_config"])
-        records = []
-        for obj in doc["objects"]:
-            keypoints = [_point_from_json(p) for p in obj["keypoints"]]
-            descriptors = [
-                Descriptor(components=np.array(c, dtype=np.float64), laplacian_sign=p.laplacian_sign)
-                for c, p in zip(obj["descriptors"], keypoints)
-            ]
-            if len(keypoints) != len(obj["descriptors"]) or not keypoints:
-                raise ParseError(f"object {obj.get('id')!r} has mismatched or empty features")
-            records.append(
-                ObjectRecord(
-                    object_id=str(obj["id"]),
-                    name=str(obj["name"]),
-                    info=str(obj["info"]),
-                    image_size=(int(obj["image_size"][0]), int(obj["image_size"][1])),
-                    keypoints=keypoints,
-                    descriptors=descriptors,
-                )
-            )
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        records = [_record_from_json(obj) for obj in doc["objects"]]
+    except (KeyError, TypeError, ValueError, IndexError, AttributeError, OverflowError) as exc:
         raise ParseError(f"malformed database document: {exc}") from exc
     seen = set()
     for r in records:
@@ -229,9 +247,8 @@ def save_db(db: Database, path) -> None:
 
 
 def load_db(path) -> Database:
-    text = Path(path).read_text(encoding="ascii")
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(Path(path).read_text(encoding="ascii"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     return db_from_json(doc)

@@ -15,7 +15,7 @@ import scipy.ndimage
 
 from arfex.cli import main
 from arfex.features import ExtractionConfig, build_response_maps, extract_features
-from arfex.geometry import Homography, RansacConfig, ransac_verify
+from arfex.geometry import Homography, ransac_verify
 from arfex.image import GrayImage, RasterImage, box_sums, build_integral, to_grayscale
 from arfex.image_io import write_ppm
 from arfex.matching import match_descriptors
@@ -195,7 +195,7 @@ def test_criterion_7_ransac_recovery():
             dst_in = homo[:, :2] / homo[:, 2:3] + rng.normal(0, 0.5, size=(30, 2))
             src = np.vstack([src_in, rng.uniform(0, 200, size=(20, 2))])
             dst = np.vstack([dst_in, rng.uniform(0, 200, size=(20, 2))])
-            res = ransac_verify(src, dst, RansacConfig(rng_seed=seed))
+            res = ransac_verify(src, dst, seed)
             true_inliers = sum(1 for i in res.inlier_indices if i < 30)
             if res.verified and true_inliers >= 28 and res.mean_reprojection_error < 1.0:
                 successes += 1

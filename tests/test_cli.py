@@ -153,6 +153,17 @@ def test_index_info_from_file(tmp_path, texture_ppm):
     assert read_json(db)["objects"][0]["info"] == "long description\nwith lines"
 
 
+def test_index_info_file_not_utf8_is_exit_2(tmp_path, texture_ppm):
+    info_file = tmp_path / "info.bin"
+    info_file.write_bytes(b"\xff\xfe\xfa")
+    db = tmp_path / "db.json"
+    code = main(
+        ["index", "--db", str(db), "--input", str(texture_ppm), "--id", "a", "--name", "A", "--info", f"@{info_file}"]
+    )
+    assert code == 2
+    assert not db.exists()
+
+
 def build_db(tmp_path, seeds=(31, 32, 33)):
     db = tmp_path / "db.json"
     for k, seed in enumerate(seeds):

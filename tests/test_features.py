@@ -43,8 +43,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ExtractionConfig(octaves=5)
     with pytest.raises(ValueError):
-        ExtractionConfig(intervals=2)
-    with pytest.raises(ValueError):
         ExtractionConfig(threshold=-1.0)
 
 
@@ -224,16 +222,17 @@ def test_orientation_flat_patch_is_zero():
     assert assign_orientation(ii, point_at(32, 32, 2.0)).orientation == 0.0
 
 
-def orientation_oracle(levels, x, y, s, cfg=None):
+def orientation_oracle(levels, x, y, s):
     """Plain-Python re-derivation of the dominant-direction algorithm.
 
     Box sums come from direct integer pixel summation (no prefix tables).
+    SURF's constants: Haar size 4s on a radius-6s disc, Gaussian sigma 2.5s,
+    a pi/3 window sliding by pi/32.
     """
-    cfg = cfg or ExtractionConfig()
-    size = 2 * max(1, int(math.floor(cfg.orientation_haar * s / 2.0 + 0.5)))
+    size = 2 * max(1, int(math.floor(4.0 * s / 2.0 + 0.5)))
     half = size // 2
     samples = []
-    r = int(cfg.orientation_radius)
+    r = 6
     ilevels = levels.astype(int)
     for j in range(-r, r + 1):
         for i in range(-r, r + 1):
@@ -245,16 +244,16 @@ def orientation_oracle(levels, x, y, s, cfg=None):
             left = slice_box_sum(ilevels, px - half, py - half, px - 1, py + half - 1)
             lower = slice_box_sum(ilevels, px - half, py, px + half - 1, py + half - 1)
             upper = slice_box_sum(ilevels, px - half, py - half, px + half - 1, py - 1)
-            w = math.exp(-(i * i + j * j) / (2 * cfg.orientation_sigma**2))
+            w = math.exp(-(i * i + j * j) / (2 * 2.5**2))
             samples.append((w * ((right - left) / 255.0), w * ((lower - upper) / 255.0)))
     best = (0.0, 0.0, -1.0)
     k = 0
-    while k * cfg.orientation_step < 2 * math.pi:
-        a = k * cfg.orientation_step
+    while k * (math.pi / 32) < 2 * math.pi:
+        a = k * (math.pi / 32)
         sx = sy = 0.0
         for gx, gy in samples:
             ang = math.atan2(gy, gx) % (2 * math.pi)
-            if (ang - a) % (2 * math.pi) < cfg.orientation_window:
+            if (ang - a) % (2 * math.pi) < math.pi / 3:
                 sx += gx
                 sy += gy
         m = sx * sx + sy * sy
@@ -354,8 +353,8 @@ def test_pipeline_equals_manual_stage_composition(rng):
         ii = build_integral(gray)
         maps = build_response_maps(ii, cfg)
         pts = detect_interest_points(maps, cfg.threshold)
-        pts = [assign_orientation(ii, p, cfg) for p in pts]
-        descs = [extract_descriptor(ii, p, cfg.upright, cfg) for p in pts]
+        pts = [assign_orientation(ii, p) for p in pts]
+        descs = [extract_descriptor(ii, p, cfg.upright) for p in pts]
         assert got_pts == pts
         assert len(got_descs) == len(descs)
         for a, b in zip(got_descs, descs):

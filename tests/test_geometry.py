@@ -11,11 +11,11 @@ from arfex.errors import (
     PointAtInfinity,
     SingularSystem,
 )
+from arfex import geometry
 from arfex.geometry import (
+    INLIER_THRESHOLD,
     Homography,
-    RansacConfig,
     estimate_homography,
-    estimate_similarity,
     project_point,
     ransac_verify,
     reprojection_errors,
@@ -44,7 +44,7 @@ def random_well_conditioned_h(rng) -> np.ndarray:
 
 
 def test_project_identity():
-    assert project_point(Homography.identity(), (3.0, 4.0)) == (3.0, 4.0)
+    assert project_point(Homography(np.eye(3)), (3.0, 4.0)) == (3.0, 4.0)
 
 
 def test_project_translation():
@@ -123,27 +123,6 @@ def test_estimate_rejects_duplicated_sources():
         estimate_homography(src, SQUARE)
 
 
-def test_similarity_recovers_known_transform():
-    theta, s, tx, ty = 0.3, 1.4, 7.0, -2.0
-    truth = np.array(
-        [
-            [s * math.cos(theta), -s * math.sin(theta), tx],
-            [s * math.sin(theta), s * math.cos(theta), ty],
-            [0, 0, 1.0],
-        ]
-    )
-    dst = apply_h(truth, SQUARE)
-    h = estimate_similarity(SQUARE, dst).h
-    assert np.allclose(h, truth, atol=1e-9)
-
-
-def test_similarity_rejects_degenerate_input():
-    with pytest.raises(DegenerateConfiguration):
-        estimate_similarity(SQUARE[:1], SQUARE[:1])
-    with pytest.raises(SingularSystem):
-        estimate_similarity(np.zeros((2, 2)), np.zeros((2, 2)))
-
-
 def exact_correspondences(rng, n, truth):
     src = rng.uniform(0, 200, size=(n, 2))
     return src, apply_h(truth, src)
@@ -159,7 +138,7 @@ def test_ransac_all_inliers_exact_similarity(rng):
         ]
     )
     src, dst = exact_correspondences(rng, 20, truth)
-    res = ransac_verify(src, dst, RansacConfig(rng_seed=5))
+    res = ransac_verify(src, dst, 5)
     assert res.verified
     assert len(res.inlier_indices) == 20
     assert res.mean_reprojection_error < 1e-6
@@ -176,7 +155,7 @@ def test_ransac_with_outliers(rng):
         dst_out = local.uniform(0, 200, size=(12, 2))
         src = np.vstack([src_in, src_out])
         dst = np.vstack([dst_in, dst_out])
-        res = ransac_verify(src, dst, RansacConfig(rng_seed=seed, min_inliers=8))
+        res = ransac_verify(src, dst, seed)
         if res.verified and set(range(8)) <= set(res.inlier_indices) and res.mean_reprojection_error < 1.0:
             successes += 1
     assert successes >= 19
@@ -185,14 +164,29 @@ def test_ransac_with_outliers(rng):
 def test_ransac_insufficient_matches():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(InsufficientMatches):
-        ransac_verify(pts, pts, RansacConfig())
+        ransac_verify(pts, pts)
+
+
+def test_ransac_fewer_than_four_distinct_sources_is_insufficient(monkeypatch):
+    calls = []
+
+    def counting(src, dst):
+        calls.append(len(src))
+        return estimate_homography(src, dst)
+
+    monkeypatch.setattr(geometry, "estimate_homography", counting)
+    src = np.array([[10.0, 20.0], [50.0, 20.0], [30.0, 70.0]])[np.arange(10) % 3]
+    dst = np.random.default_rng(4).uniform(0, 200, size=(10, 2))
+    with pytest.raises(InsufficientMatches):
+        ransac_verify(src, dst)
+    assert calls == []
 
 
 def test_ransac_unverified_below_min_inliers(rng):
     # pure noise correspondences: no consensus reaches max(8, 15%)
     src = rng.uniform(0, 200, size=(30, 2))
     dst = rng.uniform(0, 200, size=(30, 2))
-    res = ransac_verify(src, dst, RansacConfig(rng_seed=3))
+    res = ransac_verify(src, dst, 3)
     assert not res.verified
     assert res.model is None
 
@@ -201,11 +195,10 @@ def test_ransac_inliers_revalidate(rng):
     truth = random_well_conditioned_h(rng)
     src = rng.uniform(0, 200, size=(25, 2))
     dst = apply_h(truth, src) + rng.normal(0, 0.4, size=(25, 2))
-    cfg = RansacConfig(rng_seed=11)
-    res = ransac_verify(src, dst, cfg)
+    res = ransac_verify(src, dst, 11)
     assert res.verified
     err = reprojection_errors(res.model, src, dst)
-    assert np.all(err[res.inlier_indices] <= cfg.inlier_threshold)
+    assert np.all(err[res.inlier_indices] <= INLIER_THRESHOLD)
     assert res.mean_reprojection_error == pytest.approx(float(err[res.inlier_indices].mean()))
 
 
@@ -214,34 +207,11 @@ def test_ransac_seed_determinism(rng):
     src = rng.uniform(0, 200, size=(40, 2))
     dst = apply_h(truth, src)
     dst[::3] += rng.uniform(5, 40, size=dst[::3].shape)
-    a = ransac_verify(src, dst, RansacConfig(rng_seed=77))
-    b = ransac_verify(src, dst, RansacConfig(rng_seed=77))
+    a = ransac_verify(src, dst, 77)
+    b = ransac_verify(src, dst, 77)
     assert a.inlier_indices == b.inlier_indices
     assert a.mean_reprojection_error == b.mean_reprojection_error
     assert np.array_equal(a.model.h, b.model.h)
-
-
-def test_ransac_similarity_mode(rng):
-    theta = math.radians(-20)
-    truth = np.array(
-        [
-            [0.9 * math.cos(theta), -0.9 * math.sin(theta), 4.0],
-            [0.9 * math.sin(theta), 0.9 * math.cos(theta), 9.0],
-            [0, 0, 1.0],
-        ]
-    )
-    src, dst = exact_correspondences(rng, 15, truth)
-    dst[12:] += 50.0
-    res = ransac_verify(src, dst, RansacConfig(rng_seed=2, model="similarity", min_inliers=8))
-    assert res.verified
-    assert set(res.inlier_indices) == set(range(12))
-
-
-def test_ransac_config_validation():
-    with pytest.raises(ValueError):
-        RansacConfig(model="affine")
-    with pytest.raises(ValueError):
-        RansacConfig(confidence=1.0)
 
 
 def test_homography_requires_3x3():

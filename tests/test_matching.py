@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from arfex.features import Descriptor
-from arfex.matching import Match, MatchConfig, distance, match_descriptors
+from arfex.matching import Match, distance, match_descriptors
 from oracles import brute_force_matches
 
 
@@ -85,14 +85,6 @@ def test_sign_filter_excludes_opposite_sign():
     assert matches[0].distance == pytest.approx(0.4, abs=1e-12)
 
 
-def test_sign_filter_off_uses_all_targets():
-    q = [desc([1.0], sign=1)]
-    t = [desc([1.0, 0.01], sign=-1), desc([1.0, 0.4], sign=1)]
-    matches = match_descriptors(q, t, MatchConfig(use_sign_filter=False))
-    assert len(matches) == 1
-    assert matches[0].target_index == 0
-
-
 def test_single_candidate_absolute_fallback():
     q = [desc([1.0])]
     near = [desc([1.0, 0.3])]
@@ -138,11 +130,11 @@ def test_at_most_one_match_per_query(rng):
 def test_lowering_ratio_never_adds_matches(rng):
     query = random_descs(rng, 100)
     target = random_descs(rng, 100)
-    loose = {(m.query_index, m.target_index) for m in match_descriptors(query, target, MatchConfig(ratio_threshold=0.9))}
+    loose = {(m.query_index, m.target_index) for m in match_descriptors(query, target, ratio=0.9)}
     for ratio in (0.7, 0.5, 0.3):
         tight = {
             (m.query_index, m.target_index)
-            for m in match_descriptors(query, target, MatchConfig(ratio_threshold=ratio))
+            for m in match_descriptors(query, target, ratio=ratio)
         }
         assert tight <= loose
         loose = tight
@@ -157,7 +149,8 @@ def test_output_ordering_is_canonical(rng):
 
 
 def test_config_validation():
+    d = unit_desc(0)
     with pytest.raises(ValueError):
-        MatchConfig(ratio_threshold=0.0)
+        match_descriptors([d], [d], ratio=0.0)
     with pytest.raises(ValueError):
-        MatchConfig(ratio_threshold=1.5)
+        match_descriptors([d], [d], ratio=1.5)

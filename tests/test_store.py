@@ -7,10 +7,10 @@ import pytest
 
 from arfex.errors import DuplicateId, NoFeatures, ParseError, VersionMismatch
 from arfex.features import ExtractionConfig
-from arfex.geometry import RansacConfig
 from arfex.store import (
     Database,
     UNRECOGNIZED,
+    db_from_json,
     db_to_json,
     index_image,
     load_db,
@@ -106,7 +106,7 @@ def test_query_ranking_is_total_and_deterministic(small_db):
 def test_query_seed_changes_are_still_consistent(small_db):
     img = blob_texture(192, 192, 16, seed=51)
     for seed in (0, 1, 99):
-        result, _ = query_image(small_db, img, ransac_cfg=RansacConfig(rng_seed=seed))
+        result, _ = query_image(small_db, img, seed=seed)
         assert result.best == "obj1"
 
 
@@ -172,3 +172,92 @@ def test_loaded_db_answers_queries(tmp_path, small_db):
     loaded = load_db(path)
     result, _ = query_image(loaded, blob_texture(192, 192, 16, seed=50))
     assert result.best == "obj0"
+
+
+def one_record_doc(db):
+    doc = db_to_json(db)
+    doc["objects"] = doc["objects"][:1]
+    return doc
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        [0.1] * 10,
+        [0.1] * 65,
+        [0.1] * 63 + [float("nan")],
+        [0.1] * 63 + [float("inf")],
+        [0.1] * 63 + ["0.1"],
+        [0.1] * 63 + [None],
+        [[0.1] * 64],
+    ],
+    ids=["short", "long", "nan", "inf", "string", "null", "nested"],
+)
+def test_descriptor_must_be_64_finite_floats(small_db, bad):
+    doc = one_record_doc(small_db)
+    doc["objects"][0]["descriptors"][-1] = bad
+    with pytest.raises(ParseError):
+        db_from_json(doc)
+
+
+@pytest.mark.parametrize("bad", [7, 0, "1", None, 0.5])
+def test_laplacian_must_be_plus_or_minus_one(small_db, bad):
+    doc = one_record_doc(small_db)
+    doc["objects"][0]["keypoints"][0]["laplacian"] = bad
+    with pytest.raises(ParseError):
+        db_from_json(doc)
+
+
+@pytest.mark.parametrize("name", ["x", "y", "scale", "response", "orientation"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_keypoint_fields_must_be_finite(small_db, name, value):
+    doc = one_record_doc(small_db)
+    doc["objects"][0]["keypoints"][0][name] = value
+    with pytest.raises(ParseError):
+        db_from_json(doc)
+
+
+@pytest.mark.parametrize(
+    "key, bad",
+    [("octaves", 2.5), ("octaves", "3"), ("threshold", "x"), ("threshold", float("nan")), ("upright", "no")],
+)
+def test_extraction_config_values_are_checked(small_db, key, bad):
+    doc = one_record_doc(small_db)
+    doc["extraction_config"][key] = bad
+    with pytest.raises(ParseError):
+        db_from_json(doc)
+
+
+def test_document_with_all_fifteen_extraction_settings_loads(small_db):
+    """Older databases echo 15 extraction settings; the 12 that are no
+    longer settable are ignored on load."""
+    doc = db_to_json(small_db)
+    doc["extraction_config"] = {
+        "octaves": 3,
+        "intervals": 4,
+        "threshold": 0.0004,
+        "upright": False,
+        "dxy_weight": 0.9,
+        "orientation_radius": 6.0,
+        "orientation_haar": 4.0,
+        "orientation_sigma": 2.5,
+        "orientation_window": 1.0471975511965976,
+        "orientation_step": 0.09817477042468103,
+        "descriptor_window": 20.0,
+        "descriptor_grid": 4,
+        "descriptor_samples": 5,
+        "descriptor_haar": 2.0,
+        "descriptor_sigma": 3.3,
+    }
+    loaded = db_from_json(doc)
+    assert loaded.extraction_config == ExtractionConfig()
+    assert db_to_json(loaded)["objects"] == db_to_json(small_db)["objects"]
+    result, _ = query_image(loaded, blob_texture(192, 192, 16, seed=52))
+    assert result.best == "obj2"
+
+
+def test_non_ascii_db_file_raises_parse_error(tmp_path):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe\xfa")
+    with pytest.raises(ParseError):
+        load_db(path)
