@@ -16,7 +16,9 @@ border b = (L-1)//2, half-lobe m = (l-1)//2; rectangles inclusive):
 
 Each D is normalized by L^2.  Grid cells whose filter support (reach b from
 the center) is not fully inside the image have response 0 and Laplacian
-sign +1; interior cells never need clipping by construction.
+sign +1.  Interior cells never need clipping, so each of the 32 corner
+lookups (8 boxes x 4 corners) is one strided slice of `IntegralImage.padded`
+over the whole interior sub-grid, and the boxes combine in exact int64.
 """
 
 from __future__ import annotations
@@ -141,11 +143,8 @@ def build_response_maps(ii: IntegralImage, config: Optional[ExtractionConfig] = 
     maps = []
     for octave in range(1, config.octaves + 1):
         stride = 1 << (octave - 1)
-        xs = np.arange(0, ii.width, stride, dtype=np.int64)
-        ys = np.arange(0, ii.height, stride, dtype=np.int64)
-        gx, gy = np.meshgrid(xs, ys)
         for interval, size in enumerate(filter_sizes(octave, INTERVALS), start=1):
-            resp, signs = _hessian_grid(ii, gx, gy, size)
+            resp, signs = _hessian_grid(ii, stride, size)
             maps.append(
                 ResponseMap(
                     octave=octave,
@@ -160,35 +159,46 @@ def build_response_maps(ii: IntegralImage, config: Optional[ExtractionConfig] = 
     return maps
 
 
-def _hessian_grid(ii: IntegralImage, gx: np.ndarray, gy: np.ndarray, size: int):
+def _hessian_grid(ii: IntegralImage, stride: int, size: int):
     lobe = size // 3
     border = (size - 1) // 2
     half = (lobe - 1) // 2
-    inside = (
-        (gx >= border)
-        & (gx <= ii.width - 1 - border)
-        & (gy >= border)
-        & (gy <= ii.height - 1 - border)
-    )
+    responses = np.zeros((-(-ii.height // stride), -(-ii.width // stride)))
+    signs = np.ones(responses.shape, dtype=np.int8)
+    # Interior cells: border <= i*stride <= height-1-border, likewise for j.
+    i0 = j0 = -(-border // stride)
+    ny = (ii.height - 1 - border) // stride + 1 - i0
+    nx = (ii.width - 1 - border) // stride + 1 - j0
+    if ny <= 0 or nx <= 0:
+        return responses, signs
+    p = ii.padded
+
+    def corner(dx: int, dy: int) -> np.ndarray:
+        """padded[y+dy, x+dx] for every interior center (x, y), as a strided view."""
+        y = i0 * stride + dy
+        x = j0 * stride + dx
+        return p[y : y + (ny - 1) * stride + 1 : stride, x : x + (nx - 1) * stride + 1 : stride]
+
+    def box(x0: int, y0: int, x1: int, y1: int) -> np.ndarray:
+        """Level sums of the inclusive rectangle [x+x0..x+x1] x [y+y0..y+y1]."""
+        return corner(x1 + 1, y1 + 1) - corner(x1 + 1, y0) - corner(x0, y1 + 1) + corner(x0, y0)
+
     # Integer-domain combinations: flat regions cancel to exactly zero.
-    dxx = box_level_sums(ii, gx - border, gy - lobe + 1, gx + border, gy + lobe - 1) - 3 * box_level_sums(
-        ii, gx - half, gy - lobe + 1, gx + half, gy + lobe - 1
-    )
-    dyy = box_level_sums(ii, gx - lobe + 1, gy - border, gx + lobe - 1, gy + border) - 3 * box_level_sums(
-        ii, gx - lobe + 1, gy - half, gx + lobe - 1, gy + half
-    )
+    dxx = box(-border, -lobe + 1, border, lobe - 1) - 3 * box(-half, -lobe + 1, half, lobe - 1)
+    dyy = box(-lobe + 1, -border, lobe - 1, border) - 3 * box(-lobe + 1, -half, lobe - 1, half)
     dxy = (
-        box_level_sums(ii, gx + 1, gy - lobe, gx + lobe, gy - 1)
-        + box_level_sums(ii, gx - lobe, gy + 1, gx - 1, gy + lobe)
-        - box_level_sums(ii, gx - lobe, gy - lobe, gx - 1, gy - 1)
-        - box_level_sums(ii, gx + 1, gy + 1, gx + lobe, gy + lobe)
+        box(1, -lobe, lobe, -1)
+        + box(-lobe, 1, -1, lobe)
+        - box(-lobe, -lobe, -1, -1)
+        - box(1, 1, lobe, lobe)
     )
     inv_area = 1.0 / (255.0 * size * size)
     dxx = dxx * inv_area
     dyy = dyy * inv_area
     dxy = dxy * inv_area
-    responses = np.where(inside, dxx * dyy - (DXY_WEIGHT * dxy) ** 2, 0.0)
-    signs = np.where(inside & (dxx + dyy < 0), -1, 1).astype(np.int8)
+    interior = (slice(i0, i0 + ny), slice(j0, j0 + nx))
+    responses[interior] = dxx * dyy - (DXY_WEIGHT * dxy) ** 2
+    signs[interior][dxx + dyy < 0] = -1
     return responses, signs
 
 

@@ -1,8 +1,11 @@
 """Raster images, grayscale conversion, integral images, and box sums.
 
-Everything downstream (response maps, Haar responses, descriptors) is built
-on `box_sum` / `box_sums`, which answer rectangular luminance sums in O(1)
-via the four-corner identity on an inclusive 2-D prefix-sum table.
+Rectangular luminance sums cost O(1) via the four-corner identity on the
+zero-padded inclusive prefix table `IntegralImage.padded`.  Haar responses
+and descriptors gather corners per sample through `box_level_sums`, which
+clips rectangles to the image; response maps read whole strided views of the
+padded table, since their interior cells never need clipping.  `box_sum` and
+`box_sums` are the unit-scaled forms.
 
 Values are immutable after construction; all functions are pure.
 """

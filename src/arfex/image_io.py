@@ -3,6 +3,11 @@
 PPM (binary P5 grayscale / P6 color, maxval 255) is the deterministic native
 format; PNG (8-bit grayscale or RGB, non-interlaced) is accepted as a
 convenience input.  All output images are written as PPM P6.
+
+A PNG may declare at most `MAX_PNG_PIXELS` (2**26) pixels; larger headers are
+refused before any allocation, and the compressed stream is inflated no
+further than the declared size plus one byte.  PPM pixel data must be present
+in the file, so its size is bounded by the file's.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from .errors import ParseError
 from .image import RasterImage
 
 _PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
+MAX_PNG_PIXELS = 1 << 26
 
 
 def read_image(path) -> RasterImage:
@@ -106,22 +112,25 @@ def _decode_png(data: bytes) -> RasterImage:
         raise ParseError("interlaced PNG not supported")
     if width < 1 or height < 1:
         raise ParseError(f"bad PNG dimensions {width}x{height}")
-    try:
-        raw = zlib.decompress(bytes(idat))
-    except zlib.error as exc:
-        raise ParseError(f"bad PNG stream: {exc}") from exc
+    if width * height > MAX_PNG_PIXELS:
+        raise ParseError(f"PNG {width}x{height} exceeds {MAX_PNG_PIXELS} pixels")
     channels = 1 if color == 0 else 3
     stride = width * channels
-    if len(raw) != (stride + 1) * height:
+    expected = (stride + 1) * height
+    inflater = zlib.decompressobj()
+    try:
+        raw = inflater.decompress(idat, expected + 1)
+    except zlib.error as exc:
+        raise ParseError(f"bad PNG stream: {exc}") from exc
+    if len(raw) != expected:
         raise ParseError("PNG pixel data has wrong length")
+    if not inflater.eof:
+        raise ParseError("bad PNG stream: truncated")
+    rows = np.frombuffer(raw, dtype=np.uint8).reshape(height, stride + 1)
     out = np.empty((height, stride), dtype=np.uint8)
     prev = np.zeros(stride, dtype=np.uint8)
     for y in range(height):
-        ftype = raw[y * (stride + 1)]
-        line = np.frombuffer(
-            raw, dtype=np.uint8, count=stride, offset=y * (stride + 1) + 1
-        ).copy()
-        out[y] = _unfilter(ftype, line, prev, channels)
+        out[y] = _unfilter(int(rows[y, 0]), rows[y, 1:], prev, channels)
         prev = out[y]
     if channels == 1:
         return RasterImage.from_gray(out)
@@ -131,15 +140,15 @@ def _decode_png(data: bytes) -> RasterImage:
 def _unfilter(ftype: int, line: np.ndarray, prev: np.ndarray, bpp: int) -> np.ndarray:
     if ftype == 0:  # None
         return line
+    if ftype == 1:  # Sub: a per-channel running sum, mod 256
+        return np.cumsum(line.reshape(-1, bpp), axis=0, dtype=np.uint8).ravel()
     if ftype == 2:  # Up
-        return (line.astype(np.int32) + prev).astype(np.uint8)
-    # Sub/Average/Paeth need the already-reconstructed left neighbor: sequential.
-    cur = line.astype(np.int32)
-    up = prev.astype(np.int32)
-    if ftype == 1:  # Sub
-        for i in range(bpp, len(cur)):
-            cur[i] = (cur[i] + cur[i - bpp]) & 0xFF
-    elif ftype == 3:  # Average
+        return line + prev
+    # Average/Paeth need the already-reconstructed left neighbor: sequential,
+    # over Python ints.
+    cur = line.tolist()
+    up = prev.tolist()
+    if ftype == 3:  # Average
         for i in range(len(cur)):
             left = cur[i - bpp] if i >= bpp else 0
             cur[i] = (cur[i] + (left + up[i]) // 2) & 0xFF
@@ -159,4 +168,4 @@ def _unfilter(ftype: int, line: np.ndarray, prev: np.ndarray, bpp: int) -> np.nd
             cur[i] = (cur[i] + pred) & 0xFF
     else:
         raise ParseError(f"unknown PNG filter type {ftype}")
-    return cur.astype(np.uint8)
+    return np.array(cur, dtype=np.uint8)

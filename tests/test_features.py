@@ -15,7 +15,7 @@ from arfex.features import (
     extract_features,
     filter_sizes,
 )
-from arfex.image import RasterImage, build_integral, to_grayscale
+from arfex.image import RasterImage, box_level_sums, build_integral, to_grayscale
 from arfex.synthetic import apply_gain_offset, blob_texture, similarity_map, warp_similarity
 from conftest import gray_raster, random_raster
 from oracles import hessian_response_at, slice_box_sum
@@ -88,6 +88,70 @@ def test_response_maps_equal_direct_box_filter_oracle(rng):
                 )
                 assert m.responses[i, j] == pytest.approx(want, abs=1e-9)
                 assert m.laplacian_signs[i, j] == sign
+
+
+def gather_hessian_grid(ii, stride, size):
+    """Clipped-gather reference: every grid cell through `box_level_sums`,
+    with the exterior masked to (0.0, +1) afterwards."""
+    xs = np.arange(0, ii.width, stride, dtype=np.int64)
+    ys = np.arange(0, ii.height, stride, dtype=np.int64)
+    gx, gy = np.meshgrid(xs, ys)
+    lobe = size // 3
+    border = (size - 1) // 2
+    half = (lobe - 1) // 2
+    inside = (
+        (gx >= border)
+        & (gx <= ii.width - 1 - border)
+        & (gy >= border)
+        & (gy <= ii.height - 1 - border)
+    )
+    dxx = box_level_sums(ii, gx - border, gy - lobe + 1, gx + border, gy + lobe - 1) - 3 * box_level_sums(
+        ii, gx - half, gy - lobe + 1, gx + half, gy + lobe - 1
+    )
+    dyy = box_level_sums(ii, gx - lobe + 1, gy - border, gx + lobe - 1, gy + border) - 3 * box_level_sums(
+        ii, gx - lobe + 1, gy - half, gx + lobe - 1, gy + half
+    )
+    dxy = (
+        box_level_sums(ii, gx + 1, gy - lobe, gx + lobe, gy - 1)
+        + box_level_sums(ii, gx - lobe, gy + 1, gx - 1, gy + lobe)
+        - box_level_sums(ii, gx - lobe, gy - lobe, gx - 1, gy - 1)
+        - box_level_sums(ii, gx + 1, gy + 1, gx + lobe, gy + lobe)
+    )
+    inv_area = 1.0 / (255.0 * size * size)
+    dxx = dxx * inv_area
+    dyy = dyy * inv_area
+    dxy = dxy * inv_area
+    responses = np.where(inside, dxx * dyy - (0.9 * dxy) ** 2, 0.0)
+    signs = np.where(inside & (dxx + dyy < 0), -1, 1).astype(np.int8)
+    return responses, signs
+
+
+@pytest.mark.parametrize(
+    "levels",
+    [
+        np.random.default_rng(1).integers(0, 256, size=(9, 9)),
+        np.random.default_rng(2).integers(0, 256, size=(10, 200)),
+        np.random.default_rng(3).integers(0, 256, size=(200, 10)),
+        np.random.default_rng(4).integers(0, 256, size=(97, 333)),
+        np.full((64, 48), 200),
+        blob_texture(256, 256, seed=3).pixels[:, :, 0],
+    ],
+    ids=["noise9x9", "noise10x200", "noise200x10", "noise97x333", "flat", "texture256"],
+)
+def test_response_maps_bit_identical_to_clipped_gather(levels):
+    # Covers empty interiors (every octave-4 size on 9x9), strides larger
+    # than the interior, and odd sizes; octave-k maps must not depend on
+    # how many octaves were requested.
+    ii = integral_of(gray_raster(levels))
+    for octaves in range(1, 5):
+        maps = build_response_maps(ii, ExtractionConfig(octaves=octaves))
+        assert len(maps) == 4 * octaves
+        for m in maps:
+            want_resp, want_signs = gather_hessian_grid(ii, m.stride, m.filter_size)
+            assert m.responses.dtype == np.float64 and m.laplacian_signs.dtype == np.int8
+            assert m.responses.shape == want_resp.shape
+            assert m.responses.tobytes() == want_resp.tobytes()
+            assert m.laplacian_signs.tobytes() == want_signs.tobytes()
 
 
 def test_hessian_oracle_rejects_unit_floats(rng):

@@ -1,6 +1,7 @@
 """PPM codec round trips and native PNG decoding (including scanline filters)."""
 
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from arfex.errors import ParseError
 from arfex.image import RasterImage
-from arfex.image_io import read_image, write_ppm
+from arfex.image_io import MAX_PNG_PIXELS, read_image, write_ppm
 from conftest import random_raster
 
 
@@ -128,6 +129,100 @@ def test_png_grayscale(tmp_path, rng):
     img = read_image(path)
     assert np.array_equal(img.pixels[:, :, 0], levels)
     assert np.array_equal(img.pixels[:, :, 2], levels)
+
+
+def reference_unfilter(raw: bytes, width: int, height: int, bpp: int) -> list[list[int]]:
+    """Reconstruct filtered scanlines byte by byte, as PNG spec 9.2 states."""
+    stride = width * bpp
+    rows, prior = [], [0] * stride
+    for y in range(height):
+        ftype = raw[y * (stride + 1)]
+        line = list(raw[y * (stride + 1) + 1 : (y + 1) * (stride + 1)])
+        for i in range(stride):
+            a = line[i - bpp] if i >= bpp else 0
+            b = prior[i]
+            c = prior[i - bpp] if i >= bpp else 0
+            if ftype == 0:
+                pred = 0
+            elif ftype == 1:
+                pred = a
+            elif ftype == 2:
+                pred = b
+            elif ftype == 3:
+                pred = (a + b) // 2
+            else:
+                p = a + b - c
+                pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
+                pred = a if pa <= pb and pa <= pc else (b if pb <= pc else c)
+            line[i] = (line[i] + pred) % 256
+        rows.append(line)
+        prior = line
+    return rows
+
+
+@pytest.mark.parametrize("ftype", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("width", [1, 7, 33])
+def test_png_gray_each_filter_type_matches_reference(tmp_path, rng, ftype, width):
+    # The first row has a zero prior row; a bright/dark pair of rows makes
+    # Average and Paeth wrap past 255.
+    levels = rng.integers(0, 256, size=(6, width), dtype=np.uint8)
+    levels[2] = 255
+    levels[3] = 0
+    data = encode_png(levels, filters=[ftype] * 6)
+    path = tmp_path / "g.png"
+    path.write_bytes(data)
+    # IDAT payload: after the signature (8 bytes), the IHDR chunk (25) and
+    # the IDAT length and type (8); before the IDAT CRC (4) and IEND (12).
+    raw = zlib.decompress(data[8 + 25 + 8 : -4 - 12])
+    want = reference_unfilter(raw, width, 6, 1)
+    img = read_image(path)
+    assert img.pixels[:, :, 0].tolist() == want
+    assert np.array_equal(img.pixels[:, :, 0], levels)
+
+
+def _png_with_header(width: int, height: int, idat: bytes) -> bytes:
+    ihdr = struct.pack(">IIBBBBB", width, height, 8, 0, 0, 0, 0)
+    return (
+        b"\x89PNG\r\n\x1a\n"
+        + _png_chunk(b"IHDR", ihdr)
+        + _png_chunk(b"IDAT", idat)
+        + _png_chunk(b"IEND", b"")
+    )
+
+
+def test_png_decompression_bomb_rejected_without_inflating(tmp_path):
+    # 50 MB of zero bytes compress to about 49 kB; the 16x16 header needs 272.
+    bomb = zlib.compress(bytes(50_000_000), 9)
+    path = tmp_path / "bomb.png"
+    path.write_bytes(_png_with_header(16, 16, bomb))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match="wrong length"):
+            read_image(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
+def test_png_pixel_cap(tmp_path):
+    path = tmp_path / "huge.png"
+    path.write_bytes(_png_with_header(100_000, 100_000, zlib.compress(b"\x00")))
+    with pytest.raises(ParseError, match="exceeds"):
+        read_image(path)
+    # A header at the cap passes the cap and fails on its short stream.
+    path.write_bytes(_png_with_header(MAX_PNG_PIXELS // 4096, 4096, zlib.compress(b"\x00")))
+    with pytest.raises(ParseError, match="wrong length"):
+        read_image(path)
+
+
+def test_png_stream_without_end_rejected(tmp_path):
+    # All pixel bytes present, but the zlib stream stops before its checksum.
+    raw = bytes([0, 1, 2, 3, 0, 4, 5, 6])
+    path = tmp_path / "cut.png"
+    path.write_bytes(_png_with_header(3, 2, zlib.compress(raw)[:-4]))
+    with pytest.raises(ParseError):
+        read_image(path)
 
 
 def test_png_unsupported_color_type_rejected(tmp_path, rng):
