@@ -5,19 +5,28 @@ merged transitively, which is exactly 4-connected labeling.  The whole
 labeling works on run arrays: one diff finds every run, a searchsorted
 links runs on adjacent rows, min-label propagation joins linked runs into
 components, and segment reductions give each component's statistics.
-`LineBlob` and `Blob` objects are built only for the result.
+
+A result's runs live in one shared `RunTable`: row, x_start, x_end and
+label arrays in blob-grouped order.  Each `Blob` holds a `MemberRuns` view
+of its [lo, hi) range of that table, whose length costs O(1).  `LineBlob`
+objects are built only when a caller indexes or iterates the runs, and then
+for the whole table at once.
 """
 
 from __future__ import annotations
 
+from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
 from .image import GrayImage
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LineBlob:
     """Maximal foreground run on one scanline, inclusive column span."""
 
@@ -27,6 +36,54 @@ class LineBlob:
     label: int
 
 
+class RunTable:
+    """Runs of one labelling result as arrays, grouped blob by blob."""
+
+    def __init__(self, rows: np.ndarray, starts: np.ndarray, ends: np.ndarray, labels: np.ndarray):
+        self.columns = (rows, starts, ends, labels)
+
+    @cached_property
+    def lineblobs(self) -> list[LineBlob]:
+        """One `LineBlob` per run, built on first access."""
+        return _runs_to_lineblobs(*self.columns)
+
+
+class MemberRuns(Sequence):
+    """Read-only sequence of the `LineBlob`s in rows [lo, hi) of a `RunTable`.
+
+    Equal to another `MemberRuns`, or to a list or tuple, holding equal runs.
+    """
+
+    __slots__ = ("_table", "_lo", "_hi")
+
+    def __init__(self, table: RunTable, lo: int, hi: int):
+        self._table, self._lo, self._hi = table, lo, hi
+
+    def __len__(self) -> int:
+        return self._hi - self._lo
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self._table.lineblobs[self._lo : self._hi][index]
+        return self._table.lineblobs[self._lo + range(len(self))[index]]
+
+    def __iter__(self):
+        return iter(self._table.lineblobs[self._lo : self._hi])
+
+    def __eq__(self, other):
+        if isinstance(other, MemberRuns):
+            return len(self) == len(other) and all(
+                np.array_equal(mine[self._lo : self._hi], theirs[other._lo : other._hi])
+                for mine, theirs in zip(self._table.columns, other._table.columns)
+            )
+        if isinstance(other, (list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"MemberRuns({list(self)!r})"
+
+
 @dataclass
 class Blob:
     """Merged region: size, tight bounding box, centroid, member runs."""
@@ -34,7 +91,7 @@ class Blob:
     pixel_count: int
     bbox: tuple[int, int, int, int]  # (x_min, y_min, x_max, y_max)
     centroid: tuple[float, float]
-    member_runs: list[LineBlob]
+    member_runs: MemberRuns  # in (row, x_start) order
 
 
 def binarize(gray: GrayImage, threshold: int, polarity: str = "white") -> np.ndarray:
@@ -64,7 +121,13 @@ def _mask_runs(mask) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _runs_to_lineblobs(rows, starts, ends, labels) -> list[LineBlob]:
-    return list(map(LineBlob, rows.tolist(), starts.tolist(), ends.tolist(), labels.tolist()))
+    # The frozen dataclass __init__ is one Python frame per run.  Setting
+    # each slot across all runs through its member descriptor, mapped in C,
+    # builds equal objects about three times faster.
+    runs = list(map(object.__new__, repeat(LineBlob, len(rows))))
+    for name, values in zip(("row", "x_start", "x_end", "label"), (rows, starts, ends, labels)):
+        deque(map(getattr(LineBlob, name).__set__, runs, values.tolist()), maxlen=0)
+    return runs
 
 
 def detect_lineblobs(row, row_index: int = 0, first_label: int = 0) -> list[LineBlob]:
@@ -109,19 +172,20 @@ def _components(rows: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.nd
             root, jumped = jumped, jumped[jumped]
 
 
-def _label_runs(rows, starts, ends, min_pixels: int, member_of) -> list[Blob]:
+def _label_runs(rows, starts, ends, labels, min_pixels: int) -> list[Blob]:
     """Blobs from run arrays sorted by (row, x_start), disjoint within a row.
 
-    `member_of(order)` maps an index array over the runs to their `LineBlob`
-    objects.  Blobs below min_pixels are dropped; the rest are ordered by
-    descending size, then (y_min, x_min), then first run.
+    `labels` become the runs' `LineBlob.label`.  Blobs below min_pixels are
+    dropped; the rest are ordered by descending size, then (y_min, x_min),
+    then first run.
     """
     if rows.size == 0:
         return []
     root = _components(rows, starts, ends)
     # Groups in order of their root, members in (row, x_start) order.
     order = np.argsort(root, kind="stable")
-    rows, starts, ends = rows[order], starts[order], ends[order]
+    table = RunTable(rows[order], starts[order], ends[order], labels[order])
+    rows, starts, ends, _ = table.columns
     roots = np.flatnonzero(root == np.arange(root.size))
     first = np.searchsorted(root[order], roots)
     stop = np.append(first[1:], root.size)
@@ -145,13 +209,16 @@ def _label_runs(rows, starts, ends, min_pixels: int, member_of) -> list[Blob]:
     )
     rank = np.lexsort((stats[:, 1], stats[:, 2], -count))
     rank = rank[count[rank] >= min_pixels]
-    members = member_of(order)
-    return [
-        Blob(n, (x0, y0, x1, y1), (fx, fy), members[lo:hi])
-        for (n, x0, y0, x1, y1, lo, hi), (fx, fy) in zip(
-            stats[rank].tolist(), np.stack([cx, cy], axis=1)[rank].tolist()
+    count, *bbox, lo, hi = stats[rank].T.tolist()
+    return list(
+        map(
+            Blob,
+            count,
+            zip(*bbox),
+            zip(cx[rank].tolist(), cy[rank].tolist()),
+            map(MemberRuns, repeat(table), lo, hi),
         )
-    ]
+    )
 
 
 def merge_lineblobs(runs: list[LineBlob], min_pixels: int = 1) -> list[Blob]:
@@ -161,26 +228,17 @@ def merge_lineblobs(runs: list[LineBlob], min_pixels: int = 1) -> list[Blob]:
     bottom-to-top scan produces the same partition.  Runs must be non-empty
     and must not overlap on one row, as holds for maximal runs (ValueError
     otherwise).  Blobs smaller than min_pixels are dropped; output sorted by
-    descending pixel count, ties by (y_min, x_min).  Member runs are the
-    given objects, in (row, x_start) order.
+    descending pixel count, ties by (y_min, x_min).  Member runs are equal
+    to the given runs, labels included, in (row, x_start) order.
     """
-    fields = np.array([(r.row, r.x_start, r.x_end) for r in runs], dtype=np.int64).reshape(-1, 3)
-    by_position = np.lexsort((fields[:, 1], fields[:, 0]))
-    rows, starts, ends = fields[by_position].T
+    fields = np.array([(r.row, r.x_start, r.x_end, r.label) for r in runs], dtype=np.int64).reshape(-1, 4)
+    rows, starts, ends, labels = fields[np.lexsort((fields[:, 1], fields[:, 0]))].T
     if np.any(ends < starts) or np.any((rows[1:] == rows[:-1]) & (starts[1:] <= ends[:-1])):
         raise ValueError("runs must be non-empty and must not overlap on one row")
-    return _label_runs(
-        rows, starts, ends, min_pixels, lambda idx: [runs[i] for i in by_position[idx].tolist()]
-    )
+    return _label_runs(rows, starts, ends, labels, min_pixels)
 
 
 def detect_blobs(mask: np.ndarray, min_pixels: int = 1) -> list[Blob]:
     """Scan and merge in one call: equal to merge_lineblobs(scan_lineblobs(mask))."""
     rows, starts, ends = _mask_runs(mask)
-    return _label_runs(
-        rows,
-        starts,
-        ends,
-        min_pixels,
-        lambda idx: _runs_to_lineblobs(rows[idx], starts[idx], ends[idx], idx),
-    )
+    return _label_runs(rows, starts, ends, np.arange(rows.size), min_pixels)

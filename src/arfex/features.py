@@ -19,6 +19,19 @@ the center) is not fully inside the image have response 0 and Laplacian
 sign +1.  Interior cells never need clipping, so each of the 32 corner
 lookups (8 boxes x 4 corners) is one strided slice of `IntegralImage.padded`
 over the whole interior sub-grid, and the boxes combine in exact int64.
+
+Non-maximum suppression compares only the cells above threshold with their
+26 neighbours.  Orientation and descriptors run as array passes over blocks
+of BLOCK points (`_orientations`, `_descriptors`); `assign_orientation` and
+`extract_descriptor` are one-point calls of the same cores.  Every point
+gives the same bits as when it is computed alone, which constrains the
+batched form: Haar sums go through `box_level_sums` with a per-point box
+size, window sums are one matrix-vector product per point, the final
+`atan2` is a scalar `math` call per point (`np.arctan2` differs in the last
+bit on some inputs), the descriptor frame's `cos`/`sin` are `math` calls
+too, subregion sums reduce the same axes in the same order, and each
+descriptor is normalised by its own `np.linalg.norm` (a batched norm rounds
+differently).
 """
 
 from __future__ import annotations
@@ -37,7 +50,6 @@ from .image import (
     RasterImage,
     box_level_sums,
     build_integral,
-    iround,
     to_grayscale,
 )
 
@@ -58,6 +70,7 @@ DESCRIPTOR_SAMPLES = 5  # samples per subregion side, spaced s apart
 DESCRIPTOR_HAAR = 2.0  # Haar wavelet size
 DESCRIPTOR_SIGMA = 3.3  # Gaussian weight
 DESCRIPTOR_LENGTH = 4 * DESCRIPTOR_GRID * DESCRIPTOR_GRID  # four sums per subregion
+BLOCK = 16  # points per array pass of orientation and descriptors; bounds peak memory
 
 
 def filter_sizes(octave: int, intervals: int) -> list[int]:
@@ -224,20 +237,21 @@ def detect_interest_points(maps: list[ResponseMap], threshold: float) -> list[In
             continue
         stride = octave_maps[0].stride
         for k in range(1, n - 1):
-            core = stack[k, 1:-1, 1:-1]
-            mask = core > threshold
-            if not mask.any():
-                continue
+            # Only the few cells above threshold are compared with their 26
+            # neighbours; nonzero keeps them in row-major order.
+            ci, cj = np.nonzero(stack[k, 1:-1, 1:-1] > threshold)
+            ci += 1
+            cj += 1
+            v = stack[k, ci, cj]
+            keep = np.ones(v.shape, dtype=bool)
             for dk in (-1, 0, 1):
-                layer = stack[k + dk]
                 for di in (-1, 0, 1):
                     for dj in (-1, 0, 1):
-                        if dk == 0 and di == 0 and dj == 0:
-                            continue
-                        mask &= core > layer[1 + di : gh - 1 + di, 1 + dj : gw - 1 + dj]
+                        if dk or di or dj:
+                            keep &= v > stack[k + dk, ci + di, cj + dj]
             step = octave_maps[k + 1].filter_size - octave_maps[k].filter_size
-            for i, j in np.argwhere(mask) + 1:
-                pt = _refine(stack, octave_maps, k, int(i), int(j), stride, step)
+            for i, j in zip(ci[keep].tolist(), cj[keep].tolist()):
+                pt = _refine(stack, octave_maps, k, i, j, stride, step)
                 if pt is not None:
                     points.append(pt)
     points.sort(key=lambda p: (-p.response, p.y, p.x, p.scale))
@@ -274,7 +288,7 @@ def _refine(stack, octave_maps, k, i, j, stride, step) -> Optional[InterestPoint
     )
 
 
-def _haar_x(ii: IntegralImage, xs, ys, size: int) -> np.ndarray:
+def _haar_x(ii: IntegralImage, xs, ys, size) -> np.ndarray:
     """Right-minus-left box difference: positive for luminance increasing in +x."""
     half = size // 2
     right = box_level_sums(ii, xs, ys - half, xs + half - 1, ys + half - 1)
@@ -282,7 +296,7 @@ def _haar_x(ii: IntegralImage, xs, ys, size: int) -> np.ndarray:
     return (right - left) / 255.0
 
 
-def _haar_y(ii: IntegralImage, xs, ys, size: int) -> np.ndarray:
+def _haar_y(ii: IntegralImage, xs, ys, size) -> np.ndarray:
     """Bottom-minus-top box difference: positive for luminance increasing in +y."""
     half = size // 2
     lower = box_level_sums(ii, xs - half, ys, xs + half - 1, ys + half - 1)
@@ -290,9 +304,91 @@ def _haar_y(ii: IntegralImage, xs, ys, size: int) -> np.ndarray:
     return (lower - upper) / 255.0
 
 
-def _even_size(target: float) -> int:
-    """Nearest even box size to `target`, at least 2."""
-    return 2 * max(1, iround(target / 2.0))
+def _even_size(target: np.ndarray) -> np.ndarray:
+    """Nearest even box size to each `target`, at least 2."""
+    return 2 * np.maximum(1, np.floor(target / 2.0 + 0.5).astype(np.int64))
+
+
+def _blocks(n: int):
+    """Slices of at most BLOCK points covering range(n)."""
+    return (slice(lo, lo + BLOCK) for lo in range(0, n, BLOCK))
+
+
+# Sample offsets (units of s) of the orientation disc and the descriptor
+# grid, with their Gaussian weights; u runs along x, v along y.
+_DISC_AXIS = np.arange(-ORIENTATION_RADIUS, ORIENTATION_RADIUS + 1)
+_DISC_U, _DISC_V = np.meshgrid(_DISC_AXIS, _DISC_AXIS)
+_IN_DISC = _DISC_U * _DISC_U + _DISC_V * _DISC_V <= ORIENTATION_RADIUS * ORIENTATION_RADIUS
+_DISC_U, _DISC_V = _DISC_U[_IN_DISC], _DISC_V[_IN_DISC]
+_DISC_WEIGHT = np.exp(-(_DISC_U * _DISC_U + _DISC_V * _DISC_V) / (2.0 * ORIENTATION_SIGMA**2))
+_WINDOW_STARTS = np.arange(0.0, 2.0 * math.pi, ORIENTATION_STEP)
+_GRID_SIDE = DESCRIPTOR_GRID * DESCRIPTOR_SAMPLES
+_GRID_AXIS = np.arange(_GRID_SIDE) - (_GRID_SIDE - 1) / 2.0  # -9.5 .. 9.5
+_GRID_U, _GRID_V = np.meshgrid(_GRID_AXIS, _GRID_AXIS)
+_GRID_WEIGHT = np.exp(-(_GRID_U * _GRID_U + _GRID_V * _GRID_V) / (2.0 * DESCRIPTOR_SIGMA**2))
+
+
+def _orientations(ii: IntegralImage, x: np.ndarray, y: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Orientation of each point (x[i], y[i], scale[i]); see `assign_orientation`."""
+    theta = np.zeros(len(x))
+    for b in _blocks(len(x)):
+        s = scale[b, None]
+        size = _even_size(ORIENTATION_HAAR * s)
+        px = np.floor(x[b, None] + _DISC_U * s + 0.5).astype(np.int64)
+        py = np.floor(y[b, None] + _DISC_V * s + 0.5).astype(np.int64)
+        gx = _DISC_WEIGHT * _haar_x(ii, px, py, size)
+        gy = _DISC_WEIGHT * _haar_y(ii, px, py, size)
+        angles = np.mod(np.arctan2(gy, gx), 2.0 * math.pi)
+        # (points, windows, samples): 1.0 where a sample lies in a window.
+        # One buffer serves all three steps, to bound peak memory.
+        window = angles[:, None, :] - _WINDOW_STARTS[:, None]
+        np.mod(window, 2.0 * math.pi, out=window)
+        np.less(window, ORIENTATION_WINDOW, out=window)
+        # One matrix-vector product per point, as for a single point.
+        sum_x = np.matmul(window, gx[:, :, None])[:, :, 0]
+        sum_y = np.matmul(window, gy[:, :, None])[:, :, 0]
+        mag2 = sum_x * sum_x + sum_y * sum_y
+        best = (np.arange(len(mag2)), np.argmax(mag2, axis=1))
+        picked = zip(mag2[best].tolist(), sum_x[best].tolist(), sum_y[best].tolist())
+        theta[b] = [0.0 if m == 0.0 else math.atan2(sy, sx) % (2.0 * math.pi) for m, sx, sy in picked]
+    return theta
+
+
+def _descriptors(
+    ii: IntegralImage, x: np.ndarray, y: np.ndarray, scale: np.ndarray, theta: np.ndarray
+) -> np.ndarray:
+    """(N, 64) descriptors of points (x, y, scale) in frames rotated by theta."""
+    out = np.zeros((len(x), DESCRIPTOR_LENGTH))
+    g, m = DESCRIPTOR_GRID, DESCRIPTOR_SAMPLES
+    for b in _blocks(len(x)):
+        s = scale[b, None, None]
+        angle = theta[b].tolist()
+        cos_t = np.array([math.cos(t) for t in angle])[:, None, None]
+        sin_t = np.array([math.sin(t) for t in angle])[:, None, None]
+        size = _even_size(DESCRIPTOR_HAAR * s)
+        rx = (_GRID_U * cos_t - _GRID_V * sin_t) * s
+        ry = (_GRID_U * sin_t + _GRID_V * cos_t) * s
+        px = np.floor(x[b, None, None] + rx + 0.5).astype(np.int64)
+        py = np.floor(y[b, None, None] + ry + 0.5).astype(np.int64)
+        dx0 = _haar_x(ii, px, py, size)
+        dy0 = _haar_y(ii, px, py, size)
+        blocks_dx = (_GRID_WEIGHT * (dx0 * cos_t + dy0 * sin_t)).reshape(-1, g, m, g, m)
+        blocks_dy = (_GRID_WEIGHT * (-dx0 * sin_t + dy0 * cos_t)).reshape(-1, g, m, g, m)
+        vec = np.stack(
+            [
+                blocks_dx.sum(axis=(2, 4)),
+                blocks_dy.sum(axis=(2, 4)),
+                np.abs(blocks_dx).sum(axis=(2, 4)),
+                np.abs(blocks_dy).sum(axis=(2, 4)),
+            ],
+            axis=-1,
+        ).reshape(-1, DESCRIPTOR_LENGTH)
+        for row in vec:
+            norm = float(np.linalg.norm(row))  # per row: a batched norm rounds differently
+            if norm > 0.0:
+                row /= norm
+        out[b] = vec
+    return out
 
 
 def assign_orientation(ii: IntegralImage, ip: InterestPoint) -> InterestPoint:
@@ -303,29 +399,8 @@ def assign_orientation(ii: IntegralImage, ip: InterestPoint) -> InterestPoint:
     orientation is the angle of the largest summed response vector.  Zero
     total response gives orientation 0.
     """
-    s = ip.scale
-    size = _even_size(ORIENTATION_HAAR * s)
-    grid = np.arange(-ORIENTATION_RADIUS, ORIENTATION_RADIUS + 1)
-    ui, vi = np.meshgrid(grid, grid)
-    disc = ui * ui + vi * vi <= ORIENTATION_RADIUS * ORIENTATION_RADIUS
-    ui = ui[disc]
-    vi = vi[disc]
-    px = np.floor(ip.x + ui * s + 0.5).astype(np.int64)
-    py = np.floor(ip.y + vi * s + 0.5).astype(np.int64)
-    weight = np.exp(-(ui * ui + vi * vi) / (2.0 * ORIENTATION_SIGMA**2))
-    gx = weight * _haar_x(ii, px, py, size)
-    gy = weight * _haar_y(ii, px, py, size)
-    angles = np.mod(np.arctan2(gy, gx), 2.0 * math.pi)
-    starts = np.arange(0.0, 2.0 * math.pi, ORIENTATION_STEP)
-    in_window = np.mod(angles[None, :] - starts[:, None], 2.0 * math.pi) < ORIENTATION_WINDOW
-    sum_x = in_window @ gx
-    sum_y = in_window @ gy
-    mag2 = sum_x * sum_x + sum_y * sum_y
-    best = int(np.argmax(mag2))
-    if mag2[best] == 0.0:
-        return dataclasses.replace(ip, orientation=0.0)
-    theta = math.atan2(sum_y[best], sum_x[best]) % (2.0 * math.pi)
-    return dataclasses.replace(ip, orientation=theta)
+    theta = _orientations(ii, np.array([ip.x]), np.array([ip.y]), np.array([ip.scale]))
+    return dataclasses.replace(ip, orientation=float(theta[0]))
 
 
 def extract_descriptor(ii: IntegralImage, ip: InterestPoint, upright: bool = False) -> Descriptor:
@@ -337,39 +412,9 @@ def extract_descriptor(ii: IntegralImage, ip: InterestPoint, upright: bool = Fal
     keypoint frame before accumulation.  The concatenated vector is
     L2-normalized; an all-zero vector stays all-zero.
     """
-    s = ip.scale
     theta = 0.0 if upright else ip.orientation
-    cos_t = math.cos(theta)
-    sin_t = math.sin(theta)
-    size = _even_size(DESCRIPTOR_HAAR * s)
-    n = DESCRIPTOR_GRID * DESCRIPTOR_SAMPLES
-    idx = np.arange(n) - (n - 1) / 2.0  # -9.5 .. 9.5 in units of s
-    u, v = np.meshgrid(idx, idx)  # u along x (columns), v along y (rows)
-    rx = (u * cos_t - v * sin_t) * s
-    ry = (u * sin_t + v * cos_t) * s
-    px = np.floor(ip.x + rx + 0.5).astype(np.int64)
-    py = np.floor(ip.y + ry + 0.5).astype(np.int64)
-    dx0 = _haar_x(ii, px, py, size)
-    dy0 = _haar_y(ii, px, py, size)
-    weight = np.exp(-(u * u + v * v) / (2.0 * DESCRIPTOR_SIGMA**2))
-    dx = weight * (dx0 * cos_t + dy0 * sin_t)
-    dy = weight * (-dx0 * sin_t + dy0 * cos_t)
-    g, m = DESCRIPTOR_GRID, DESCRIPTOR_SAMPLES
-    blocks_dx = dx.reshape(g, m, g, m)
-    blocks_dy = dy.reshape(g, m, g, m)
-    vec = np.stack(
-        [
-            blocks_dx.sum(axis=(1, 3)),
-            blocks_dy.sum(axis=(1, 3)),
-            np.abs(blocks_dx).sum(axis=(1, 3)),
-            np.abs(blocks_dy).sum(axis=(1, 3)),
-        ],
-        axis=-1,
-    ).ravel()
-    norm = float(np.linalg.norm(vec))
-    if norm > 0.0:
-        vec = vec / norm
-    return Descriptor(components=vec, laplacian_sign=ip.laplacian_sign)
+    vec = _descriptors(ii, np.array([ip.x]), np.array([ip.y]), np.array([ip.scale]), np.array([theta]))
+    return Descriptor(components=vec[0], laplacian_sign=ip.laplacian_sign)
 
 
 def extract_features(
@@ -383,9 +428,16 @@ def extract_features(
     config = config or ExtractionConfig()
     gray = to_grayscale(img)
     ii = build_integral(gray)
-    maps = build_response_maps(ii, config)
-    points = detect_interest_points(maps, config.threshold)
-    if not config.upright:
-        points = [assign_orientation(ii, p) for p in points]
-    descriptors = [extract_descriptor(ii, p, config.upright) for p in points]
+    points = detect_interest_points(build_response_maps(ii, config), config.threshold)
+    x, y, scale = np.array([(p.x, p.y, p.scale) for p in points], dtype=np.float64).reshape(-1, 3).T
+    if config.upright:
+        theta = np.zeros(len(points))
+    else:
+        theta = _orientations(ii, x, y, scale)
+        points = [
+            InterestPoint(p.x, p.y, p.scale, p.response, p.laplacian_sign, t)
+            for p, t in zip(points, theta.tolist())
+        ]
+    vectors = _descriptors(ii, x, y, scale, theta)
+    descriptors = list(map(Descriptor, vectors, [p.laplacian_sign for p in points]))
     return points, descriptors

@@ -1,5 +1,7 @@
 """Scanline blob detection against 4-connected flood-fill labeling."""
 
+import dataclasses
+import gc
 from fractions import Fraction
 
 import numpy as np
@@ -250,3 +252,92 @@ def test_size_and_row_ties_broken_by_x_min_not_first_run():
     mask = mask_from_strings([".######.#", ".######.#", "........#", "#########"])
     blobs = assert_matches_flood_fill(mask)
     assert [(b.pixel_count, b.bbox) for b in blobs] == [(12, (0, 0, 8, 3)), (12, (1, 0, 6, 1))]
+
+
+def live_lineblobs():
+    """Number of `LineBlob` objects alive in the process."""
+    gc.collect()
+    return sum(type(o) is LineBlob for o in gc.get_objects())
+
+
+def test_member_run_counts_build_no_lineblob(rng):
+    mask = rng.random((40, 40)) < 0.45
+    n_runs = len(scan_lineblobs(mask))
+    before = live_lineblobs()
+    blobs = detect_blobs(mask)
+    assert sum(len(b.member_runs) for b in blobs) == n_runs
+    assert live_lineblobs() == before
+    # The first access builds the runs of the whole result at once.
+    assert list(blobs[-1].member_runs)
+    assert live_lineblobs() == before + n_runs
+    assert sum(1 for b in blobs for r in b.member_runs) == n_runs
+    assert live_lineblobs() == before + n_runs
+
+
+def test_member_runs_index_slice_and_iterate_in_row_order(rng):
+    mask = rng.random((30, 30)) < 0.5
+    runs = scan_lineblobs(mask)
+    for b in detect_blobs(mask):
+        members = b.member_runs
+        want = sorted(
+            (r for r in runs if (r.row, r.x_start) in {(m.row, m.x_start) for m in members}),
+            key=lambda r: (r.row, r.x_start),
+        )
+        assert list(members) == want
+        assert len(members) == len(want)
+        assert [members[i] for i in range(len(want))] == want
+        assert [members[-i] for i in range(1, len(want) + 1)] == want[::-1]
+        assert members[1:3] == want[1:3] and members[::-1] == want[::-1]
+        assert members == want and members == tuple(want)
+        with pytest.raises(IndexError):
+            members[len(want)]
+        with pytest.raises(IndexError):
+            members[-len(want) - 1]
+
+
+def test_labels_are_row_major_run_index_or_given_labels(rng):
+    mask = rng.random((24, 24)) < 0.45
+    runs = scan_lineblobs(mask)
+    index = {(r.row, r.x_start): k for k, r in enumerate(runs)}
+    for b in detect_blobs(mask):
+        assert [r.label for r in b.member_runs] == [index[(r.row, r.x_start)] for r in b.member_runs]
+    relabeled = [LineBlob(r.row, r.x_start, r.x_end, 1000 - 3 * k) for k, r in enumerate(runs)]
+    shuffled = [relabeled[i] for i in rng.permutation(len(relabeled))]
+    merged = merge_lineblobs(shuffled)
+    assert sorted((r for b in merged for r in b.member_runs), key=lambda r: r.label) == sorted(
+        relabeled, key=lambda r: r.label
+    )
+    assert blob_partition(merged) == blob_partition(detect_blobs(mask))
+    assert merged != detect_blobs(mask)  # same runs, other labels
+
+
+def test_blobs_equal_across_separately_built_results(rng):
+    mask = rng.random((28, 28)) < 0.45
+    a, b = detect_blobs(mask), detect_blobs(mask)
+    assert a == b
+    assert [x.member_runs for x in a] == [list(x.member_runs) for x in b]
+    other = mask.copy()
+    other[0, 0] = not other[0, 0]
+    assert detect_blobs(other) != a
+
+
+def test_built_runs_equal_constructed_runs(rng):
+    mask = rng.random((12, 15)) < 0.5
+    want = []
+    for y, row in enumerate(mask.tolist()):
+        x = 0
+        while x < len(row):
+            if row[x]:
+                start = x
+                while x + 1 < len(row) and row[x + 1]:
+                    x += 1
+                want.append(LineBlob(y, start, x, len(want)))
+            x += 1
+    runs = scan_lineblobs(mask)
+    assert runs == want
+    assert [hash(r) for r in runs] == [hash(r) for r in want]
+    assert repr(runs) == repr(want)
+    got = sorted((r for b in detect_blobs(mask) for r in b.member_runs), key=lambda r: r.label)
+    assert got == want and repr(got) == repr(want)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        runs[0].row = 5

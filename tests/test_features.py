@@ -1,5 +1,6 @@
 """Response maps, detection, orientation, and descriptors against direct oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,12 @@ import pytest
 
 from arfex.errors import ImageTooSmall
 from arfex.features import (
+    BLOCK,
     ExtractionConfig,
+    ResponseMap,
+    _descriptors,
+    _orientations,
+    _refine,
     assign_orientation,
     build_response_maps,
     detect_interest_points,
@@ -31,6 +37,10 @@ def blob_image(w, h, centers, sigma, amp=120, bg=40):
 
 def integral_of(img):
     return build_integral(to_grayscale(img))
+
+
+def noise_frame(seed=1, side=256):
+    return gray_raster(np.random.default_rng(seed).integers(0, 256, size=(side, side)))
 
 
 def test_filter_size_ladder():
@@ -251,6 +261,61 @@ def test_nms_soundness_by_reinspection():
         assert hits >= 1
 
 
+def dense_nms_reference(maps, threshold):
+    """Dense reference: every middle-layer cell compared with its 26
+    neighbours, then the library's own refinement and order."""
+    points = []
+    for octave in sorted({m.octave for m in maps}):
+        octave_maps = sorted((m for m in maps if m.octave == octave), key=lambda m: m.interval)
+        stack = np.stack([m.responses for m in octave_maps])
+        n, gh, gw = stack.shape
+        if gh < 3 or gw < 3:
+            continue
+        for k in range(1, n - 1):
+            core = stack[k, 1:-1, 1:-1]
+            mask = core > threshold
+            for dk in (-1, 0, 1):
+                for di in (-1, 0, 1):
+                    for dj in (-1, 0, 1):
+                        if dk or di or dj:
+                            mask &= core > stack[k + dk, 1 + di : gh - 1 + di, 1 + dj : gw - 1 + dj]
+            step = octave_maps[k + 1].filter_size - octave_maps[k].filter_size
+            for i, j in np.argwhere(mask) + 1:
+                pt = _refine(stack, octave_maps, k, int(i), int(j), octave_maps[0].stride, step)
+                if pt is not None:
+                    points.append(pt)
+    points.sort(key=lambda p: (-p.response, p.y, p.x, p.scale))
+    return points
+
+
+def tied_maps(rng, octaves, h, w):
+    """Response maps of small integers, so equal neighbours are common."""
+    maps = []
+    for octave in range(1, octaves + 1):
+        stride = 1 << (octave - 1)
+        shape = (-(-h // stride), -(-w // stride))
+        for interval, size in enumerate(filter_sizes(octave, 4), start=1):
+            maps.append(
+                ResponseMap(
+                    octave, interval, size, 1.2 * size / 9, stride,
+                    rng.integers(0, 6, size=shape).astype(np.float64),
+                    np.where(rng.random(shape) < 0.5, -1, 1).astype(np.int8),
+                )
+            )
+    return maps
+
+
+def test_sparse_nms_equals_dense_reference(rng):
+    for octaves, (h, w) in [(1, (3, 3)), (2, (5, 40)), (3, (33, 31)), (4, (64, 48))]:
+        for threshold in (0.0, 2.0, 4.0, 5.0):
+            maps = tied_maps(rng, octaves, h, w)
+            assert detect_interest_points(maps, threshold) == dense_nms_reference(maps, threshold)
+    for img in (noise_frame(seed=9, side=112), blob_texture(128, 96, 9)):
+        maps = build_response_maps(integral_of(img), ExtractionConfig(octaves=4))
+        want = dense_nms_reference(maps, 4e-4)
+        assert want and detect_interest_points(maps, 4e-4) == want
+
+
 def test_points_sorted_by_response_then_position():
     pts, _ = extract_features(blob_texture(192, 192, 16, seed=5))
     keys = [(-p.response, p.y, p.x, p.scale) for p in pts]
@@ -390,6 +455,142 @@ def test_brightness_affine_invariance(rng):
                 assert dist < 0.1
                 checked += 1
         assert checked >= 5
+
+
+def reference_haar(ii, xs, ys, size):
+    """Right-minus-left and bottom-minus-top Haar responses at integer samples."""
+    half = size // 2
+    right = box_level_sums(ii, xs, ys - half, xs + half - 1, ys + half - 1)
+    left = box_level_sums(ii, xs - half, ys - half, xs - 1, ys + half - 1)
+    lower = box_level_sums(ii, xs - half, ys, xs + half - 1, ys + half - 1)
+    upper = box_level_sums(ii, xs - half, ys - half, xs + half - 1, ys - 1)
+    return (right - left) / 255.0, (lower - upper) / 255.0
+
+
+def reference_even_size(target):
+    return 2 * max(1, int(math.floor(target / 2.0 + 0.5)))
+
+
+def reference_orientation(ii, ip):
+    """Per-point reference: the one-point-at-a-time orientation loop body."""
+    s = ip.scale
+    size = reference_even_size(4.0 * s)
+    grid = np.arange(-6, 7)
+    ui, vi = np.meshgrid(grid, grid)
+    disc = ui * ui + vi * vi <= 36
+    ui = ui[disc]
+    vi = vi[disc]
+    px = np.floor(ip.x + ui * s + 0.5).astype(np.int64)
+    py = np.floor(ip.y + vi * s + 0.5).astype(np.int64)
+    weight = np.exp(-(ui * ui + vi * vi) / (2.0 * 2.5**2))
+    hx, hy = reference_haar(ii, px, py, size)
+    gx = weight * hx
+    gy = weight * hy
+    angles = np.mod(np.arctan2(gy, gx), 2.0 * math.pi)
+    starts = np.arange(0.0, 2.0 * math.pi, math.pi / 32)
+    in_window = np.mod(angles[None, :] - starts[:, None], 2.0 * math.pi) < math.pi / 3
+    sum_x = in_window @ gx
+    sum_y = in_window @ gy
+    mag2 = sum_x * sum_x + sum_y * sum_y
+    best = int(np.argmax(mag2))
+    if mag2[best] == 0.0:
+        return 0.0
+    return math.atan2(sum_y[best], sum_x[best]) % (2.0 * math.pi)
+
+
+def reference_descriptor(ii, ip, upright):
+    """Per-point reference: the one-point-at-a-time descriptor loop body."""
+    s = ip.scale
+    theta = 0.0 if upright else ip.orientation
+    cos_t = math.cos(theta)
+    sin_t = math.sin(theta)
+    size = reference_even_size(2.0 * s)
+    idx = np.arange(20) - 9.5
+    u, v = np.meshgrid(idx, idx)
+    rx = (u * cos_t - v * sin_t) * s
+    ry = (u * sin_t + v * cos_t) * s
+    px = np.floor(ip.x + rx + 0.5).astype(np.int64)
+    py = np.floor(ip.y + ry + 0.5).astype(np.int64)
+    dx0, dy0 = reference_haar(ii, px, py, size)
+    weight = np.exp(-(u * u + v * v) / (2.0 * 3.3**2))
+    dx = weight * (dx0 * cos_t + dy0 * sin_t)
+    dy = weight * (-dx0 * sin_t + dy0 * cos_t)
+    blocks_dx = dx.reshape(4, 5, 4, 5)
+    blocks_dy = dy.reshape(4, 5, 4, 5)
+    vec = np.stack(
+        [
+            blocks_dx.sum(axis=(1, 3)),
+            blocks_dy.sum(axis=(1, 3)),
+            np.abs(blocks_dx).sum(axis=(1, 3)),
+            np.abs(blocks_dy).sum(axis=(1, 3)),
+        ],
+        axis=-1,
+    ).ravel()
+    norm = float(np.linalg.norm(vec))
+    if norm > 0.0:
+        vec = vec / norm
+    return vec
+
+
+def assert_batched_equals_reference(ii, pts):
+    """Batched cores, the one-point wrappers and the per-point reference agree
+    byte for byte, oriented and upright."""
+    x, y, s = (np.array([getattr(p, f) for p in pts], dtype=np.float64) for f in ("x", "y", "scale"))
+    want_theta = np.array([reference_orientation(ii, p) for p in pts], dtype=np.float64)
+    assert _orientations(ii, x, y, s).tobytes() == want_theta.tobytes()
+    oriented = [dataclasses.replace(p, orientation=t) for p, t in zip(pts, want_theta.tolist())]
+    assert [assign_orientation(ii, p) for p in pts] == oriented
+    for upright in (False, True):
+        want = np.array([reference_descriptor(ii, p, upright) for p in oriented]).reshape(-1, 64)
+        theta = np.zeros(len(pts)) if upright else want_theta
+        assert _descriptors(ii, x, y, s, theta).tobytes() == want.tobytes()
+        got = [extract_descriptor(ii, p, upright).components for p in oriented]
+        assert np.array(got).reshape(-1, 64).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "img, octaves, min_points",
+    [(blob_texture(256, 256, 20, seed=2), octaves, 10) for octaves in (1, 2, 3, 4)]
+    + [(noise_frame(), 3, 701)],
+    ids=["texture-oct1", "texture-oct2", "texture-oct3", "texture-oct4", "noise256"],
+)
+def test_extraction_bit_identical_to_per_point_reference(img, octaves, min_points):
+    ii = integral_of(img)
+    for upright in (False, True):
+        cfg = ExtractionConfig(octaves=octaves, upright=upright)
+        pts, descs = extract_features(img, cfg)
+        assert len(pts) >= min_points
+        detected = detect_interest_points(build_response_maps(ii, cfg), cfg.threshold)
+        assert [dataclasses.replace(p, orientation=0.0) for p in pts] == detected
+        want_theta = [0.0 if upright else reference_orientation(ii, p) for p in detected]
+        got_theta = np.array([p.orientation for p in pts], dtype=np.float64)
+        assert got_theta.tobytes() == np.array(want_theta, dtype=np.float64).tobytes()
+        want = [reference_descriptor(ii, p, upright) for p in pts]
+        got = np.array([d.components for d in descs]).reshape(-1, 64)
+        assert got.tobytes() == np.array(want).reshape(-1, 64).tobytes()
+        assert [d.laplacian_sign for d in descs] == [p.laplacian_sign for p in pts]
+
+
+def test_border_clipped_points_bit_identical_to_reference():
+    # Haar boxes that reach past every edge and corner, at several scales.
+    img = blob_texture(96, 80, 8, seed=7)
+    ii = integral_of(img)
+    pts = [
+        point_at(x, y, s)
+        for x in (0.0, 1.4, 5.5, 47.0, 90.6, 95.0)
+        for y in (0.0, 2.5, 40.2, 77.7, 79.0)
+        for s in (1.2, 2.6, 7.9)
+    ]
+    assert_batched_equals_reference(ii, pts)
+
+
+@pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+def test_block_boundaries_bit_identical_to_reference(n):
+    img = noise_frame(seed=2, side=128)
+    ii = integral_of(img)
+    pts, _ = extract_features(img)
+    assert len(pts) >= n
+    assert_batched_equals_reference(ii, pts[:n])
 
 
 def test_extract_features_constant_image_empty():
