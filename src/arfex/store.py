@@ -3,6 +3,12 @@
 A Database is an immutable snapshot: indexing returns a new snapshot,
 queries never mutate.  Persistence is a single versioned JSON document;
 floats survive the round trip exactly.
+
+A query builds its match arrays from the records it is given: every
+record's descriptors as one `matching.TargetSet` and the keypoints as one
+(M, 2) xy array, in record order.  They live only for that query, so a
+snapshot holds no state besides its records, and indexing or saving never
+pays for them.  Building them takes O(M) against the O(N * M) screen.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from .errors import DuplicateId, InsufficientMatches, NoFeatures, ParseError, Ve
 from .features import DESCRIPTOR_LENGTH, Descriptor, ExtractionConfig, InterestPoint, extract_features
 from .geometry import VerificationResult, ransac_verify
 from .image import RasterImage
-from .matching import Match, match_descriptors
+from .matching import Match, TargetSet, descriptor_arrays, match_sets
 
 DB_VERSION = 1
 UNRECOGNIZED = "unrecognized"
@@ -109,13 +115,17 @@ def query_image(
     points, descriptors = extract_features(img, db.extraction_config)
     if not points:
         raise NoFeatures("query image produced no interest points")
+    targets = TargetSet.build([r.descriptors for r in db.records])
+    keypoint_xy = _xy([p for r in db.records for p in r.keypoints])
+    matched, query, target, dist = match_sets(*descriptor_arrays(descriptors), targets, ratio)
+    bounds = np.searchsorted(matched, np.arange(len(db.records) + 1))  # each record's rows
+    query_xy = _xy(points)
     ranked: list[RankedCandidate] = []
-    for rec in db.records:
-        matches = match_descriptors(descriptors, rec.descriptors, ratio)
+    for r, rec in enumerate(db.records):
+        qi, tj, d = (a[bounds[r] : bounds[r + 1]] for a in (query, target, dist))
+        matches = list(map(Match, qi.tolist(), (tj - targets.offsets[r]).tolist(), d.tolist()))
         try:
-            src = np.array([[rec.keypoints[m.target_index].x, rec.keypoints[m.target_index].y] for m in matches])
-            dst = np.array([[points[m.query_index].x, points[m.query_index].y] for m in matches])
-            verification = ransac_verify(src, dst, seed)
+            verification = ransac_verify(keypoint_xy[tj], query_xy[qi], seed)
         except InsufficientMatches:
             verification = VerificationResult(None, [], math.inf, False)
         ranked.append(
@@ -143,6 +153,10 @@ def query_image(
             info = {"name": rec.name, "info": rec.info}
             break
     return QueryResult(ranked=ranked, best=best, associated_info=info), points
+
+
+def _xy(points: list[InterestPoint]) -> np.ndarray:
+    return np.array([(p.x, p.y) for p in points], dtype=np.float64).reshape(-1, 2)
 
 
 # --- persistence --------------------------------------------------------

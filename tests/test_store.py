@@ -1,12 +1,15 @@
 """Object database: indexing, querying, ranking, and JSON persistence."""
 
+import copy
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, given, settings, strategies as st
 
-from arfex.errors import DuplicateId, NoFeatures, ParseError, VersionMismatch
-from arfex.features import ExtractionConfig
+from arfex.errors import ArfexError, DuplicateId, InsufficientMatches, NoFeatures, ParseError, VersionMismatch
+from arfex.features import ExtractionConfig, extract_features
+from arfex.geometry import ransac_verify
 from arfex.store import (
     Database,
     UNRECOGNIZED,
@@ -19,6 +22,7 @@ from arfex.store import (
 )
 from arfex.synthetic import add_noise, blob_texture, noise_image, warp_similarity
 from conftest import gray_raster
+from test_matching import bits, reference_match
 
 
 @pytest.fixture(scope="module")
@@ -261,3 +265,139 @@ def test_non_ascii_db_file_raises_parse_error(tmp_path):
     path.write_bytes(b"\xff\xfe\xfa")
     with pytest.raises(ParseError):
         load_db(path)
+
+
+# --- querying many records at once -------------------------------------------
+
+
+def test_query_equals_per_record_reference(small_db):
+    img = add_noise(warp_similarity(blob_texture(192, 192, 16, seed=52), 15.0, 0.8), 3.0, seed=6)
+    result, points = query_image(small_db, img, seed=3)
+    _, descriptors = extract_features(img, small_db.extraction_config)
+    by_id = {c.object_id: c for c in result.ranked}
+    for rec in small_db.records:
+        got = by_id[rec.object_id]
+        want = reference_match(descriptors, rec.descriptors)
+        assert bits(got.matches) == bits(want)
+        assert got.match_count == len(want)
+        src = np.array([[rec.keypoints[m.target_index].x, rec.keypoints[m.target_index].y] for m in want])
+        dst = np.array([[points[m.query_index].x, points[m.query_index].y] for m in want])
+        try:
+            verification = ransac_verify(src, dst, 3)
+        except InsufficientMatches:
+            assert got.verification.inlier_indices == [] and not got.verification.verified
+            continue
+        assert got.verification.inlier_indices == verification.inlier_indices
+        assert got.verification.mean_reprojection_error == verification.mean_reprojection_error
+        assert (got.verification.model is None) == (verification.model is None)
+        if verification.model is not None:
+            assert got.verification.model.h.tobytes() == verification.model.h.tobytes()
+    assert sum(c.match_count for c in result.ranked) > 10
+
+
+def test_record_indexed_after_a_query_is_seen_by_the_new_snapshot_only(small_db):
+    old = Database(small_db.version, small_db.extraction_config, list(small_db.records))
+    extra = blob_texture(192, 192, 16, seed=63)
+    before, _ = query_image(old, extra)
+    saved = db_to_json(old)
+    new = index_image(old, extra, "extra", "Extra", "")
+    after, _ = query_image(new, extra)
+    assert after.best == "extra"
+    assert [c.object_id for c in after.ranked][0] == "extra"
+    again, _ = query_image(old, extra)
+    assert again.best == before.best != "extra"
+    assert [(c.object_id, bits(c.matches)) for c in again.ranked] == [
+        (c.object_id, bits(c.matches)) for c in before.ranked
+    ]
+    assert db_to_json(old) == saved
+    assert len(old.records) == 3
+
+
+def test_query_leaves_saved_bytes_unchanged(tmp_path, small_db):
+    fresh = Database(small_db.version, small_db.extraction_config, list(small_db.records))
+    save_db(fresh, tmp_path / "before.json")
+    query_image(fresh, blob_texture(192, 192, 16, seed=51))
+    save_db(fresh, tmp_path / "after.json")
+    assert (tmp_path / "before.json").read_bytes() == (tmp_path / "after.json").read_bytes()
+    assert fresh == Database(small_db.version, small_db.extraction_config, list(small_db.records))
+
+
+# --- any document: a Database or a ParseError, and a Database answers --------
+
+NUMBERS = (
+    st.integers(-(2**70), 2**70)
+    | st.floats()
+    | st.sampled_from((0, 1, -1, 2, 64, 1e300, -1e300, 1e154, 1e-300, 5e-324, -0.0))
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | NUMBERS | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+QUERY_IMAGE = blob_texture(96, 96, 8, seed=70)
+
+
+def _base_document():
+    """Two records whose features are the query image's own, so that the
+    query matches them and RANSAC runs."""
+    db = index_image(Database(), QUERY_IMAGE, "same", "Same", "x")
+    db = index_image(db, warp_similarity(QUERY_IMAGE, 10.0, 0.9), "warped", "Warped", "y")
+    return db_to_json(db)
+
+
+BASE_DOCUMENT = _base_document()
+
+
+def _containers(node):
+    out = [node]
+    children = node.values() if isinstance(node, dict) else node
+    for child in children:
+        if isinstance(child, (dict, list)):
+            out += _containers(child)
+    return out
+
+
+@st.composite
+def documents(draw):
+    """Mostly a valid document with a few edits: a value replaced (by a
+    number, most often), a key or item removed, or an item repeated,
+    anywhere in the tree; sometimes any JSON value."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(JSON_VALUES)
+    doc = copy.deepcopy(BASE_DOCUMENT)
+    for _ in range(draw(st.integers(0, 4))):
+        containers = _containers(doc)
+        node = containers[draw(st.integers(0, len(containers) - 1))]
+        keys = list(node.keys()) if isinstance(node, dict) else list(range(len(node)))
+        if not keys:
+            continue
+        key = keys[draw(st.integers(0, len(keys) - 1))]
+        action = draw(st.sampled_from(("replace", "replace", "remove", "repeat")))
+        if action == "replace":
+            node[key] = draw(NUMBERS if draw(st.booleans()) else JSON_VALUES)
+        elif action == "remove":
+            del node[key]
+        elif isinstance(node, list):
+            node.append(copy.deepcopy(node[key]))
+    if draw(st.booleans()):
+        doc = json.loads(json.dumps(doc))  # as read back from a file
+    return doc
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(documents())
+def test_any_document_gives_a_database_or_a_parse_error(doc):
+    try:
+        db = db_from_json(doc)
+    except (ParseError, VersionMismatch) as exc:
+        event(f"refused: {type(exc).__name__}")
+        return
+    assert isinstance(db, Database)
+    try:
+        result, _ = query_image(db, QUERY_IMAGE)
+    except ArfexError as exc:
+        event(f"query raised {type(exc).__name__}")
+        return
+    event(f"answered {result.best}")
+    assert len(result.ranked) == len(db.records)
+    assert result.best == UNRECOGNIZED or result.best in db.ids()
