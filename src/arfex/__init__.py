@@ -7,7 +7,7 @@ from an indexed object database.  Scanline blob detection is provided as a
 companion region detector.
 """
 
-from .blobs import Blob, LineBlob, binarize, detect_blobs, detect_lineblobs, merge_lineblobs, scan_lineblobs
+from .blobs import Blob, LineBlob, binarize, detect_blobs, merge_lineblobs, scan_lineblobs
 from .errors import (
     ArfexError,
     DegenerateConfiguration,
@@ -45,13 +45,12 @@ from .image import (
     IntegralImage,
     RasterImage,
     box_level_sums,
-    box_sum,
     box_sums,
     build_integral,
     to_grayscale,
 )
 from .image_io import read_image, write_ppm
-from .matching import Match, distance, match_descriptors
+from .matching import Match, match_descriptors
 from .store import (
     Database,
     ObjectRecord,
@@ -97,14 +96,11 @@ __all__ = [
     "assign_orientation",
     "binarize",
     "box_level_sums",
-    "box_sum",
     "box_sums",
     "build_integral",
     "build_response_maps",
     "detect_blobs",
     "detect_interest_points",
-    "detect_lineblobs",
-    "distance",
     "estimate_homography",
     "extract_descriptor",
     "extract_features",

@@ -130,13 +130,6 @@ def _runs_to_lineblobs(rows, starts, ends, labels) -> list[LineBlob]:
     return runs
 
 
-def detect_lineblobs(row, row_index: int = 0, first_label: int = 0) -> list[LineBlob]:
-    """Maximal foreground runs of one mask row, left to right, freshly labeled."""
-    _, starts, ends = _mask_runs([np.asarray(row, dtype=bool)])
-    rows = np.full(starts.size, row_index)
-    return _runs_to_lineblobs(rows, starts, ends, first_label + np.arange(starts.size))
-
-
 def scan_lineblobs(mask: np.ndarray) -> list[LineBlob]:
     """Runs for every row of a mask, top to bottom, labels fresh across the image."""
     rows, starts, ends = _mask_runs(mask)

@@ -44,32 +44,24 @@ EXIT_DB_CONSTRAINT = 4
 SEED_ENV_VAR = "ARFEX_SEED"
 
 
-def _threshold_arg(text: str) -> float:
-    v = float(text)
-    if v < 0:
-        raise argparse.ArgumentTypeError(f"threshold must be >= 0, got {text}")
-    return v
+def _checked(convert, ok, rule: str):
+    """An argparse type: `convert` the text, then require `ok` of the value."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{rule}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names the type when `convert` fails
+    return parse
 
 
-def _octaves_arg(text: str) -> int:
-    v = int(text)
-    if not 1 <= v <= 4:
-        raise argparse.ArgumentTypeError(f"octaves must be in [1, 4], got {text}")
-    return v
-
-
-def _level_arg(text: str) -> int:
-    v = int(text)
-    if not 0 <= v <= 255:
-        raise argparse.ArgumentTypeError(f"threshold must be in [0, 255], got {text}")
-    return v
-
-
-def _ratio_arg(text: str) -> float:
-    v = float(text)
-    if not 0.0 < v <= 1.0:
-        raise argparse.ArgumentTypeError(f"ratio must be in (0, 1], got {text}")
-    return v
+_threshold_arg = _checked(float, lambda v: not v < 0, "threshold must be >= 0")
+_octaves_arg = _checked(int, lambda v: 1 <= v <= 4, "octaves must be in [1, 4]")
+_level_arg = _checked(int, lambda v: 0 <= v <= 255, "threshold must be in [0, 255]")
+_ratio_arg = _checked(float, lambda v: 0.0 < v <= 1.0, "ratio must be in (0, 1]")
+_seed_arg = _checked(int, lambda v: v >= 0, "seed must be >= 0")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -106,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--annotate", help="write the query with inliers + object frame (PPM P6)")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed_arg, default=None)
     p.add_argument("--ratio", type=_ratio_arg, default=0.7)
 
     p = sub.add_parser("annotate", help="write a keypoint overlay image only")
@@ -188,13 +180,17 @@ def _seed(args) -> int:
     if args.seed is not None:
         return args.seed
     env = os.environ.get(SEED_ENV_VAR)
-    return int(env) if env else 0
+    try:
+        return _seed_arg(env) if env else 0
+    except (ValueError, argparse.ArgumentTypeError):
+        raise ParseError(f"{SEED_ENV_VAR} must be an integer >= 0, got {env!r}") from None
 
 
 def cmd_query(args) -> int:
+    seed = _seed(args)
     db = load_db(args.db)
     img = image_io.read_image(args.input)
-    result, query_points = query_image(db, img, args.ratio, _seed(args))
+    result, query_points = query_image(db, img, args.ratio, seed)
     doc = {
         "best": result.best,
         "ranked": [

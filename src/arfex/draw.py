@@ -1,4 +1,4 @@
-"""Overlay rasterization: midpoint circles and lines, 1 px pure red."""
+"""Overlay rasterization: midpoint circles and clipped Bresenham lines, 1 px pure red."""
 
 from __future__ import annotations
 
@@ -37,24 +37,24 @@ def draw_circle(pixels: np.ndarray, cx: int, cy: int, radius: int, color=RED) ->
 
 
 def draw_line(pixels: np.ndarray, x0: int, y0: int, x1: int, y1: int, color=RED) -> None:
-    """Bresenham line, endpoints inclusive, clipped per pixel."""
-    dx = abs(x1 - x0)
-    dy = -abs(y1 - y0)
+    """Bresenham line, endpoints inclusive, clipped to the raster.
+
+    Step i in [0, dx] of an x-major walk (dx = |x1 - x0| >= dy = |y1 - y0|) is
+    at (x0 + sx*i, y0 + sy*floor((2*i*dy + dx) / (2*dx))), as the incremental
+    walk puts it; a y-major walk is the same on the transposed raster.  Only
+    steps with x inside the raster are visited: the cost is bounded by the
+    raster, not by the segment (a stored object size can be huge).
+    """
+    dx, dy = abs(x1 - x0), abs(y1 - y0)
+    if dy > dx:
+        draw_line(pixels.swapaxes(0, 1), y0, x0, y1, x1, color)
+        return
     sx = 1 if x0 < x1 else -1
     sy = 1 if y0 < y1 else -1
-    err = dx + dy
-    x, y = x0, y0
-    while True:
-        _plot(pixels, x, y, color)
-        if x == x1 and y == y1:
-            break
-        e2 = 2 * err
-        if e2 >= dy:
-            err += dy
-            x += sx
-        if e2 <= dx:
-            err += dx
-            y += sy
+    width = pixels.shape[1]
+    lo, hi = (-x0, width - 1 - x0) if sx > 0 else (x0 - width + 1, x0)
+    for i in range(max(lo, 0), min(hi, dx) + 1):
+        _plot(pixels, x0 + sx * i, y0 + sy * ((2 * i * dy + dx) // max(2 * dx, 1)), color)
 
 
 def keypoint_overlay(img: RasterImage, points: list[InterestPoint]) -> RasterImage:

@@ -21,10 +21,9 @@ lookups (8 boxes x 4 corners) is one strided slice of `IntegralImage.padded`
 over the whole interior sub-grid, and the boxes combine in exact int64.
 
 Non-maximum suppression compares only the cells above threshold with their
-26 neighbours.  Orientation and descriptors run as array passes over blocks
-of BLOCK points (`_orientations`, `_descriptors`); `assign_orientation` and
-`extract_descriptor` are one-point calls of the same cores.  Every point
-gives the same bits as when it is computed alone, which constrains the
+26 neighbours.  `assign_orientation` and `extract_descriptor` take arrays of
+points and run as array passes over blocks of BLOCK points.  Each point gets
+the same bits whatever block it shares, or alone, which constrains the
 batched form: Haar sums go through `box_level_sums` with a per-point box
 size, window sums are one matrix-vector product per point, the final
 `atan2` is a scalar `math` call per point (`np.arctan2` differs in the last
@@ -92,9 +91,9 @@ class ExtractionConfig:
     upright: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.octaves, int) or not 1 <= self.octaves <= 4:
+        if type(self.octaves) is not int or not 1 <= self.octaves <= 4:  # a bool is not an int here
             raise ValueError(f"octaves must be an integer in [1, 4], got {self.octaves!r}")
-        if not isinstance(self.threshold, (int, float)) or not self.threshold >= 0:
+        if type(self.threshold) not in (int, float) or not self.threshold >= 0:
             raise ValueError(f"threshold must be a number >= 0, got {self.threshold!r}")
         if not isinstance(self.upright, bool):
             raise ValueError(f"upright must be true or false, got {self.upright!r}")
@@ -288,20 +287,15 @@ def _refine(stack, octave_maps, k, i, j, stride, step) -> Optional[InterestPoint
     )
 
 
-def _haar_x(ii: IntegralImage, xs, ys, size) -> np.ndarray:
-    """Right-minus-left box difference: positive for luminance increasing in +x."""
+def _haar(ii: IntegralImage, xs, ys, size) -> tuple[np.ndarray, np.ndarray]:
+    """Right-minus-left and bottom-minus-top box differences: positive for
+    luminance increasing in +x and in +y."""
     half = size // 2
     right = box_level_sums(ii, xs, ys - half, xs + half - 1, ys + half - 1)
     left = box_level_sums(ii, xs - half, ys - half, xs - 1, ys + half - 1)
-    return (right - left) / 255.0
-
-
-def _haar_y(ii: IntegralImage, xs, ys, size) -> np.ndarray:
-    """Bottom-minus-top box difference: positive for luminance increasing in +y."""
-    half = size // 2
     lower = box_level_sums(ii, xs - half, ys, xs + half - 1, ys + half - 1)
     upper = box_level_sums(ii, xs - half, ys - half, xs + half - 1, ys - 1)
-    return (lower - upper) / 255.0
+    return (right - left) / 255.0, (lower - upper) / 255.0
 
 
 def _even_size(target: np.ndarray) -> np.ndarray:
@@ -328,16 +322,23 @@ _GRID_U, _GRID_V = np.meshgrid(_GRID_AXIS, _GRID_AXIS)
 _GRID_WEIGHT = np.exp(-(_GRID_U * _GRID_U + _GRID_V * _GRID_V) / (2.0 * DESCRIPTOR_SIGMA**2))
 
 
-def _orientations(ii: IntegralImage, x: np.ndarray, y: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """Orientation of each point (x[i], y[i], scale[i]); see `assign_orientation`."""
+def assign_orientation(ii: IntegralImage, x: np.ndarray, y: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Dominant Haar-gradient direction of each point (x[i], y[i], scale[i]).
+
+    Haar responses (size ~4s) are sampled on a radius-6s disc at step s and
+    Gaussian-weighted (sigma 2.5s); a pi/3 window slides by pi/32 and the
+    orientation is the angle, in [0, 2 pi), of the largest summed response
+    vector.  Zero total response gives orientation 0.  Returns shape (N,).
+    """
     theta = np.zeros(len(x))
     for b in _blocks(len(x)):
         s = scale[b, None]
         size = _even_size(ORIENTATION_HAAR * s)
         px = np.floor(x[b, None] + _DISC_U * s + 0.5).astype(np.int64)
         py = np.floor(y[b, None] + _DISC_V * s + 0.5).astype(np.int64)
-        gx = _DISC_WEIGHT * _haar_x(ii, px, py, size)
-        gy = _DISC_WEIGHT * _haar_y(ii, px, py, size)
+        gx, gy = _haar(ii, px, py, size)
+        gx *= _DISC_WEIGHT
+        gy *= _DISC_WEIGHT
         angles = np.mod(np.arctan2(gy, gx), 2.0 * math.pi)
         # (points, windows, samples): 1.0 where a sample lies in a window.
         # One buffer serves all three steps, to bound peak memory.
@@ -354,10 +355,17 @@ def _orientations(ii: IntegralImage, x: np.ndarray, y: np.ndarray, scale: np.nda
     return theta
 
 
-def _descriptors(
+def extract_descriptor(
     ii: IntegralImage, x: np.ndarray, y: np.ndarray, scale: np.ndarray, theta: np.ndarray
 ) -> np.ndarray:
-    """(N, 64) descriptors of points (x, y, scale) in frames rotated by theta."""
+    """64-d descriptor of each point: per-subregion (sum dx, sum dy, sum |dx|, sum |dy|).
+
+    A 20s x 20s window rotated by theta[i] (0 for upright) is sampled on a
+    20x20 grid (4x4 subregions of 5x5 samples) with Haar size ~2s and
+    Gaussian weight sigma 3.3s; responses are rotated into the keypoint
+    frame before accumulation.  Each vector is L2-normalized; an all-zero
+    vector stays all-zero.  Returns shape (N, 64).
+    """
     out = np.zeros((len(x), DESCRIPTOR_LENGTH))
     g, m = DESCRIPTOR_GRID, DESCRIPTOR_SAMPLES
     for b in _blocks(len(x)):
@@ -370,8 +378,7 @@ def _descriptors(
         ry = (_GRID_U * sin_t + _GRID_V * cos_t) * s
         px = np.floor(x[b, None, None] + rx + 0.5).astype(np.int64)
         py = np.floor(y[b, None, None] + ry + 0.5).astype(np.int64)
-        dx0 = _haar_x(ii, px, py, size)
-        dy0 = _haar_y(ii, px, py, size)
+        dx0, dy0 = _haar(ii, px, py, size)
         blocks_dx = (_GRID_WEIGHT * (dx0 * cos_t + dy0 * sin_t)).reshape(-1, g, m, g, m)
         blocks_dy = (_GRID_WEIGHT * (-dx0 * sin_t + dy0 * cos_t)).reshape(-1, g, m, g, m)
         vec = np.stack(
@@ -391,32 +398,6 @@ def _descriptors(
     return out
 
 
-def assign_orientation(ii: IntegralImage, ip: InterestPoint) -> InterestPoint:
-    """Dominant Haar-gradient direction over a pi/3 sliding window.
-
-    Haar responses (size ~4s) are sampled on a radius-6s disc at step s and
-    Gaussian-weighted (sigma 2.5s); the window slides by pi/32 and the
-    orientation is the angle of the largest summed response vector.  Zero
-    total response gives orientation 0.
-    """
-    theta = _orientations(ii, np.array([ip.x]), np.array([ip.y]), np.array([ip.scale]))
-    return dataclasses.replace(ip, orientation=float(theta[0]))
-
-
-def extract_descriptor(ii: IntegralImage, ip: InterestPoint, upright: bool = False) -> Descriptor:
-    """64-d descriptor: per-subregion (sum dx, sum dy, sum |dx|, sum |dy|).
-
-    A 20s x 20s window aligned to the orientation (axis-aligned if upright)
-    is sampled on a 20x20 grid (4x4 subregions of 5x5 samples) with Haar
-    size ~2s and Gaussian weight sigma 3.3s; responses are rotated into the
-    keypoint frame before accumulation.  The concatenated vector is
-    L2-normalized; an all-zero vector stays all-zero.
-    """
-    theta = 0.0 if upright else ip.orientation
-    vec = _descriptors(ii, np.array([ip.x]), np.array([ip.y]), np.array([ip.scale]), np.array([theta]))
-    return Descriptor(components=vec[0], laplacian_sign=ip.laplacian_sign)
-
-
 def extract_features(
     img: RasterImage, config: Optional[ExtractionConfig] = None
 ) -> tuple[list[InterestPoint], list[Descriptor]]:
@@ -433,11 +414,11 @@ def extract_features(
     if config.upright:
         theta = np.zeros(len(points))
     else:
-        theta = _orientations(ii, x, y, scale)
+        theta = assign_orientation(ii, x, y, scale)
         points = [
             InterestPoint(p.x, p.y, p.scale, p.response, p.laplacian_sign, t)
             for p, t in zip(points, theta.tolist())
         ]
-    vectors = _descriptors(ii, x, y, scale, theta)
+    vectors = extract_descriptor(ii, x, y, scale, theta)
     descriptors = list(map(Descriptor, vectors, [p.laplacian_sign for p in points]))
     return points, descriptors

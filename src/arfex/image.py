@@ -1,11 +1,11 @@
 """Raster images, grayscale conversion, integral images, and box sums.
 
 Rectangular luminance sums cost O(1) via the four-corner identity on the
-zero-padded inclusive prefix table `IntegralImage.padded`.  Haar responses
-and descriptors gather corners per sample through `box_level_sums`, which
-clips rectangles to the image; response maps read whole strided views of the
-padded table, since their interior cells never need clipping.  `box_sum` and
-`box_sums` are the unit-scaled forms.
+one table an `IntegralImage` holds: the zero-padded inclusive int64 prefix
+table `padded`.  Haar responses and descriptors gather corners per sample
+through `box_level_sums`, which clips rectangles to the image; response maps
+read whole strided views of the padded table, since their interior cells
+never need clipping.  `box_sums` is the unit-scaled form.
 
 Values are immutable after construction; all functions are pure.
 """
@@ -85,43 +85,29 @@ class GrayImage:
 
 @dataclass(eq=False)
 class IntegralImage:
-    """Inclusive 2-D prefix sums of luminance.
+    """Zero-padded inclusive 2-D prefix sums of the 8-bit luminance levels.
 
-    Sums are accumulated over integer 8-bit levels (exact in int64 far past
-    4096x4096 images) and divided by 255 only at lookup time, so box sums of
-    flat regions cancel to exactly zero.  `table` exposes the unit-scaled
-    view: table[y, x] = sum of gray.unit[j, i] for all i <= x, j <= y.
+    padded[y + 1, x + 1] is the sum of levels[j, i] for all i <= x, j <= y;
+    row 0 and column 0 are zero, so corner lookups need no branch.  Sums are
+    exact in int64 far past 4096x4096 images and are divided by 255 only at
+    lookup time, so box sums of flat regions cancel to exactly zero.
     """
 
-    level_sums: np.ndarray
+    padded: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.level_sums, dtype=np.int64)
-        if t.ndim != 2 or t.shape[0] < 1 or t.shape[1] < 1:
-            raise ValueError(f"expected (h, w) table, got {t.shape}")
-        self.level_sums = t
+        p = np.asarray(self.padded, dtype=np.int64)
+        if p.ndim != 2 or p.shape[0] < 2 or p.shape[1] < 2:
+            raise ValueError(f"expected (h + 1, w + 1) padded table, got {p.shape}")
+        self.padded = p
 
     @property
     def width(self) -> int:
-        return self.level_sums.shape[1]
+        return self.padded.shape[1] - 1
 
     @property
     def height(self) -> int:
-        return self.level_sums.shape[0]
-
-    @cached_property
-    def table(self) -> np.ndarray:
-        """Unit-scaled prefix sums (float64)."""
-        return self.level_sums / 255.0
-
-    @cached_property
-    def padded(self) -> np.ndarray:
-        """Integer table with a zero row/column prepended; makes corner
-        lookups branchless."""
-        h, w = self.level_sums.shape
-        p = np.zeros((h + 1, w + 1), dtype=np.int64)
-        p[1:, 1:] = self.level_sums
-        return p
+        return self.padded.shape[0] - 1
 
 
 def to_grayscale(img: RasterImage) -> GrayImage:
@@ -133,25 +119,12 @@ def to_grayscale(img: RasterImage) -> GrayImage:
 
 
 def build_integral(gray: GrayImage) -> IntegralImage:
-    """Inclusive 2-D prefix sum of the luminance."""
-    sums = np.cumsum(np.cumsum(gray.levels.astype(np.int64), axis=0), axis=1)
-    return IntegralImage(sums)
-
-
-def box_sum(ii: IntegralImage, x0: int, y0: int, x1: int, y1: int) -> float:
-    """Sum of unit luminance over the inclusive rectangle [x0..x1] x [y0..y1].
-
-    The rectangle is clipped to the image first; empty after clipping -> 0.
-    O(1): four corner lookups on the padded prefix table.
-    """
-    x0 = max(int(x0), 0)
-    y0 = max(int(y0), 0)
-    x1 = min(int(x1), ii.width - 1)
-    y1 = min(int(y1), ii.height - 1)
-    if x0 > x1 or y0 > y1:
-        return 0.0
-    p = ii.padded
-    return float(p[y1 + 1, x1 + 1] - p[y0, x1 + 1] - p[y1 + 1, x0] + p[y0, x0]) / 255.0
+    """Padded prefix-sum table of the luminance, accumulated in place."""
+    h, w = gray.levels.shape
+    p = np.zeros((h + 1, w + 1), dtype=np.int64)
+    np.cumsum(gray.levels, axis=0, dtype=np.int64, out=p[1:, 1:])
+    np.cumsum(p[1:, 1:], axis=1, out=p[1:, 1:])
+    return IntegralImage(p)
 
 
 def box_level_sums(ii: IntegralImage, x0, y0, x1, y1) -> np.ndarray:
@@ -183,8 +156,9 @@ def box_level_sums(ii: IntegralImage, x0, y0, x1, y1) -> np.ndarray:
 
 
 def box_sums(ii: IntegralImage, x0, y0, x1, y1) -> np.ndarray:
-    """Vectorized `box_sum`: coordinate arrays in, unit-scale sums out.
+    """Sums of unit luminance over inclusive rectangles [x0..x1] x [y0..y1].
 
-    Same clipping semantics as the scalar form, applied elementwise.
+    Coordinate arrays (or scalars) in, float64 sums out.  Each rectangle is
+    clipped to the image first; one that is empty after clipping sums to 0.
     """
     return box_level_sums(ii, x0, y0, x1, y1) / 255.0

@@ -60,9 +60,10 @@ def _decode_ppm(data: bytes) -> RasterImage:
             pos += 1
         if start == pos:
             raise ParseError("truncated PPM header")
-        token = data[start:pos]
-        if not token.isdigit():
-            raise ParseError(f"bad PPM header token {token!r}")
+        # Over 20 significant digits fits no raster, and int() refuses 4300.
+        token = data[start:pos].lstrip(b"0") or b"0"
+        if not token.isdigit() or len(token) > 20:
+            raise ParseError(f"bad PPM header token {data[start:pos][:32]!r}")
         fields.append(int(token))
     width, height, maxval = fields
     if width < 1 or height < 1:
@@ -93,6 +94,8 @@ def _decode_png(data: bytes) -> RasterImage:
         if len(chunk) < length:
             raise ParseError("truncated PNG chunk")
         if ctype == b"IHDR":
+            if length != 13:
+                raise ParseError(f"PNG IHDR has {length} bytes, need 13")
             ihdr = struct.unpack(">IIBBBBB", chunk)
         elif ctype == b"IDAT":
             idat.extend(chunk)

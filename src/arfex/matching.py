@@ -58,11 +58,6 @@ SCREEN_REL = 4e-12  # delta per (|q| + max |t|)^2; about 280x the worst-case err
 SCREEN_ABS = 1e-300  # delta floor, above the error of underflowed products
 
 
-def distance(a: Descriptor, b: Descriptor) -> float:
-    """Euclidean distance between two 64-component descriptors."""
-    return float(np.linalg.norm(a.components - b.components))
-
-
 @dataclass(frozen=True, eq=False)
 class TargetSet:
     """The descriptors of R records as one matrix.

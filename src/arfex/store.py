@@ -45,12 +45,8 @@ class ObjectRecord:
 
 @dataclass
 class Database:
-    version: int = DB_VERSION
     extraction_config: ExtractionConfig = field(default_factory=ExtractionConfig)
     records: list[ObjectRecord] = field(default_factory=list)
-
-    def ids(self) -> set[str]:
-        return {r.object_id for r in self.records}
 
 
 @dataclass
@@ -79,7 +75,7 @@ def index_image(db: Database, img: RasterImage, object_id: str, name: str, info:
 
     Returns a new Database snapshot; the input is unchanged.
     """
-    if object_id in db.ids():
+    if any(r.object_id == object_id for r in db.records):
         raise DuplicateId(f"object id {object_id!r} already indexed")
     points, descriptors = extract_features(img, db.extraction_config)
     if not points:
@@ -92,11 +88,7 @@ def index_image(db: Database, img: RasterImage, object_id: str, name: str, info:
         keypoints=points,
         descriptors=descriptors,
     )
-    return Database(
-        version=db.version,
-        extraction_config=db.extraction_config,
-        records=[*db.records, record],
-    )
+    return Database(extraction_config=db.extraction_config, records=[*db.records, record])
 
 
 def query_image(
@@ -176,39 +168,44 @@ def point_to_json(p: InterestPoint) -> dict:
     }
 
 
+def _typed(d: dict, key: str, *types: type):
+    """d[key] if it is exactly one of `types`: a bool is not an int here."""
+    value = d[key]
+    if type(value) not in types:
+        raise ParseError(f"{key!r} must be {' or '.join(t.__name__ for t in types)}, got {value!r}")
+    return value
+
+
 def _point_from_json(d: dict) -> InterestPoint:
-    values = [float(d[k]) for k in _POINT_FLOATS]
+    values = [float(_typed(d, k, int, float)) for k in _POINT_FLOATS]
     if not all(map(math.isfinite, values)):
         raise ParseError(f"keypoint has a non-finite field: {d!r}")
     x, y, scale, response, orientation = values
-    laplacian = d["laplacian"]
+    laplacian = _typed(d, "laplacian", int, float)
     if laplacian not in (1, -1):
         raise ParseError(f"keypoint laplacian must be 1 or -1, got {laplacian!r}")
-    return InterestPoint(
-        x=x,
-        y=y,
-        scale=scale,
-        response=response,
-        laplacian_sign=int(laplacian),
-        orientation=orientation,
-    )
+    return InterestPoint(x, y, scale, response, int(laplacian), orientation)
 
 
 def _record_from_json(obj: dict) -> ObjectRecord:
+    object_id, name, info = (_typed(obj, k, str) for k in ("id", "name", "info"))
+    size = _typed(obj, "image_size", list)
+    if len(size) != 2 or not all(type(v) is int and v >= 1 for v in size):
+        raise ParseError(f"object {object_id!r}: image_size must be two integers >= 1, got {size!r}")
     keypoints = [_point_from_json(p) for p in obj["keypoints"]]
     if not keypoints or len(keypoints) != len(obj["descriptors"]):
-        raise ParseError(f"object {obj['id']!r} has mismatched or empty features")
+        raise ParseError(f"object {object_id!r} has mismatched or empty features")
     rows = np.asarray(obj["descriptors"])
     if rows.shape != (len(keypoints), DESCRIPTOR_LENGTH) or rows.dtype.kind not in "fi":
-        raise ParseError(f"object {obj['id']!r}: descriptors must be {DESCRIPTOR_LENGTH} numbers each")
+        raise ParseError(f"object {object_id!r}: descriptors must be {DESCRIPTOR_LENGTH} numbers each")
     rows = rows.astype(np.float64, copy=False)
     if not np.isfinite(rows).all():
-        raise ParseError(f"object {obj['id']!r} has a non-finite descriptor component")
+        raise ParseError(f"object {object_id!r} has a non-finite descriptor component")
     return ObjectRecord(
-        object_id=str(obj["id"]),
-        name=str(obj["name"]),
-        info=str(obj["info"]),
-        image_size=(int(obj["image_size"][0]), int(obj["image_size"][1])),
+        object_id=object_id,
+        name=name,
+        info=info,
+        image_size=tuple(size),
         keypoints=keypoints,
         descriptors=[Descriptor(components=c, laplacian_sign=p.laplacian_sign) for c, p in zip(rows, keypoints)],
     )
@@ -216,7 +213,7 @@ def _record_from_json(obj: dict) -> ObjectRecord:
 
 def db_to_json(db: Database) -> dict:
     return {
-        "version": db.version,
+        "version": DB_VERSION,
         "extraction_config": db.extraction_config.to_dict(),
         "objects": [
             {
@@ -252,7 +249,7 @@ def db_from_json(doc: dict) -> Database:
         if r.object_id in seen:
             raise ParseError(f"duplicate object id {r.object_id!r} in database document")
         seen.add(r.object_id)
-    return Database(version=version, extraction_config=config, records=records)
+    return Database(extraction_config=config, records=records)
 
 
 def save_db(db: Database, path) -> None:

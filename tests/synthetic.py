@@ -1,14 +1,14 @@
 """Deterministic synthetic fixtures: blob textures, similarity warps, noise.
 
-Shared by the test suite and the demo scripts so every derived expectation
-comes from one seeded generator.
+Shared by the test modules so every derived expectation comes from one
+seeded generator.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .image import RasterImage
+from arfex.image import RasterImage
 
 DEFAULT_BACKGROUND = 110
 

@@ -20,7 +20,7 @@ from arfex.image import GrayImage, RasterImage, box_sums, build_integral, to_gra
 from arfex.image_io import write_ppm
 from arfex.matching import match_descriptors
 from arfex.blobs import detect_blobs
-from arfex.synthetic import (
+from synthetic import (
     add_noise,
     apply_gain_offset,
     blob_texture,

@@ -11,7 +11,6 @@ from arfex.blobs import (
     LineBlob,
     binarize,
     detect_blobs,
-    detect_lineblobs,
     merge_lineblobs,
     scan_lineblobs,
 )
@@ -58,17 +57,17 @@ def test_binarize_rejects_bad_arguments():
 
 
 def test_lineblobs_basic_runs():
-    runs = detect_lineblobs([0, 1, 1, 0, 1])
-    assert [(r.x_start, r.x_end) for r in runs] == [(1, 2), (4, 4)]
+    runs = scan_lineblobs([[0, 1, 1, 0, 1]])
+    assert [(r.row, r.x_start, r.x_end) for r in runs] == [(0, 1, 2), (0, 4, 4)]
     assert [r.label for r in runs] == [0, 1]
 
 
 def test_lineblobs_empty_row():
-    assert detect_lineblobs([0, 0, 0]) == []
+    assert scan_lineblobs([[0, 0, 0]]) == []
 
 
 def test_lineblobs_full_row():
-    runs = detect_lineblobs([1] * 5)
+    runs = scan_lineblobs([[1] * 5])
     assert [(r.x_start, r.x_end) for r in runs] == [(0, 4)]
 
 
@@ -122,7 +121,8 @@ def test_merge_is_scan_order_independent(rng):
     top_down = scan_lineblobs(mask)
     bottom_up = []
     for r in range(mask.shape[0] - 1, -1, -1):
-        bottom_up.extend(detect_lineblobs(mask[r], row_index=r, first_label=len(bottom_up)))
+        base = len(bottom_up)
+        bottom_up += [LineBlob(r, run.x_start, run.x_end, base + run.label) for run in scan_lineblobs(mask[r : r + 1])]
     assert blob_partition(merge_lineblobs(top_down)) == blob_partition(merge_lineblobs(bottom_up))
 
 

@@ -8,7 +8,7 @@ import pytest
 from arfex.cli import main
 from arfex.image import RasterImage
 from arfex.image_io import read_image, write_ppm
-from arfex.synthetic import blob_texture, noise_image, similarity_map, warp_similarity
+from synthetic import blob_texture, noise_image, similarity_map, warp_similarity
 from conftest import gray_raster
 from oracles import flood_fill_labels
 
@@ -248,6 +248,40 @@ def test_query_seed_env_fallback(tmp_path, monkeypatch):
     monkeypatch.delenv("ARFEX_SEED")
     assert main(["query", "--db", str(db), "--input", str(tmp_path / "obj0.ppm"), "--output", str(out_flag), "--seed", "123"]) == 0
     assert out_env.read_bytes() == out_flag.read_bytes()
+
+
+@pytest.mark.parametrize("seed", ["-1", "abc", "1.5", ""])
+def test_query_bad_seed_flag_is_a_usage_error(tmp_path, texture_ppm, seed):
+    db = build_db(tmp_path, seeds=(31,))
+    args = ["query", "--db", str(db), "--input", str(texture_ppm), "--output", str(tmp_path / "x.json")]
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--seed", seed])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("value", ["abc", "-3", "1.5", "0x10"])
+def test_query_bad_seed_env_is_exit_2(tmp_path, monkeypatch, capsys, value):
+    db = build_db(tmp_path, seeds=(31,))
+    out = tmp_path / "x.json"
+    monkeypatch.setenv("ARFEX_SEED", value)
+    assert main(["query", "--db", str(db), "--input", str(tmp_path / "obj0.ppm"), "--output", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"arfex: ARFEX_SEED must be an integer >= 0, got {value!r}")
+    assert not out.exists()
+
+
+def test_query_annotates_a_record_of_huge_image_size(tmp_path):
+    db = build_db(tmp_path, seeds=(31,))
+    doc = read_json(db)
+    doc["objects"][0]["image_size"] = [10**9, 10**9]
+    db.write_text(json.dumps(doc))
+    out = tmp_path / "result.json"
+    annotated = tmp_path / "annotated.ppm"
+    code = main(
+        ["query", "--db", str(db), "--input", str(tmp_path / "obj0.ppm"), "--output", str(out), "--annotate", str(annotated)]
+    )
+    assert code == 0
+    assert read_json(out)["best"] == "obj0"
+    assert (read_image(annotated).pixels == (255, 0, 0)).all(axis=2).any()
 
 
 def test_query_version_mismatch_exit_4(tmp_path, texture_ppm):

@@ -11,8 +11,6 @@ from arfex.features import (
     BLOCK,
     ExtractionConfig,
     ResponseMap,
-    _descriptors,
-    _orientations,
     _refine,
     assign_orientation,
     build_response_maps,
@@ -22,7 +20,7 @@ from arfex.features import (
     filter_sizes,
 )
 from arfex.image import RasterImage, box_level_sums, build_integral, to_grayscale
-from arfex.synthetic import apply_gain_offset, blob_texture, similarity_map, warp_similarity
+from synthetic import apply_gain_offset, blob_texture, similarity_map, warp_similarity
 from conftest import gray_raster, random_raster
 from oracles import hessian_response_at, slice_box_sum
 
@@ -333,22 +331,29 @@ def point_at(x, y, scale):
     return InterestPoint(x=float(x), y=float(y), scale=float(scale), response=1.0, laplacian_sign=1)
 
 
+def point_arrays(pts):
+    """x, y, scale and orientation of the points as float64 arrays."""
+    return (np.array([getattr(p, f) for p in pts], dtype=np.float64) for f in ("x", "y", "scale", "orientation"))
+
+
+def orientation_at(ii, x, y, scale):
+    return float(assign_orientation(ii, np.array([x], float), np.array([y], float), np.array([scale], float))[0])
+
+
 def test_orientation_of_horizontal_ramp():
     ii = integral_of(ramp_image(horizontal=True))
-    ip = assign_orientation(ii, point_at(32, 32, 2.0))
-    delta = (ip.orientation + math.pi) % (2 * math.pi) - math.pi
+    delta = (orientation_at(ii, 32, 32, 2.0) + math.pi) % (2 * math.pi) - math.pi
     assert abs(delta) <= math.pi / 6
 
 
 def test_orientation_of_vertical_ramp():
     ii = integral_of(ramp_image(horizontal=False))
-    ip = assign_orientation(ii, point_at(32, 32, 2.0))
-    assert abs(ip.orientation - math.pi / 2) <= math.pi / 6
+    assert abs(orientation_at(ii, 32, 32, 2.0) - math.pi / 2) <= math.pi / 6
 
 
 def test_orientation_flat_patch_is_zero():
     ii = integral_of(gray_raster(np.full((64, 64), 77)))
-    assert assign_orientation(ii, point_at(32, 32, 2.0)).orientation == 0.0
+    assert orientation_at(ii, 32, 32, 2.0) == 0.0
 
 
 def orientation_oracle(levels, x, y, s):
@@ -402,15 +407,16 @@ def test_orientation_matches_independent_accumulation(rng):
         x = float(rng.uniform(30, 66))
         y = float(rng.uniform(30, 66))
         s = float(rng.uniform(1.5, 3.5))
-        got = assign_orientation(ii, point_at(x, y, s)).orientation
+        got = orientation_at(ii, x, y, s)
         want = orientation_oracle(levels, x, y, s)
         assert got == pytest.approx(want, abs=1e-8)
 
 
 def test_descriptor_flat_patch_all_zero():
     ii = integral_of(gray_raster(np.full((96, 96), 50)))
-    d = extract_descriptor(ii, point_at(48, 48, 2.0))
-    assert np.all(d.components == 0.0)
+    d = extract_descriptor(ii, *(np.array([v], dtype=np.float64) for v in (48, 48, 2.0, 0.0)))
+    assert d.shape == (1, 64)
+    assert np.all(d == 0.0)
 
 
 def test_descriptor_norm_is_unit_on_texture():
@@ -433,10 +439,9 @@ def test_descriptor_gain_invariance():
     img = blob_texture(192, 192, 14, seed=4, background=85, amplitude=(45.0, 65.0))
     pts, descs = extract_features(img)
     assert len(pts) >= 5
-    gained_ii = integral_of(apply_gain_offset(img, 1.5, 0.0))
-    for p, d in zip(pts, descs):
-        gd = extract_descriptor(gained_ii, p)
-        assert float(np.linalg.norm(gd.components - d.components)) < 0.05
+    gained = extract_descriptor(integral_of(apply_gain_offset(img, 1.5, 0.0)), *point_arrays(pts))
+    for gd, d in zip(gained, descs):
+        assert float(np.linalg.norm(gd - d.components)) < 0.05
 
 
 def test_brightness_affine_invariance(rng):
@@ -533,19 +538,22 @@ def reference_descriptor(ii, ip, upright):
 
 
 def assert_batched_equals_reference(ii, pts):
-    """Batched cores, the one-point wrappers and the per-point reference agree
-    byte for byte, oriented and upright."""
-    x, y, s = (np.array([getattr(p, f) for p in pts], dtype=np.float64) for f in ("x", "y", "scale"))
+    """Orientation and descriptors agree byte for byte with the per-point
+    reference, oriented and upright, for the whole batch and for each point
+    computed alone."""
+    x, y, s, _ = point_arrays(pts)
+    alone = [slice(i, i + 1) for i in range(len(pts))]
     want_theta = np.array([reference_orientation(ii, p) for p in pts], dtype=np.float64)
-    assert _orientations(ii, x, y, s).tobytes() == want_theta.tobytes()
+    assert assign_orientation(ii, x, y, s).tobytes() == want_theta.tobytes()
+    for i in alone:
+        assert assign_orientation(ii, x[i], y[i], s[i]).tobytes() == want_theta[i].tobytes()
     oriented = [dataclasses.replace(p, orientation=t) for p, t in zip(pts, want_theta.tolist())]
-    assert [assign_orientation(ii, p) for p in pts] == oriented
     for upright in (False, True):
         want = np.array([reference_descriptor(ii, p, upright) for p in oriented]).reshape(-1, 64)
         theta = np.zeros(len(pts)) if upright else want_theta
-        assert _descriptors(ii, x, y, s, theta).tobytes() == want.tobytes()
-        got = [extract_descriptor(ii, p, upright).components for p in oriented]
-        assert np.array(got).reshape(-1, 64).tobytes() == want.tobytes()
+        assert extract_descriptor(ii, x, y, s, theta).tobytes() == want.tobytes()
+        for i in alone:
+            assert extract_descriptor(ii, x[i], y[i], s[i], theta[i]).tobytes() == want[i].tobytes()
 
 
 @pytest.mark.parametrize(
@@ -618,13 +626,14 @@ def test_pipeline_equals_manual_stage_composition(rng):
         ii = build_integral(gray)
         maps = build_response_maps(ii, cfg)
         pts = detect_interest_points(maps, cfg.threshold)
-        pts = [assign_orientation(ii, p) for p in pts]
-        descs = [extract_descriptor(ii, p, cfg.upright) for p in pts]
-        assert got_pts == pts
+        x, y, s, _ = point_arrays(pts)
+        theta = assign_orientation(ii, x, y, s)
+        descs = extract_descriptor(ii, x, y, s, theta)
+        assert got_pts == [dataclasses.replace(p, orientation=t) for p, t in zip(pts, theta.tolist())]
         assert len(got_descs) == len(descs)
-        for a, b in zip(got_descs, descs):
-            assert np.array_equal(a.components, b.components)
-            assert a.laplacian_sign == b.laplacian_sign
+        for a, b, p in zip(got_descs, descs, pts):
+            assert np.array_equal(a.components, b)
+            assert a.laplacian_sign == p.laplacian_sign
 
 
 def test_extraction_is_deterministic():

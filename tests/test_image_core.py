@@ -7,7 +7,6 @@ from arfex.image import (
     GrayImage,
     IntegralImage,
     RasterImage,
-    box_sum,
     box_sums,
     build_integral,
     to_grayscale,
@@ -61,7 +60,8 @@ def test_unit_view_is_levels_over_255(rng):
 def test_integral_single_cell():
     g = GrayImage(np.array([[128]], dtype=np.uint8))
     ii = build_integral(g)
-    assert ii.table[0, 0] == pytest.approx(128 / 255.0, abs=0)
+    assert ii.padded.tolist() == [[0, 0], [0, 128]]
+    assert (ii.width, ii.height) == (1, 1)
 
 
 def test_integral_all_ones_3x3():
@@ -69,7 +69,7 @@ def test_integral_all_ones_3x3():
     ii = build_integral(g)
     for y in range(3):
         for x in range(3):
-            assert ii.table[y, x] == pytest.approx((x + 1) * (y + 1), abs=1e-12)
+            assert ii.padded[y + 1, x + 1] == 255 * (x + 1) * (y + 1)
 
 
 def test_integral_matches_double_loop_oracle(rng):
@@ -77,31 +77,45 @@ def test_integral_matches_double_loop_oracle(rng):
     ii = build_integral(g)
     for y in range(8):
         for x in range(8):
-            assert ii.table[y, x] == pytest.approx(
-                naive_box_sum(g.unit, 0, 0, x, y), abs=1e-9
-            )
+            assert ii.padded[y + 1, x + 1] == naive_box_sum(g.levels.astype(np.int64), 0, 0, x, y)
+
+
+def test_integral_is_one_padded_prefix_table(rng):
+    g = random_gray(rng, 37, 23)
+    ii = build_integral(g)
+    want = np.zeros((24, 38), dtype=np.int64)
+    want[1:, 1:] = np.cumsum(np.cumsum(g.levels.astype(np.int64), axis=0), axis=1)
+    assert ii.padded.dtype == np.int64
+    assert np.array_equal(ii.padded, want)
+    assert (ii.width, ii.height) == (37, 23)
+
+
+def test_integral_rejects_bad_table_shapes():
+    for table in (np.zeros((1, 5)), np.zeros((5, 1)), np.zeros(6)):
+        with pytest.raises(ValueError):
+            IntegralImage(table)
 
 
 def test_integral_monotone_under_pixel_increase(rng):
     levels = rng.integers(0, 200, size=(6, 6), dtype=np.uint8)
-    base = build_integral(GrayImage(levels)).table
+    base = build_integral(GrayImage(levels)).padded
     bumped = levels.copy()
     bumped[3, 2] += 50
-    new = build_integral(GrayImage(bumped)).table
-    assert np.all(new >= base - 1e-12)
-    assert new[5, 5] > base[5, 5]
+    new = build_integral(GrayImage(bumped)).padded
+    assert np.all(new >= base)
+    assert new[6, 6] > base[6, 6]
 
 
 def test_box_sum_full_image_all_ones():
     g = GrayImage(np.full((4, 4), 255, dtype=np.uint8))
     ii = build_integral(g)
-    assert box_sum(ii, 0, 0, 3, 3) == pytest.approx(16.0, abs=1e-12)
+    assert box_sums(ii, 0, 0, 3, 3) == pytest.approx(16.0, abs=1e-12)
 
 
 def test_box_sum_single_pixel(rng):
     g = random_gray(rng, 6, 6)
     ii = build_integral(g)
-    assert box_sum(ii, 2, 3, 2, 3) == pytest.approx(g.unit[3, 2], abs=1e-12)
+    assert box_sums(ii, 2, 3, 2, 3) == pytest.approx(g.unit[3, 2], abs=1e-12)
 
 
 def test_box_sum_random_rects_match_oracle(rng):
@@ -111,22 +125,22 @@ def test_box_sum_random_rects_match_oracle(rng):
         x0, x1 = sorted(rng.integers(0, 16, size=2))
         y0, y1 = sorted(rng.integers(0, 16, size=2))
         expected = naive_box_sum(g.unit, x0, y0, x1, y1)
-        assert box_sum(ii, x0, y0, x1, y1) == pytest.approx(expected, abs=1e-9)
+        assert box_sums(ii, x0, y0, x1, y1) == pytest.approx(expected, abs=1e-9)
 
 
 def test_box_sum_clips_out_of_bounds(rng):
     g = random_gray(rng, 10, 10)
     ii = build_integral(g)
     for rect in [(-3, -3, 4, 4), (5, 5, 30, 30), (-5, 2, 20, 7)]:
-        assert box_sum(ii, *rect) == pytest.approx(slice_box_sum(g.unit, *rect), abs=1e-9)
+        assert box_sums(ii, *rect) == pytest.approx(slice_box_sum(g.unit, *rect), abs=1e-9)
 
 
 def test_box_sum_empty_after_clipping_is_zero(rng):
     g = random_gray(rng, 10, 10)
     ii = build_integral(g)
-    assert box_sum(ii, 12, 0, 20, 5) == 0.0
-    assert box_sum(ii, 0, -7, 5, -2) == 0.0
-    assert box_sum(ii, -4, -4, -1, -1) == 0.0
+    assert box_sums(ii, 12, 0, 20, 5) == 0.0
+    assert box_sums(ii, 0, -7, 5, -2) == 0.0
+    assert box_sums(ii, -4, -4, -1, -1) == 0.0
 
 
 def test_box_sum_additivity_of_adjacent_rects(rng):
@@ -137,9 +151,9 @@ def test_box_sum_additivity_of_adjacent_rects(rng):
         y0, y1 = sorted(rng.integers(0, 20, size=2))
         if xm == x1:
             continue
-        whole = box_sum(ii, x0, y0, x1, y1)
-        left = box_sum(ii, x0, y0, xm, y1)
-        right = box_sum(ii, xm + 1, y0, x1, y1)
+        whole = box_sums(ii, x0, y0, x1, y1)
+        left = box_sums(ii, x0, y0, xm, y1)
+        right = box_sums(ii, xm + 1, y0, x1, y1)
         assert whole == pytest.approx(left + right, abs=1e-9)
 
 
@@ -152,7 +166,8 @@ def test_box_sums_vectorized_matches_scalar(rng):
     y1 = y0 + rng.integers(0, 10, size=50)
     vec = box_sums(ii, x0, y0, x1, y1)
     for k in range(50):
-        assert vec[k] == pytest.approx(box_sum(ii, x0[k], y0[k], x1[k], y1[k]), abs=0)
+        assert vec[k] == box_sums(ii, x0[k], y0[k], x1[k], y1[k])
+        assert vec[k] == pytest.approx(slice_box_sum(g.unit, x0[k], y0[k], x1[k], y1[k]), abs=1e-9)
 
 
 def test_raster_rejects_bad_shapes():

@@ -6,6 +6,7 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from arfex.errors import ParseError
 from arfex.image import RasterImage
@@ -245,3 +246,78 @@ def test_png_truncated_stream_rejected(tmp_path, rng):
 def test_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         read_image(tmp_path / "nope.ppm")
+
+
+@pytest.mark.parametrize("size", [0, 4, 12, 14])
+def test_png_header_of_wrong_length_rejected(tmp_path, size):
+    ihdr = (struct.pack(">IIBBBBB", 4, 3, 8, 0, 0, 0, 0) + b"\x00")[:size]
+    path = tmp_path / "h.png"
+    path.write_bytes(b"\x89PNG\r\n\x1a\n" + _png_chunk(b"IHDR", ihdr) + _png_chunk(b"IEND", b""))
+    with pytest.raises(ParseError, match="IHDR"):
+        read_image(path)
+
+
+def test_ppm_header_values_of_thousands_of_digits_rejected(tmp_path):
+    path = tmp_path / "d.ppm"
+    for data in (b"P6\n" + b"9" * 5000 + b" 1\n255\n", b"P5\n2 1\n" + b"1" * 21 + b"\n\x00\x00"):
+        path.write_bytes(data)
+        with pytest.raises(ParseError, match="bad PPM header token"):
+            read_image(path)
+    # Leading zeros do not count, however many there are.
+    path.write_bytes(b"P5\n" + b"0" * 5000 + b"2 01\n00255\n\x07\x09")
+    assert read_image(path).pixels[:, :, 0].tolist() == [[7, 9]]
+
+
+# --- any file bytes: a RasterImage or a ParseError ---------------------------
+
+VALID_FILES = (
+    encode_png(np.arange(12, dtype=np.uint8).reshape(3, 4) * 20),
+    encode_png(np.arange(18, dtype=np.uint8).reshape(2, 3, 3) * 13, filters=[3, 4]),
+    encode_png(np.arange(12, dtype=np.uint8).reshape(3, 4), filters=[1, 2, 4]),
+    b"P6\n2 2\n255\n" + bytes(range(12)),
+    b"P5 # comment\n3 2\n255\n" + bytes(range(6)),
+)
+
+
+@st.composite
+def image_files(draw):
+    """Mostly a small valid PNG or PPM with one to four bytes after its magic
+    set, inserted or deleted, or cut short, half of them in its header;
+    sometimes any bytes after a known magic."""
+    if draw(st.integers(0, 4)) == 0:
+        magic = draw(st.sampled_from((b"", b"P5", b"P6", b"\x89PNG\r\n\x1a\n")))
+        return magic + draw(st.binary(max_size=64))
+    data = bytearray(draw(st.sampled_from(VALID_FILES)))
+    magic = 8 if data[0] == 0x89 else 2
+    header = magic + 25  # the PNG IHDR chunk, or the PPM header and first pixels
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(magic, min(header, len(data))) | st.integers(magic, len(data)))
+        action = draw(st.sampled_from(("set", "set", "insert", "delete", "cut")))
+        if action == "set" and at < len(data):
+            data[at] = draw(st.integers(0, 255))
+        elif action == "insert":
+            data.insert(at, draw(st.integers(0, 255)))
+        elif action == "delete" and at < len(data):
+            del data[at]
+        elif action == "cut":
+            del data[at:]
+    return bytes(data)
+
+
+@pytest.fixture(scope="module")
+def file_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "image"
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(data=image_files())
+def test_any_file_bytes_give_a_raster_or_a_parse_error(file_path, data):
+    file_path.write_bytes(data)
+    try:
+        img = read_image(file_path)
+    except ParseError as exc:
+        event(f"refused: {str(exc).split(' ')[0]}")
+        return
+    event("decoded")
+    assert isinstance(img, RasterImage)
+    assert img.pixels.dtype == np.uint8 and img.pixels.shape == (img.height, img.width, 3)

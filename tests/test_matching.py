@@ -1,7 +1,6 @@
 """Ratio-test matching against exhaustive brute-force search and against the
 per-row loop the screened matcher replaced."""
 
-import math
 from unittest.mock import patch
 
 import numpy as np
@@ -17,7 +16,6 @@ from arfex.matching import (
     TargetSet,
     block_rows,
     descriptor_arrays,
-    distance,
     match_descriptors,
     match_sets,
 )
@@ -75,21 +73,6 @@ def random_descs(rng, n, sign_choices=(1, -1)):
         v /= np.linalg.norm(v)
         out.append(Descriptor(components=v, laplacian_sign=int(rng.choice(sign_choices))))
     return out
-
-
-def test_distance_to_self_is_zero():
-    d = unit_desc(3)
-    assert distance(d, d) == 0.0
-
-
-def test_distance_orthogonal_unit_vectors():
-    assert distance(unit_desc(0), unit_desc(1)) == pytest.approx(math.sqrt(2), abs=1e-12)
-
-
-def test_distance_matches_componentwise_oracle(rng):
-    a, b = random_descs(rng, 2)
-    want = math.sqrt(sum((x - y) ** 2 for x, y in zip(a.components, b.components)))
-    assert distance(a, b) == pytest.approx(want, abs=1e-9)
 
 
 def test_identical_unique_sets_match_at_zero(rng):

@@ -20,7 +20,7 @@ from arfex.store import (
     query_image,
     save_db,
 )
-from arfex.synthetic import add_noise, blob_texture, noise_image, warp_similarity
+from synthetic import add_noise, blob_texture, noise_image, warp_similarity
 from conftest import gray_raster
 from test_matching import bits, reference_match
 
@@ -36,7 +36,7 @@ def small_db():
 
 def test_index_appends_record(small_db):
     assert len(small_db.records) == 3
-    assert small_db.ids() == {"obj0", "obj1", "obj2"}
+    assert [r.object_id for r in small_db.records] == ["obj0", "obj1", "obj2"]
     for rec in small_db.records:
         assert len(rec.keypoints) == len(rec.descriptors) >= 1
         assert rec.image_size == (192, 192)
@@ -221,9 +221,61 @@ def test_keypoint_fields_must_be_finite(small_db, name, value):
         db_from_json(doc)
 
 
+@pytest.mark.parametrize("name", ["x", "y", "scale", "response", "orientation", "laplacian"])
+@pytest.mark.parametrize("value", ["12.5", "1", True, False, None, [1.0], {"v": 1.0}])
+def test_keypoint_fields_must_be_json_numbers(small_db, name, value):
+    doc = one_record_doc(small_db)
+    doc["objects"][0]["keypoints"][0][name] = value
+    with pytest.raises(ParseError):
+        db_from_json(doc)
+
+
+def test_integer_keypoint_fields_load_as_floats(small_db):
+    doc = one_record_doc(small_db)
+    doc["objects"][0]["keypoints"][0].update(x=12, laplacian=-1.0)
+    point = db_from_json(doc).records[0].keypoints[0]
+    assert (point.x, point.laplacian_sign) == (12.0, -1)
+    assert type(point.x) is float and type(point.laplacian_sign) is int
+
+
+@pytest.mark.parametrize("key", ["id", "name", "info"])
+@pytest.mark.parametrize("value", [{"x": None}, None, 7, 2.5, True, ["obj"]])
+def test_record_texts_must_be_json_strings(small_db, key, value):
+    doc = one_record_doc(small_db)
+    doc["objects"][0][key] = value
+    with pytest.raises(ParseError):
+        db_from_json(doc)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [[256.9, True], [192.0, 192], [192, True], [False, 192], [0, 192], [192, -1], [192], [192, 192, 1], "192", None],
+)
+def test_image_size_must_be_two_integers_of_at_least_one(small_db, value):
+    doc = one_record_doc(small_db)
+    doc["objects"][0]["image_size"] = value
+    with pytest.raises(ParseError):
+        db_from_json(doc)
+
+
+def test_smallest_image_size_loads(small_db):
+    doc = one_record_doc(small_db)
+    doc["objects"][0]["image_size"] = [1, 1]
+    assert db_from_json(doc).records[0].image_size == (1, 1)
+
+
 @pytest.mark.parametrize(
     "key, bad",
-    [("octaves", 2.5), ("octaves", "3"), ("threshold", "x"), ("threshold", float("nan")), ("upright", "no")],
+    [
+        ("octaves", 2.5),
+        ("octaves", "3"),
+        ("threshold", "x"),
+        ("threshold", float("nan")),
+        ("upright", "no"),
+        ("octaves", True),
+        ("threshold", True),
+        ("upright", 1),
+    ],
 )
 def test_extraction_config_values_are_checked(small_db, key, bad):
     doc = one_record_doc(small_db)
@@ -296,7 +348,7 @@ def test_query_equals_per_record_reference(small_db):
 
 
 def test_record_indexed_after_a_query_is_seen_by_the_new_snapshot_only(small_db):
-    old = Database(small_db.version, small_db.extraction_config, list(small_db.records))
+    old = Database(small_db.extraction_config, list(small_db.records))
     extra = blob_texture(192, 192, 16, seed=63)
     before, _ = query_image(old, extra)
     saved = db_to_json(old)
@@ -314,12 +366,12 @@ def test_record_indexed_after_a_query_is_seen_by_the_new_snapshot_only(small_db)
 
 
 def test_query_leaves_saved_bytes_unchanged(tmp_path, small_db):
-    fresh = Database(small_db.version, small_db.extraction_config, list(small_db.records))
+    fresh = Database(small_db.extraction_config, list(small_db.records))
     save_db(fresh, tmp_path / "before.json")
     query_image(fresh, blob_texture(192, 192, 16, seed=51))
     save_db(fresh, tmp_path / "after.json")
     assert (tmp_path / "before.json").read_bytes() == (tmp_path / "after.json").read_bytes()
-    assert fresh == Database(small_db.version, small_db.extraction_config, list(small_db.records))
+    assert fresh == Database(small_db.extraction_config, list(small_db.records))
 
 
 # --- any document: a Database or a ParseError, and a Database answers --------
@@ -400,4 +452,4 @@ def test_any_document_gives_a_database_or_a_parse_error(doc):
         return
     event(f"answered {result.best}")
     assert len(result.ranked) == len(db.records)
-    assert result.best == UNRECOGNIZED or result.best in db.ids()
+    assert result.best == UNRECOGNIZED or result.best in {r.object_id for r in db.records}
