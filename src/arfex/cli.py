@@ -57,7 +57,7 @@ def _checked(convert, ok, rule: str):
     return parse
 
 
-_threshold_arg = _checked(float, lambda v: not v < 0, "threshold must be >= 0")
+_threshold_arg = _checked(float, lambda v: math.isfinite(v) and v >= 0, "threshold must be a finite number >= 0")
 _octaves_arg = _checked(int, lambda v: 1 <= v <= 4, "octaves must be in [1, 4]")
 _level_arg = _checked(int, lambda v: 0 <= v <= 255, "threshold must be in [0, 255]")
 _ratio_arg = _checked(float, lambda v: 0.0 < v <= 1.0, "ratio must be in (0, 1]")
@@ -112,14 +112,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _extraction_config(args) -> ExtractionConfig:
-    cfg = ExtractionConfig()
-    if getattr(args, "threshold", None) is not None:
-        cfg.threshold = args.threshold
-    if getattr(args, "octaves", None) is not None:
-        cfg.octaves = args.octaves
-    if getattr(args, "upright", False):
-        cfg.upright = True
-    return cfg
+    """The config of the given flags, built so that its own checks run."""
+    given = {"threshold": args.threshold, "octaves": args.octaves, "upright": args.upright}
+    return ExtractionConfig(**{k: v for k, v in given.items() if v is not None})
 
 
 def _write_json(path, doc) -> None:

@@ -21,22 +21,45 @@ lookups (8 boxes x 4 corners) is one strided slice of `IntegralImage.padded`
 over the whole interior sub-grid, and the boxes combine in exact int64.
 
 Non-maximum suppression compares only the cells above threshold with their
-26 neighbours.  `assign_orientation` and `extract_descriptor` take arrays of
-points and run as array passes over blocks of BLOCK points.  Each point gets
-the same bits whatever block it shares, or alone, which constrains the
-batched form: Haar sums go through `box_level_sums` with a per-point box
-size, window sums are one matrix-vector product per point, the final
+26 neighbours.  The survivors of one layer are refined together: their 3x3
+Hessians form one (N, 3, 3) stack for one `np.linalg.solve`, which runs the
+same LAPACK solve per matrix as a one-matrix call.  One singular matrix makes
+the whole stack raise, so then each candidate is solved on its own and the
+singular ones are dropped.
+
+`assign_orientation` and `extract_descriptor` take arrays of points and run
+as array passes over blocks of BLOCK points.  Each point gets the same bits
+whatever block it shares, or alone, which constrains the batched form: Haar
+sums are exact int64 combinations of padded-table corners with a per-point
+box size, window sums are one matrix-vector product per point, the final
 `atan2` is a scalar `math` call per point (`np.arctan2` differs in the last
 bit on some inputs), the descriptor frame's `cos`/`sin` are `math` calls
 too, subregion sums reduce the same axes in the same order, and each
 descriptor is normalised by its own `np.linalg.norm` (a batched norm rounds
 differently).
+
+Haar corners are clamped, not clipped.  A sample's two responses need the
+padded-table entries at columns x-h, x, x+h and rows y-h, y, y+h (all pairs
+but (y, x)); each column index is clamped into [0, width] and each row index
+into [0, height].  A box that overlaps the image keeps exactly its clipped
+corners, and a box wholly outside gets two equal clamped columns or rows,
+so its four-corner sum is exactly 0: the sums equal clipped box sums in
+exact int64.
+
+The orientation window mask tests (a - start) mod 2 pi < pi/3 for sample
+angles a and window starts in [0, 2 pi), so d = a - start lies in
+(-2 pi, 2 pi).  There numpy's float `mod` returns d itself when d >= 0 and
+d + 2 pi, rounded once, when d < 0; adding 2 pi in place where d < 0 gives
+the same bits.  (A sample angle is np.mod(atan2, 2 pi), which reaches 2 pi
+only for an atan2 within half an ulp below 0; the ratio of two nonzero Haar
+responses, integer sums over boxes of bounded size, is never that small.)
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -47,7 +70,6 @@ from .image import (
     GrayImage,
     IntegralImage,
     RasterImage,
-    box_level_sums,
     build_integral,
     to_grayscale,
 )
@@ -93,8 +115,10 @@ class ExtractionConfig:
     def __post_init__(self):
         if type(self.octaves) is not int or not 1 <= self.octaves <= 4:  # a bool is not an int here
             raise ValueError(f"octaves must be an integer in [1, 4], got {self.octaves!r}")
-        if type(self.threshold) not in (int, float) or not self.threshold >= 0:
-            raise ValueError(f"threshold must be a number >= 0, got {self.threshold!r}")
+        # Chained comparisons, exact for ints too: NaN, inf and ints past the
+        # largest float fail them.
+        if type(self.threshold) not in (int, float) or not 0 <= self.threshold <= sys.float_info.max:
+            raise ValueError(f"threshold must be a finite number >= 0, got {self.threshold!r}")
         if not isinstance(self.upright, bool):
             raise ValueError(f"upright must be true or false, got {self.upright!r}")
 
@@ -234,7 +258,6 @@ def detect_interest_points(maps: list[ResponseMap], threshold: float) -> list[In
         n, gh, gw = stack.shape
         if gh < 3 or gw < 3:
             continue
-        stride = octave_maps[0].stride
         for k in range(1, n - 1):
             # Only the few cells above threshold are compared with their 26
             # neighbours; nonzero keeps them in row-major order.
@@ -248,54 +271,76 @@ def detect_interest_points(maps: list[ResponseMap], threshold: float) -> list[In
                     for dj in (-1, 0, 1):
                         if dk or di or dj:
                             keep &= v > stack[k + dk, ci + di, cj + dj]
-            step = octave_maps[k + 1].filter_size - octave_maps[k].filter_size
-            for i, j in zip(ci[keep].tolist(), cj[keep].tolist()):
-                pt = _refine(stack, octave_maps, k, i, j, stride, step)
-                if pt is not None:
-                    points.append(pt)
+            points += _refine(stack, octave_maps, k, ci[keep], cj[keep])
     points.sort(key=lambda p: (-p.response, p.y, p.x, p.scale))
     return points
 
 
-def _refine(stack, octave_maps, k, i, j, stride, step) -> Optional[InterestPoint]:
-    c = stack[k - 1 : k + 2, i - 1 : i + 2, j - 1 : j + 2]
-    dx = (c[1, 1, 2] - c[1, 1, 0]) / 2.0
-    dy = (c[1, 2, 1] - c[1, 0, 1]) / 2.0
-    ds = (c[2, 1, 1] - c[0, 1, 1]) / 2.0
-    v = c[1, 1, 1]
-    dxx = c[1, 1, 2] - 2 * v + c[1, 1, 0]
-    dyy = c[1, 2, 1] - 2 * v + c[1, 0, 1]
-    dss = c[2, 1, 1] - 2 * v + c[0, 1, 1]
-    dxy = (c[1, 2, 2] - c[1, 2, 0] - c[1, 0, 2] + c[1, 0, 0]) / 4.0
-    dxs = (c[2, 1, 2] - c[2, 1, 0] - c[0, 1, 2] + c[0, 1, 0]) / 4.0
-    dys = (c[2, 2, 1] - c[2, 0, 1] - c[0, 2, 1] + c[0, 0, 1]) / 4.0
-    hess = np.array([[dxx, dxy, dxs], [dxy, dyy, dys], [dxs, dys, dss]])
-    grad = np.array([dx, dy, ds])
+def _refine(stack, octave_maps, k, i, j) -> list[InterestPoint]:
+    """Refined points of the candidates (k, i[n], j[n]) of one octave's stack,
+    by one stacked solve, or one solve each if any Hessian is singular."""
+
+    def at(dk, di, dj):
+        return stack[k + dk, i + di, j + dj]
+
+    v = at(0, 0, 0)
+    dx = (at(0, 0, 1) - at(0, 0, -1)) / 2.0
+    dy = (at(0, 1, 0) - at(0, -1, 0)) / 2.0
+    ds = (at(1, 0, 0) - at(-1, 0, 0)) / 2.0
+    dxx = at(0, 0, 1) - 2 * v + at(0, 0, -1)
+    dyy = at(0, 1, 0) - 2 * v + at(0, -1, 0)
+    dss = at(1, 0, 0) - 2 * v + at(-1, 0, 0)
+    dxy = (at(0, 1, 1) - at(0, 1, -1) - at(0, -1, 1) + at(0, -1, -1)) / 4.0
+    dxs = (at(1, 0, 1) - at(1, 0, -1) - at(-1, 0, 1) + at(-1, 0, -1)) / 4.0
+    dys = (at(1, 1, 0) - at(1, -1, 0) - at(-1, 1, 0) + at(-1, -1, 0)) / 4.0
+    hess = np.stack([dxx, dxy, dxs, dxy, dyy, dys, dxs, dys, dss], axis=-1).reshape(-1, 3, 3)
+    grad = np.stack([dx, dy, ds], axis=-1)
     try:
-        offset = -np.linalg.solve(hess, grad)
+        offset = -np.linalg.solve(hess, grad[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
-        return None
-    if np.max(np.abs(offset)) > 0.5:
-        return None
-    size = octave_maps[k].filter_size + offset[2] * step
-    return InterestPoint(
-        x=float((j + offset[0]) * stride),
-        y=float((i + offset[1]) * stride),
-        scale=float(SIGMA_BASE * size / FILTER_BASE),
-        response=float(v),
-        laplacian_sign=int(octave_maps[k].laplacian_signs[i, j]),
+        offset = np.full(grad.shape, np.nan)  # no solution fails the offset test
+        for n in range(len(grad)):
+            try:
+                offset[n] = -np.linalg.solve(hess[n], grad[n])
+            except np.linalg.LinAlgError:
+                pass
+    ok = np.max(np.abs(offset), axis=1) <= 0.5
+    stride = octave_maps[k].stride
+    step = octave_maps[k + 1].filter_size - octave_maps[k].filter_size
+    size = octave_maps[k].filter_size + offset[ok, 2] * step
+    return list(
+        map(
+            InterestPoint,
+            ((j[ok] + offset[ok, 0]) * stride).tolist(),
+            ((i[ok] + offset[ok, 1]) * stride).tolist(),
+            (SIGMA_BASE * size / FILTER_BASE).tolist(),
+            v[ok].tolist(),
+            octave_maps[k].laplacian_signs[i[ok], j[ok]].tolist(),
+        )
     )
 
 
 def _haar(ii: IntegralImage, xs, ys, size) -> tuple[np.ndarray, np.ndarray]:
     """Right-minus-left and bottom-minus-top box differences: positive for
-    luminance increasing in +x and in +y."""
+    luminance increasing in +x and in +y.
+
+    The four half-boxes of side `size` have their corners at columns x-h, x,
+    x+h and rows y-h, y, y+h (h = size/2), all nine pairs but (y, x), so
+    eight clamped padded-table lookups serve both responses.
+    """
     half = size // 2
-    right = box_level_sums(ii, xs, ys - half, xs + half - 1, ys + half - 1)
-    left = box_level_sums(ii, xs - half, ys - half, xs - 1, ys + half - 1)
-    lower = box_level_sums(ii, xs - half, ys, xs + half - 1, ys + half - 1)
-    upper = box_level_sums(ii, xs - half, ys - half, xs + half - 1, ys - 1)
-    return (right - left) / 255.0, (lower - upper) / 255.0
+    w, h = ii.width, ii.height
+    flat = ii.padded.ravel()
+    a = np.clip(xs - half, 0, w)
+    b = np.clip(xs, 0, w)
+    c = np.clip(xs + half, 0, w)
+    r = np.clip(ys - half, 0, h) * (w + 1)
+    s = np.clip(ys, 0, h) * (w + 1)
+    t = np.clip(ys + half, 0, h) * (w + 1)
+    tc, rc, ta, ra = flat[t + c], flat[r + c], flat[t + a], flat[r + a]
+    gx = tc - rc - 2 * (flat[t + b] - flat[r + b]) + ta - ra
+    gy = tc - 2 * (flat[s + c] - flat[s + a]) + rc - ta - ra
+    return gx / 255.0, gy / 255.0
 
 
 def _even_size(target: np.ndarray) -> np.ndarray:
@@ -322,6 +367,17 @@ _GRID_U, _GRID_V = np.meshgrid(_GRID_AXIS, _GRID_AXIS)
 _GRID_WEIGHT = np.exp(-(_GRID_U * _GRID_U + _GRID_V * _GRID_V) / (2.0 * DESCRIPTOR_SIGMA**2))
 
 
+def _window_mask(angles: np.ndarray) -> np.ndarray:
+    """(points, windows, samples): 1.0 where sample angle angles[p, m] in
+    [0, 2 pi) lies in window w, i.e. (angle - start_w) mod 2 pi < pi/3.
+
+    One buffer serves all three steps, to bound peak memory.
+    """
+    window = angles[:, None, :] - _WINDOW_STARTS[:, None]
+    np.add(window, 2.0 * math.pi, out=window, where=window < 0)
+    return np.less(window, ORIENTATION_WINDOW, out=window)
+
+
 def assign_orientation(ii: IntegralImage, x: np.ndarray, y: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """Dominant Haar-gradient direction of each point (x[i], y[i], scale[i]).
 
@@ -339,12 +395,7 @@ def assign_orientation(ii: IntegralImage, x: np.ndarray, y: np.ndarray, scale: n
         gx, gy = _haar(ii, px, py, size)
         gx *= _DISC_WEIGHT
         gy *= _DISC_WEIGHT
-        angles = np.mod(np.arctan2(gy, gx), 2.0 * math.pi)
-        # (points, windows, samples): 1.0 where a sample lies in a window.
-        # One buffer serves all three steps, to bound peak memory.
-        window = angles[:, None, :] - _WINDOW_STARTS[:, None]
-        np.mod(window, 2.0 * math.pi, out=window)
-        np.less(window, ORIENTATION_WINDOW, out=window)
+        window = _window_mask(np.mod(np.arctan2(gy, gx), 2.0 * math.pi))
         # One matrix-vector product per point, as for a single point.
         sum_x = np.matmul(window, gx[:, :, None])[:, :, 0]
         sum_y = np.matmul(window, gy[:, :, None])[:, :, 0]

@@ -2,10 +2,11 @@
 
 Rectangular luminance sums cost O(1) via the four-corner identity on the
 one table an `IntegralImage` holds: the zero-padded inclusive int64 prefix
-table `padded`.  Haar responses and descriptors gather corners per sample
-through `box_level_sums`, which clips rectangles to the image; response maps
-read whole strided views of the padded table, since their interior cells
-never need clipping.  `box_sums` is the unit-scaled form.
+table `padded`.  Haar responses, for orientation and descriptors, gather
+eight corners per sample from the padded table with each index clamped into
+it (see `features`); response maps read whole strided views of it, since
+their interior cells never need clipping.  `box_level_sums` clips any
+rectangles to the image, and `box_sums` is its unit-scaled form.
 
 Values are immutable after construction; all functions are pure.
 """

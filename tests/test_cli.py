@@ -1,11 +1,13 @@
 """Command-line surface: exit codes, JSON artifacts, overlays, determinism."""
 
+import argparse
 import json
+import math
 
 import numpy as np
 import pytest
 
-from arfex.cli import main
+from arfex.cli import _extraction_config, main
 from arfex.image import RasterImage
 from arfex.image_io import read_image, write_ppm
 from synthetic import blob_texture, noise_image, similarity_map, warp_similarity
@@ -63,6 +65,48 @@ def test_extract_tiny_image_is_exit_3(tmp_path):
 def test_extract_threshold_flag_must_be_valid(tmp_path, texture_ppm):
     with pytest.raises(SystemExit):
         main(["extract", "--input", str(texture_ppm), "--output", "x.json", "--threshold", "-1"])
+
+
+def test_extract_flags_reach_the_config(tmp_path, texture_ppm):
+    out = tmp_path / "features.json"
+    args = ["--octaves", "2", "--threshold", "0.001", "--upright"]
+    assert main(["extract", "--input", str(texture_ppm), "--output", str(out), *args]) == 0
+    doc = read_json(out)
+    assert doc["config"] == {"octaves": 2, "threshold": 0.001, "upright": True}
+    assert doc["points"] and all(p["orientation"] == 0.0 for p in doc["points"])
+    assert max(p["scale"] for p in doc["points"]) < 1.2 * 51 / 9
+
+
+def test_extraction_config_checks_the_flags():
+    flags = argparse.Namespace(threshold=math.inf, octaves=None, upright=False)
+    with pytest.raises(ValueError):
+        _extraction_config(flags)
+
+
+@pytest.mark.parametrize("command", ["extract", "annotate"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "Infinity"])
+def test_non_finite_threshold_flag_is_a_usage_error(tmp_path, texture_ppm, command, value):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--input", str(texture_ppm), "--output", str(out), "--threshold", value])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_database_with_non_finite_threshold_is_exit_2(tmp_path, texture_ppm, capsys, value):
+    db = tmp_path / "db.json"
+    assert main(["index", "--db", str(db), "--input", str(texture_ppm), "--id", "a", "--name", "A", "--info", "x"]) == 0
+    doc = read_json(db)
+    doc["extraction_config"]["threshold"] = value
+    db.write_text(json.dumps(doc))  # NaN, Infinity or -Infinity
+    saved = db.read_bytes()
+    out = tmp_path / "result.json"
+    assert main(["query", "--db", str(db), "--input", str(texture_ppm), "--output", str(out)]) == 2
+    assert main(["index", "--db", str(db), "--input", str(texture_ppm), "--id", "b", "--name", "B", "--info", "y"]) == 2
+    assert "threshold must be a finite number" in capsys.readouterr().err
+    assert not out.exists()
+    assert db.read_bytes() == saved
 
 
 def test_unknown_flag_rejected(texture_ppm):

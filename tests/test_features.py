@@ -10,8 +10,10 @@ from arfex.errors import ImageTooSmall
 from arfex.features import (
     BLOCK,
     ExtractionConfig,
+    InterestPoint,
     ResponseMap,
-    _refine,
+    _haar,
+    _window_mask,
     assign_orientation,
     build_response_maps,
     detect_interest_points,
@@ -50,8 +52,10 @@ def test_filter_size_ladder():
 def test_config_validation():
     with pytest.raises(ValueError):
         ExtractionConfig(octaves=5)
-    with pytest.raises(ValueError):
-        ExtractionConfig(threshold=-1.0)
+    for bad in (-1.0, math.nan, math.inf, -math.inf, 10**400):
+        with pytest.raises(ValueError):
+            ExtractionConfig(threshold=bad)
+    assert ExtractionConfig(threshold=10**300).threshold == 10**300
 
 
 def test_config_round_trips_through_dict():
@@ -259,9 +263,40 @@ def test_nms_soundness_by_reinspection():
         assert hits >= 1
 
 
+def reference_refine(stack, octave_maps, k, i, j, stride, step):
+    """Per-candidate reference: one quadratic step, one 3x3 solve."""
+    c = stack[k - 1 : k + 2, i - 1 : i + 2, j - 1 : j + 2]
+    dx = (c[1, 1, 2] - c[1, 1, 0]) / 2.0
+    dy = (c[1, 2, 1] - c[1, 0, 1]) / 2.0
+    ds = (c[2, 1, 1] - c[0, 1, 1]) / 2.0
+    v = c[1, 1, 1]
+    dxx = c[1, 1, 2] - 2 * v + c[1, 1, 0]
+    dyy = c[1, 2, 1] - 2 * v + c[1, 0, 1]
+    dss = c[2, 1, 1] - 2 * v + c[0, 1, 1]
+    dxy = (c[1, 2, 2] - c[1, 2, 0] - c[1, 0, 2] + c[1, 0, 0]) / 4.0
+    dxs = (c[2, 1, 2] - c[2, 1, 0] - c[0, 1, 2] + c[0, 1, 0]) / 4.0
+    dys = (c[2, 2, 1] - c[2, 0, 1] - c[0, 2, 1] + c[0, 0, 1]) / 4.0
+    hess = np.array([[dxx, dxy, dxs], [dxy, dyy, dys], [dxs, dys, dss]])
+    grad = np.array([dx, dy, ds])
+    try:
+        offset = -np.linalg.solve(hess, grad)
+    except np.linalg.LinAlgError:
+        return None
+    if np.max(np.abs(offset)) > 0.5:
+        return None
+    size = octave_maps[k].filter_size + offset[2] * step
+    return InterestPoint(
+        x=float((j + offset[0]) * stride),
+        y=float((i + offset[1]) * stride),
+        scale=float(1.2 * size / 9),
+        response=float(v),
+        laplacian_sign=int(octave_maps[k].laplacian_signs[i, j]),
+    )
+
+
 def dense_nms_reference(maps, threshold):
     """Dense reference: every middle-layer cell compared with its 26
-    neighbours, then the library's own refinement and order."""
+    neighbours, then a per-candidate refinement and the library's order."""
     points = []
     for octave in sorted({m.octave for m in maps}):
         octave_maps = sorted((m for m in maps if m.octave == octave), key=lambda m: m.interval)
@@ -279,7 +314,7 @@ def dense_nms_reference(maps, threshold):
                             mask &= core > stack[k + dk, 1 + di : gh - 1 + di, 1 + dj : gw - 1 + dj]
             step = octave_maps[k + 1].filter_size - octave_maps[k].filter_size
             for i, j in np.argwhere(mask) + 1:
-                pt = _refine(stack, octave_maps, k, int(i), int(j), octave_maps[0].stride, step)
+                pt = reference_refine(stack, octave_maps, k, int(i), int(j), octave_maps[0].stride, step)
                 if pt is not None:
                     points.append(pt)
     points.sort(key=lambda p: (-p.response, p.y, p.x, p.scale))
@@ -314,6 +349,28 @@ def test_sparse_nms_equals_dense_reference(rng):
         assert want and detect_interest_points(maps, 4e-4) == want
 
 
+def test_singular_candidate_beside_regular_one():
+    """A singular Hessian in a layer's stack falls back to one solve per
+    candidate: the regular point survives, the singular one is dropped."""
+    layers = np.zeros((4, 9, 9))
+    for j in (2, 6):  # a candidate at (i, j) = (2, j) of layer 1
+        layers[1, 2, j] = 10.0
+        layers[1, [1, 3, 2, 2], [j, j, j - 1, j + 1]] = 9.0
+        layers[[0, 2], 2, j] = 9.0
+    # At j = 2 the xy corners 9/5/5/9 give dxx = dyy = -2 and dxy = 2, so the
+    # Hessian's first two rows are dependent.
+    layers[1, [1, 1, 3, 3], [1, 3, 1, 3]] = [9.0, 5.0, 5.0, 9.0]
+    maps = [
+        ResponseMap(1, k + 1, size, 1.2 * size / 9, 1, layers[k], np.ones((9, 9), dtype=np.int8))
+        for k, size in enumerate(filter_sizes(1, 4))
+    ]
+    stack = np.stack([m.responses for m in maps])
+    assert reference_refine(stack, maps, 1, 2, 2, 1, 6) is None
+    got = detect_interest_points(maps, 1.0)
+    assert [(p.x, p.y, p.response) for p in got] == [(6.0, 2.0, 10.0)]
+    assert got == dense_nms_reference(maps, 1.0)
+
+
 def test_points_sorted_by_response_then_position():
     pts, _ = extract_features(blob_texture(192, 192, 16, seed=5))
     keys = [(-p.response, p.y, p.x, p.scale) for p in pts]
@@ -326,8 +383,6 @@ def ramp_image(horizontal=True):
 
 
 def point_at(x, y, scale):
-    from arfex.features import InterestPoint
-
     return InterestPoint(x=float(x), y=float(y), scale=float(scale), response=1.0, laplacian_sign=1)
 
 
@@ -410,6 +465,41 @@ def test_orientation_matches_independent_accumulation(rng):
         got = orientation_at(ii, x, y, s)
         want = orientation_oracle(levels, x, y, s)
         assert got == pytest.approx(want, abs=1e-8)
+
+
+def test_window_mask_equals_mod_form(rng):
+    two_pi = 2.0 * math.pi
+    starts = np.arange(0.0, two_pi, math.pi / 32)
+    edges = np.concatenate([starts, starts + math.pi / 3, starts + math.pi / 3 - two_pi])
+    # Each edge and up to 8 ulps either side, where the mod's rounding decides.
+    near = (edges[:, None] + np.arange(-8, 9) * np.spacing(edges)[:, None]).ravel()
+    near = np.concatenate([near, [0.0, np.nextafter(two_pi, 0.0)]])
+    near = near[(near >= 0.0) & (near < two_pi)]  # sample angles lie in [0, 2 pi)
+    drawn = np.mod(np.arctan2(rng.normal(size=4000), rng.normal(size=4000)), two_pi)
+    haar = np.mod(np.arctan2(rng.integers(-9, 10, 4000) / 255.0, rng.integers(-9, 10, 4000) / 255.0), two_pi)
+    for angles in (near, drawn, haar):
+        angles = angles.reshape(1, -1)
+        want = np.mod(angles[:, None, :] - starts[:, None], two_pi) < math.pi / 3
+        got = _window_mask(angles)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, want.astype(np.float64))
+
+
+def test_haar_equals_four_clipped_boxes():
+    """Eight clamped corners give the same bits as four clipped box sums,
+    for boxes inside, across and wholly outside every edge and corner."""
+    rng = np.random.default_rng(20)
+    for _ in range(300):
+        w = int(rng.integers(9, 98))
+        h = int(rng.integers(9, 62))
+        ii = build_integral(to_grayscale(gray_raster(rng.integers(0, 256, (h, w)))))
+        n, m = int(rng.integers(1, 2 * BLOCK)), int(rng.integers(1, 120))
+        xs = rng.integers(-40, w + 40, (n, m))
+        ys = rng.integers(-40, h + 40, (n, m))
+        size = 2 * rng.integers(1, 31, (n, 1))
+        got, want = _haar(ii, xs, ys, size), reference_haar(ii, xs, ys, size)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
 
 
 def test_descriptor_flat_patch_all_zero():

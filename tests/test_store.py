@@ -271,6 +271,9 @@ def test_smallest_image_size_loads(small_db):
         ("octaves", "3"),
         ("threshold", "x"),
         ("threshold", float("nan")),
+        ("threshold", float("inf")),
+        ("threshold", float("-inf")),
+        pytest.param("threshold", 10**400, id="threshold-int-past-float-max"),
         ("upright", "no"),
         ("octaves", True),
         ("threshold", True),
