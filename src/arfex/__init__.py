@@ -7,7 +7,7 @@ from an indexed object database.  Scanline blob detection is provided as a
 companion region detector.
 """
 
-from .blobs import Blob, LineBlob, binarize, detect_blobs, merge_lineblobs, scan_lineblobs
+from .blobs import Blob, binarize, detect_blobs, merge_lineblobs, scan_lineblobs
 from .errors import (
     ArfexError,
     DegenerateConfiguration,
@@ -50,7 +50,7 @@ from .image import (
     to_grayscale,
 )
 from .image_io import read_image, write_ppm
-from .matching import Match, match_descriptors
+from .matching import Match
 from .store import (
     Database,
     ObjectRecord,
@@ -79,7 +79,6 @@ __all__ = [
     "InsufficientMatches",
     "IntegralImage",
     "InterestPoint",
-    "LineBlob",
     "Match",
     "NoFeatures",
     "ObjectRecord",
@@ -107,7 +106,6 @@ __all__ = [
     "filter_sizes",
     "index_image",
     "load_db",
-    "match_descriptors",
     "merge_lineblobs",
     "project_point",
     "query_image",

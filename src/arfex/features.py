@@ -6,6 +6,13 @@ quadratic refinement step -> orientation assignment -> 64-component
 descriptors.  All stages are pure functions; identical input and
 configuration give byte-identical output.
 
+The scale space is one `ResponseMap` per octave.  Octave o (1-based)
+samples every 2^(o-1) pixels and has INTERVALS layers, filtered at
+filter_sizes(o, INTERVALS); its responses and Laplacian signs are two
+(INTERVALS, gh, gw) arrays, allocated once and filled layer by layer in
+place.  Detection reads each candidate's 3x3x3 neighbourhood straight from
+them.
+
 Box-filter layout (center (x, y), odd filter size L, lobe l = L//3,
 border b = (L-1)//2, half-lobe m = (l-1)//2; rectangles inclusive):
 
@@ -133,20 +140,29 @@ class ExtractionConfig:
 
 @dataclass(eq=False)
 class ResponseMap:
-    """Normalized Hessian-determinant responses on one (octave, interval) grid.
+    """Normalized Hessian-determinant responses of one octave's scale space.
 
-    Grid cell (i, j) sits at pixel (j*stride, i*stride); grid dims are
-    ceil(width/stride) x ceil(height/stride).  laplacian_signs holds the
-    sign of Dxx+Dyy (+1 on exact zero).
+    Layer k of `responses` and `laplacian_signs` (shape (intervals, gh, gw))
+    is filtered at filter_sizes[k].  Grid cell (i, j) sits at pixel
+    (j*stride, i*stride); grid dims are ceil(height/stride) x
+    ceil(width/stride).  laplacian_signs holds the sign of Dxx+Dyy (+1 on
+    exact zero).
     """
 
-    octave: int
-    interval: int
-    filter_size: int
-    scale_sigma: float
     stride: int
+    filter_sizes: tuple[int, ...]
     responses: np.ndarray
     laplacian_signs: np.ndarray
+
+    def __post_init__(self):
+        if len(self.filter_sizes) < 3:
+            raise ValueError("need >= 3 intervals per octave for detection")
+        shape = self.responses.shape
+        if len(shape) != 3 or shape[0] != len(self.filter_sizes) or self.laplacian_signs.shape != shape:
+            raise ValueError(
+                "responses and laplacian_signs must share one (len(filter_sizes), gh, gw) shape, "
+                f"got {shape} and {self.laplacian_signs.shape}"
+            )
 
 
 @dataclass(frozen=True)
@@ -170,7 +186,7 @@ class Descriptor:
 
 
 def build_response_maps(ii: IntegralImage, config: Optional[ExtractionConfig] = None) -> list[ResponseMap]:
-    """One response map per (octave, interval), octave-major order."""
+    """One response map per octave, in octave order."""
     config = config or ExtractionConfig()
     if ii.width < FILTER_BASE or ii.height < FILTER_BASE:
         raise ImageTooSmall(
@@ -179,34 +195,28 @@ def build_response_maps(ii: IntegralImage, config: Optional[ExtractionConfig] = 
     maps = []
     for octave in range(1, config.octaves + 1):
         stride = 1 << (octave - 1)
-        for interval, size in enumerate(filter_sizes(octave, INTERVALS), start=1):
-            resp, signs = _hessian_grid(ii, stride, size)
-            maps.append(
-                ResponseMap(
-                    octave=octave,
-                    interval=interval,
-                    filter_size=size,
-                    scale_sigma=SIGMA_BASE * size / FILTER_BASE,
-                    stride=stride,
-                    responses=resp,
-                    laplacian_signs=signs,
-                )
-            )
+        sizes = tuple(filter_sizes(octave, INTERVALS))
+        shape = (INTERVALS, -(-ii.height // stride), -(-ii.width // stride))
+        responses = np.zeros(shape)
+        signs = np.ones(shape, dtype=np.int8)
+        for k, size in enumerate(sizes):
+            _hessian_grid(ii, stride, size, responses[k], signs[k])
+        maps.append(ResponseMap(stride, sizes, responses, signs))
     return maps
 
 
-def _hessian_grid(ii: IntegralImage, stride: int, size: int):
+def _hessian_grid(ii: IntegralImage, stride: int, size: int, responses: np.ndarray, signs: np.ndarray) -> None:
+    """Fill one layer in place: interior cells get their response and sign;
+    the rest keep the 0.0 and +1 they were allocated with."""
     lobe = size // 3
     border = (size - 1) // 2
     half = (lobe - 1) // 2
-    responses = np.zeros((-(-ii.height // stride), -(-ii.width // stride)))
-    signs = np.ones(responses.shape, dtype=np.int8)
     # Interior cells: border <= i*stride <= height-1-border, likewise for j.
     i0 = j0 = -(-border // stride)
     ny = (ii.height - 1 - border) // stride + 1 - i0
     nx = (ii.width - 1 - border) // stride + 1 - j0
     if ny <= 0 or nx <= 0:
-        return responses, signs
+        return
     p = ii.padded
 
     def corner(dx: int, dy: int) -> np.ndarray:
@@ -235,26 +245,19 @@ def _hessian_grid(ii: IntegralImage, stride: int, size: int):
     interior = (slice(i0, i0 + ny), slice(j0, j0 + nx))
     responses[interior] = dxx * dyy - (DXY_WEIGHT * dxy) ** 2
     signs[interior][dxx + dyy < 0] = -1
-    return responses, signs
 
 
 def detect_interest_points(maps: list[ResponseMap], threshold: float) -> list[InterestPoint]:
     """Strict 3x3x3 maxima above threshold, refined by one quadratic step.
 
-    First/last interval of each octave serve only as comparison layers.
+    First/last layer of each octave serve only as comparison layers.
     Points whose refinement offset exceeds 0.5 in any component (or whose
     local Hessian is singular) are discarded.  Output sorted by descending
     response, ties by (y, x, scale) ascending.
     """
-    by_octave: dict[int, list[ResponseMap]] = {}
-    for m in maps:
-        by_octave.setdefault(m.octave, []).append(m)
     points: list[InterestPoint] = []
-    for octave_maps in by_octave.values():
-        octave_maps.sort(key=lambda m: m.interval)
-        if len(octave_maps) < 3:
-            raise ValueError("need >= 3 intervals per octave for detection")
-        stack = np.stack([m.responses for m in octave_maps])
+    for m in maps:
+        stack = m.responses
         n, gh, gw = stack.shape
         if gh < 3 or gw < 3:
             continue
@@ -271,14 +274,15 @@ def detect_interest_points(maps: list[ResponseMap], threshold: float) -> list[In
                     for dj in (-1, 0, 1):
                         if dk or di or dj:
                             keep &= v > stack[k + dk, ci + di, cj + dj]
-            points += _refine(stack, octave_maps, k, ci[keep], cj[keep])
+            points += _refine(m, k, ci[keep], cj[keep])
     points.sort(key=lambda p: (-p.response, p.y, p.x, p.scale))
     return points
 
 
-def _refine(stack, octave_maps, k, i, j) -> list[InterestPoint]:
-    """Refined points of the candidates (k, i[n], j[n]) of one octave's stack,
+def _refine(m: ResponseMap, k, i, j) -> list[InterestPoint]:
+    """Refined points of the candidates (k, i[n], j[n]) of one octave's map,
     by one stacked solve, or one solve each if any Hessian is singular."""
+    stack = m.responses
 
     def at(dk, di, dj):
         return stack[k + dk, i + di, j + dj]
@@ -305,9 +309,9 @@ def _refine(stack, octave_maps, k, i, j) -> list[InterestPoint]:
             except np.linalg.LinAlgError:
                 pass
     ok = np.max(np.abs(offset), axis=1) <= 0.5
-    stride = octave_maps[k].stride
-    step = octave_maps[k + 1].filter_size - octave_maps[k].filter_size
-    size = octave_maps[k].filter_size + offset[ok, 2] * step
+    stride = m.stride
+    step = m.filter_sizes[k + 1] - m.filter_sizes[k]
+    size = m.filter_sizes[k] + offset[ok, 2] * step
     return list(
         map(
             InterestPoint,
@@ -315,7 +319,7 @@ def _refine(stack, octave_maps, k, i, j) -> list[InterestPoint]:
             ((i[ok] + offset[ok, 1]) * stride).tolist(),
             (SIGMA_BASE * size / FILTER_BASE).tolist(),
             v[ok].tolist(),
-            octave_maps[k].laplacian_signs[i[ok], j[ok]].tolist(),
+            m.laplacian_signs[k, i[ok], j[ok]].tolist(),
         )
     )
 

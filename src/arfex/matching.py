@@ -1,11 +1,11 @@
 """Descriptor matching: Laplacian-sign prefilter + nearest-neighbor ratio test.
 
 One core, `match_sets`, matches a query's descriptor matrix against every
-record of a `TargetSet` (all records' descriptors as one matrix) at once;
-`match_descriptors` is a one-record call of it.  The answer is defined by
-the exact distance `sqrt(einsum("ij,ij->i", t - q, t - q))` between a query
-row q and each same-sign target row t, with Lowe's ratio test (IJCV 2004) on
-the nearest and second-nearest, ties broken by the lowest target index.
+record of a `TargetSet` (all records' descriptors as one matrix) at once.
+The answer is defined by the exact distance
+`sqrt(einsum("ij,ij->i", t - q, t - q))` between a query row q and each
+same-sign target row t, with Lowe's ratio test (IJCV 2004) on the nearest
+and second-nearest, ties broken by the lowest target index.
 
 Screen.  For each block of block_rows(M) query rows against the M target
 rows, one GEMM gives the approximate squared distances
@@ -171,16 +171,3 @@ def _second_smallest(approx: np.ndarray, t: TargetSet) -> np.ndarray:
     above = np.minimum.reduceat(np.where(at_min, np.inf, approx), t.starts, axis=1)
     return np.where(ties > 1, m1, above)
 
-
-def match_descriptors(
-    query: list[Descriptor],
-    target: list[Descriptor],
-    ratio: float = 0.7,
-) -> list[Match]:
-    """One-directional nearest-neighbor matching with the ratio test.
-
-    The one-record call of `match_sets`: at most one match per query index;
-    output sorted by ascending distance, ties by (query_index, target_index).
-    """
-    _, qi, tj, dist = match_sets(*descriptor_arrays(query), TargetSet.build([target]), ratio)
-    return list(map(Match, qi.tolist(), tj.tolist(), dist.tolist()))

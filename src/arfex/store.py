@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Optional
 
@@ -195,8 +196,10 @@ def _record_from_json(obj: dict) -> ObjectRecord:
     keypoints = [_point_from_json(p) for p in obj["keypoints"]]
     if not keypoints or len(keypoints) != len(obj["descriptors"]):
         raise ParseError(f"object {object_id!r} has mismatched or empty features")
+    # Element types are read before np.asarray, which would turn a JSON true into 1.0.
+    types = set(map(type, chain.from_iterable(obj["descriptors"])))
     rows = np.asarray(obj["descriptors"])
-    if rows.shape != (len(keypoints), DESCRIPTOR_LENGTH) or rows.dtype.kind not in "fi":
+    if not types <= {int, float} or rows.shape != (len(keypoints), DESCRIPTOR_LENGTH) or rows.dtype.kind not in "fi":
         raise ParseError(f"object {object_id!r}: descriptors must be {DESCRIPTOR_LENGTH} numbers each")
     rows = rows.astype(np.float64, copy=False)
     if not np.isfinite(rows).all():
@@ -260,6 +263,6 @@ def save_db(db: Database, path) -> None:
 def load_db(path) -> Database:
     try:
         doc = json.loads(Path(path).read_text(encoding="ascii"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:  # too deep a nesting recurses
         raise ParseError(f"{path}: {exc}") from exc
     return db_from_json(doc)

@@ -18,7 +18,6 @@ from arfex.features import ExtractionConfig, build_response_maps, extract_featur
 from arfex.geometry import Homography, ransac_verify
 from arfex.image import GrayImage, RasterImage, box_sums, build_integral, to_grayscale
 from arfex.image_io import write_ppm
-from arfex.matching import match_descriptors
 from arfex.blobs import detect_blobs
 from synthetic import (
     add_noise,
@@ -29,7 +28,7 @@ from synthetic import (
     warp_similarity,
 )
 from oracles import brute_force_matches, hessian_response_at
-from test_matching import random_descs
+from test_matching import match_one, random_descs
 
 RNG_MASTER = 20260809
 
@@ -74,13 +73,12 @@ def test_criterion_2_response_map_oracle_equivalence():
             ii = build_integral(gray)
             levels = gray.levels
             for m in build_response_maps(ii):
-                for i in range(m.responses.shape[0]):
-                    for j in range(m.responses.shape[1]):
-                        want, sign = hessian_response_at(
-                            levels, j * m.stride, i * m.stride, m.filter_size
-                        )
-                        assert abs(m.responses[i, j] - want) <= 1e-9
-                        assert m.laplacian_signs[i, j] == sign
+                for k, size in enumerate(m.filter_sizes):
+                    for i in range(m.responses.shape[1]):
+                        for j in range(m.responses.shape[2]):
+                            want, sign = hessian_response_at(levels, j * m.stride, i * m.stride, size)
+                            assert abs(m.responses[k, i, j] - want) <= 1e-9
+                            assert m.laplacian_signs[k, i, j] == sign
         assert time.perf_counter() - start < 10.0
 
 
@@ -94,8 +92,8 @@ def test_criterion_3_blob_flood_fill_equivalence():
             blobs = detect_blobs(mask)
             mine = np.zeros(mask.shape, dtype=np.int32)
             for label, b in enumerate(blobs, start=1):
-                for r in b.member_runs:
-                    mine[r.row, r.x_start : r.x_end + 1] = label
+                for row, x_start, x_end, _ in b.member_runs.tolist():
+                    mine[row, x_start : x_end + 1] = label
             ref, n_ref = scipy.ndimage.label(mask, structure=structure)
             assert len(blobs) == n_ref
             assert np.array_equal(mine > 0, mask)
@@ -135,7 +133,7 @@ def test_criterion_4_rotation_repeatability(tmp_path):
             if d[j] <= 2.0:
                 repeated.append((i, j))
         assert len(repeated) / len(rpts) >= 0.60
-        pairing = {m.query_index: m.target_index for m in match_descriptors(rdescs, descs)}
+        pairing = {m.query_index: m.target_index for m in match_one(rdescs, descs)}
         correct = sum(1 for i, j in repeated if pairing.get(i) == j)
         assert correct / len(repeated) >= 0.80
         _rotation_artifacts(tmp_path)
@@ -169,7 +167,7 @@ def test_criterion_6_matcher_oracle_equivalence():
         target = random_descs(rng, 200)
         got = [
             (m.query_index, m.target_index, m.distance)
-            for m in match_descriptors(query, target)
+            for m in match_one(query, target)
         ]
         want = brute_force_matches(query, target)
         assert json.dumps(got).encode() == json.dumps(want).encode()

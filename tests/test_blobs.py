@@ -1,14 +1,11 @@
 """Scanline blob detection against 4-connected flood-fill labeling."""
 
-import dataclasses
-import gc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from arfex.blobs import (
-    LineBlob,
     binarize,
     detect_blobs,
     merge_lineblobs,
@@ -26,10 +23,15 @@ def blob_partition(blobs):
     out = set()
     for b in blobs:
         pixels = set()
-        for r in b.member_runs:
-            pixels.update((x, r.row) for x in range(r.x_start, r.x_end + 1))
+        for row, x_start, x_end, _ in b.member_runs.tolist():
+            pixels.update((x, row) for x in range(x_start, x_end + 1))
         out.add(frozenset(pixels))
     return out
+
+
+def blob_fields(blobs):
+    """Every field of every blob, member runs as lists, for comparison."""
+    return [(b.pixel_count, b.bbox, b.centroid, b.member_runs.tolist()) for b in blobs]
 
 
 def test_binarize_boundary_is_foreground_for_white():
@@ -58,17 +60,17 @@ def test_binarize_rejects_bad_arguments():
 
 def test_lineblobs_basic_runs():
     runs = scan_lineblobs([[0, 1, 1, 0, 1]])
-    assert [(r.row, r.x_start, r.x_end) for r in runs] == [(0, 1, 2), (0, 4, 4)]
-    assert [r.label for r in runs] == [0, 1]
+    assert runs[:, :3].tolist() == [[0, 1, 2], [0, 4, 4]]
+    assert runs[:, 3].tolist() == [0, 1]
 
 
 def test_lineblobs_empty_row():
-    assert scan_lineblobs([[0, 0, 0]]) == []
+    assert scan_lineblobs([[0, 0, 0]]).shape == (0, 4)
 
 
 def test_lineblobs_full_row():
     runs = scan_lineblobs([[1] * 5])
-    assert [(r.x_start, r.x_end) for r in runs] == [(0, 4)]
+    assert runs[:, 1:3].tolist() == [[0, 4]]
 
 
 def test_plus_shape_is_one_blob():
@@ -119,10 +121,12 @@ def test_no_pixel_lost_or_duplicated(rng):
 def test_merge_is_scan_order_independent(rng):
     mask = rng.random((24, 24)) < 0.45
     top_down = scan_lineblobs(mask)
-    bottom_up = []
+    bottom_up = np.zeros((0, 4), dtype=np.int64)
     for r in range(mask.shape[0] - 1, -1, -1):
-        base = len(bottom_up)
-        bottom_up += [LineBlob(r, run.x_start, run.x_end, base + run.label) for run in scan_lineblobs(mask[r : r + 1])]
+        runs = scan_lineblobs(mask[r : r + 1])
+        runs[:, 0] = r
+        runs[:, 3] += len(bottom_up)
+        bottom_up = np.concatenate([bottom_up, runs])
     assert blob_partition(merge_lineblobs(top_down)) == blob_partition(merge_lineblobs(bottom_up))
 
 
@@ -157,13 +161,14 @@ def assert_matches_flood_fill(mask, min_pixels=1):
     assert blob_partition(blobs) == want
     assert sum(b.pixel_count for b in blobs) == sum(len(p) for p in want)
     for b in blobs:
-        xs = [x for r in b.member_runs for x in range(r.x_start, r.x_end + 1)]
-        ys = [r.row for r in b.member_runs for _ in range(r.x_start, r.x_end + 1)]
+        runs = b.member_runs.tolist()
+        xs = [x for _, x_start, x_end, _ in runs for x in range(x_start, x_end + 1)]
+        ys = [row for row, x_start, x_end, _ in runs for _ in range(x_start, x_end + 1)]
         assert b.pixel_count == len(xs)
         assert b.bbox == (min(xs), min(ys), max(xs), max(ys))
         # The centroid is the correctly rounded mean, bit for bit.
         assert b.centroid == (float(Fraction(sum(xs), len(xs))), float(Fraction(sum(ys), len(ys))))
-    assert blobs == merge_lineblobs(scan_lineblobs(mask), min_pixels=min_pixels)
+    assert blob_fields(blobs) == blob_fields(merge_lineblobs(scan_lineblobs(mask), min_pixels=min_pixels))
     return blobs
 
 
@@ -183,7 +188,7 @@ def test_empty_mask_has_no_blobs():
 @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
 def test_zero_sized_mask_has_no_blobs(shape):
     assert assert_matches_flood_fill(np.zeros(shape, dtype=bool)) == []
-    assert scan_lineblobs(np.zeros(shape, dtype=bool)) == []
+    assert scan_lineblobs(np.zeros(shape, dtype=bool)).shape == (0, 4)
 
 
 def test_all_foreground_is_one_blob():
@@ -192,9 +197,7 @@ def test_all_foreground_is_one_blob():
     assert blobs[0].pixel_count == 40
     assert blobs[0].bbox == (0, 0, 7, 4)
     assert blobs[0].centroid == (3.5, 2.0)
-    assert [(r.row, r.x_start, r.x_end, r.label) for r in blobs[0].member_runs] == [
-        (y, 0, 7, y) for y in range(5)
-    ]
+    assert blobs[0].member_runs.tolist() == [[y, 0, 7, y] for y in range(5)]
 
 
 def test_single_row_mask():
@@ -233,17 +236,25 @@ def test_detect_equals_scan_then_merge_field_for_field(rng):
     for _ in range(20):
         mask = rng.random((20, 28)) < 0.45
         runs = scan_lineblobs(mask)
-        blobs = detect_blobs(mask)
-        assert blobs == merge_lineblobs(runs)
-        shuffled = [runs[i] for i in rng.permutation(len(runs))]
-        assert merge_lineblobs(shuffled) == blobs
+        blobs = blob_fields(detect_blobs(mask))
+        assert blobs == blob_fields(merge_lineblobs(runs))
+        shuffled = runs[rng.permutation(len(runs))]
+        assert blob_fields(merge_lineblobs(shuffled)) == blobs
 
 
 def test_merge_rejects_overlapping_or_inverted_runs():
     with pytest.raises(ValueError):
-        merge_lineblobs([LineBlob(0, 0, 3, 0), LineBlob(0, 2, 5, 1)])
+        merge_lineblobs([[0, 0, 3, 0], [0, 2, 5, 1]])
     with pytest.raises(ValueError):
-        merge_lineblobs([LineBlob(0, 4, 3, 0)])
+        merge_lineblobs([[0, 4, 3, 0]])
+
+
+@pytest.mark.parametrize(
+    "runs", [[0, 1, 2, 0], [[0, 1, 2]], np.zeros((2, 5), dtype=int), np.zeros((1, 2, 4), dtype=int), [[0, 1, 2.5, 0]]]
+)
+def test_merge_rejects_tables_not_n_by_4_integers(runs):
+    with pytest.raises(ValueError, match="table"):
+        merge_lineblobs(runs)
 
 
 def test_size_and_row_ties_broken_by_x_min_not_first_run():
@@ -254,41 +265,46 @@ def test_size_and_row_ties_broken_by_x_min_not_first_run():
     assert [(b.pixel_count, b.bbox) for b in blobs] == [(12, (0, 0, 8, 3)), (12, (1, 0, 6, 1))]
 
 
-def live_lineblobs():
-    """Number of `LineBlob` objects alive in the process."""
-    gc.collect()
-    return sum(type(o) is LineBlob for o in gc.get_objects())
+def test_member_runs_are_views_of_one_read_only_table(rng):
+    mask = rng.random((40, 40)) < 0.45
+    blobs = detect_blobs(mask)
+    table = blobs[0].member_runs.base
+    assert table is not None and not table.flags.writeable and table.shape == (len(scan_lineblobs(mask)), 4)
+    for b in blobs:
+        runs = b.member_runs
+        assert runs.base is table and np.shares_memory(runs, table)
+        assert not runs.flags.writeable
+        keys = runs[:, :2].tolist()
+        assert keys == sorted(keys)
+    assert sum(len(b.member_runs) for b in blobs) == len(scan_lineblobs(mask))
+    with pytest.raises(ValueError):
+        blobs[0].member_runs[0, 0] = 5
 
 
 def test_member_run_counts_build_no_lineblob(rng):
     mask = rng.random((40, 40)) < 0.45
     n_runs = len(scan_lineblobs(mask))
-    before = live_lineblobs()
     blobs = detect_blobs(mask)
     assert sum(len(b.member_runs) for b in blobs) == n_runs
-    assert live_lineblobs() == before
-    # The first access builds the runs of the whole result at once.
-    assert list(blobs[-1].member_runs)
-    assert live_lineblobs() == before + n_runs
-    assert sum(1 for b in blobs for r in b.member_runs) == n_runs
-    assert live_lineblobs() == before + n_runs
+    # Member runs are integer rows of one table, not per-run objects.
+    for b in blobs:
+        assert isinstance(b.member_runs, np.ndarray)
+        assert b.member_runs.dtype == np.int64 and b.member_runs.shape == (len(b.member_runs), 4)
+    assert sum(1 for b in blobs for _ in b.member_runs) == n_runs
 
 
 def test_member_runs_index_slice_and_iterate_in_row_order(rng):
     mask = rng.random((30, 30)) < 0.5
-    runs = scan_lineblobs(mask)
+    runs = scan_lineblobs(mask).tolist()
     for b in detect_blobs(mask):
         members = b.member_runs
-        want = sorted(
-            (r for r in runs if (r.row, r.x_start) in {(m.row, m.x_start) for m in members}),
-            key=lambda r: (r.row, r.x_start),
-        )
-        assert list(members) == want
+        keys = {(row, x_start) for row, x_start, _, _ in members.tolist()}
+        want = sorted((r for r in runs if (r[0], r[1]) in keys), key=lambda r: (r[0], r[1]))
+        assert [r.tolist() for r in members] == want
         assert len(members) == len(want)
-        assert [members[i] for i in range(len(want))] == want
-        assert [members[-i] for i in range(1, len(want) + 1)] == want[::-1]
-        assert members[1:3] == want[1:3] and members[::-1] == want[::-1]
-        assert members == want and members == tuple(want)
+        assert [members[i].tolist() for i in range(len(want))] == want
+        assert [members[-i].tolist() for i in range(1, len(want) + 1)] == want[::-1]
+        assert members[1:3].tolist() == want[1:3] and members[::-1].tolist() == want[::-1]
         with pytest.raises(IndexError):
             members[len(want)]
         with pytest.raises(IndexError):
@@ -298,27 +314,28 @@ def test_member_runs_index_slice_and_iterate_in_row_order(rng):
 def test_labels_are_row_major_run_index_or_given_labels(rng):
     mask = rng.random((24, 24)) < 0.45
     runs = scan_lineblobs(mask)
-    index = {(r.row, r.x_start): k for k, r in enumerate(runs)}
+    index = {(row, x_start): k for k, (row, x_start, _, _) in enumerate(runs.tolist())}
     for b in detect_blobs(mask):
-        assert [r.label for r in b.member_runs] == [index[(r.row, r.x_start)] for r in b.member_runs]
-    relabeled = [LineBlob(r.row, r.x_start, r.x_end, 1000 - 3 * k) for k, r in enumerate(runs)]
-    shuffled = [relabeled[i] for i in rng.permutation(len(relabeled))]
+        members = b.member_runs.tolist()
+        assert [label for *_, label in members] == [index[(row, x_start)] for row, x_start, _, _ in members]
+    relabeled = runs.copy()
+    relabeled[:, 3] = 1000 - 3 * np.arange(len(runs))
+    shuffled = relabeled[rng.permutation(len(relabeled))]
     merged = merge_lineblobs(shuffled)
-    assert sorted((r for b in merged for r in b.member_runs), key=lambda r: r.label) == sorted(
-        relabeled, key=lambda r: r.label
+    assert sorted((r for b in merged for r in b.member_runs.tolist()), key=lambda r: r[3]) == sorted(
+        relabeled.tolist(), key=lambda r: r[3]
     )
     assert blob_partition(merged) == blob_partition(detect_blobs(mask))
-    assert merged != detect_blobs(mask)  # same runs, other labels
+    assert blob_fields(merged) != blob_fields(detect_blobs(mask))  # same runs, other labels
 
 
 def test_blobs_equal_across_separately_built_results(rng):
     mask = rng.random((28, 28)) < 0.45
     a, b = detect_blobs(mask), detect_blobs(mask)
-    assert a == b
-    assert [x.member_runs for x in a] == [list(x.member_runs) for x in b]
+    assert blob_fields(a) == blob_fields(b)
     other = mask.copy()
     other[0, 0] = not other[0, 0]
-    assert detect_blobs(other) != a
+    assert blob_fields(detect_blobs(other)) != blob_fields(a)
 
 
 def test_built_runs_equal_constructed_runs(rng):
@@ -331,13 +348,9 @@ def test_built_runs_equal_constructed_runs(rng):
                 start = x
                 while x + 1 < len(row) and row[x + 1]:
                     x += 1
-                want.append(LineBlob(y, start, x, len(want)))
+                want.append([y, start, x, len(want)])
             x += 1
     runs = scan_lineblobs(mask)
-    assert runs == want
-    assert [hash(r) for r in runs] == [hash(r) for r in want]
-    assert repr(runs) == repr(want)
-    got = sorted((r for b in detect_blobs(mask) for r in b.member_runs), key=lambda r: r.label)
-    assert got == want and repr(got) == repr(want)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        runs[0].row = 5
+    assert runs.dtype == np.int64 and runs.tolist() == want
+    got = sorted((r for b in detect_blobs(mask) for r in b.member_runs.tolist()), key=lambda r: r[3])
+    assert got == want

@@ -343,6 +343,17 @@ def test_query_corrupt_db_exit_2(tmp_path, texture_ppm):
     assert main(["query", "--db", str(db), "--input", str(texture_ppm), "--output", str(tmp_path / "x.json")]) == 2
 
 
+@pytest.mark.parametrize("command", ["query", "index"])
+def test_deeply_nested_db_exit_2(tmp_path, texture_ppm, capsys, command):
+    db = tmp_path / "deep.json"
+    db.write_text("[" * 100000)
+    out = tmp_path / "x.json"
+    extra = ["--output", str(out)] if command == "query" else ["--id", "a", "--name", "A", "--info", "i"]
+    assert main([command, "--db", str(db), "--input", str(texture_ppm), *extra]) == 2
+    assert capsys.readouterr().err.startswith("arfex: ")
+    assert db.read_text() == "[" * 100000 and not out.exists()
+
+
 def test_annotate_command_writes_overlay(tmp_path, texture_ppm):
     out = tmp_path / "annotated.ppm"
     assert main(["annotate", "--input", str(texture_ppm), "--output", str(out)]) == 0

@@ -70,15 +70,15 @@ def test_image_too_small():
 
 def test_map_grid_dimensions_and_metadata():
     maps = build_response_maps(integral_of(gray_raster(np.full((50, 70), 99))))
-    assert len(maps) == 12
-    for m in maps:
+    assert len(maps) == 3
+    for octave, m in enumerate(maps, start=1):
         gh = -(-50 // m.stride)
         gw = -(-70 // m.stride)
-        assert m.responses.shape == (gh, gw)
-        assert m.laplacian_signs.shape == (gh, gw)
-        assert m.filter_size % 2 == 1
-        assert m.scale_sigma == pytest.approx(1.2 * m.filter_size / 9)
-    assert [m.stride for m in maps] == [1] * 4 + [2] * 4 + [4] * 4
+        assert m.responses.shape == (4, gh, gw)
+        assert m.laplacian_signs.shape == (4, gh, gw)
+        assert m.filter_sizes == tuple(filter_sizes(octave, 4))
+        assert all(size % 2 == 1 for size in m.filter_sizes)
+    assert [m.stride for m in maps] == [1, 2, 4]
 
 
 def test_constant_image_all_responses_zero():
@@ -93,13 +93,12 @@ def test_response_maps_equal_direct_box_filter_oracle(rng):
     ii = integral_of(img)
     levels = to_grayscale(img).levels
     for m in build_response_maps(ii, ExtractionConfig(octaves=2)):
-        for i in range(m.responses.shape[0]):
-            for j in range(m.responses.shape[1]):
-                want, sign = hessian_response_at(
-                    levels, j * m.stride, i * m.stride, m.filter_size
-                )
-                assert m.responses[i, j] == pytest.approx(want, abs=1e-9)
-                assert m.laplacian_signs[i, j] == sign
+        for k, size in enumerate(m.filter_sizes):
+            for i in range(m.responses.shape[1]):
+                for j in range(m.responses.shape[2]):
+                    want, sign = hessian_response_at(levels, j * m.stride, i * m.stride, size)
+                    assert m.responses[k, i, j] == pytest.approx(want, abs=1e-9)
+                    assert m.laplacian_signs[k, i, j] == sign
 
 
 def gather_hessian_grid(ii, stride, size):
@@ -157,13 +156,14 @@ def test_response_maps_bit_identical_to_clipped_gather(levels):
     ii = integral_of(gray_raster(levels))
     for octaves in range(1, 5):
         maps = build_response_maps(ii, ExtractionConfig(octaves=octaves))
-        assert len(maps) == 4 * octaves
+        assert len(maps) == octaves
         for m in maps:
-            want_resp, want_signs = gather_hessian_grid(ii, m.stride, m.filter_size)
             assert m.responses.dtype == np.float64 and m.laplacian_signs.dtype == np.int8
-            assert m.responses.shape == want_resp.shape
-            assert m.responses.tobytes() == want_resp.tobytes()
-            assert m.laplacian_signs.tobytes() == want_signs.tobytes()
+            for k, size in enumerate(m.filter_sizes):
+                want_resp, want_signs = gather_hessian_grid(ii, m.stride, size)
+                assert m.responses[k].shape == want_resp.shape
+                assert m.responses[k].tobytes() == want_resp.tobytes()
+                assert m.laplacian_signs[k].tobytes() == want_signs.tobytes()
 
 
 def test_hessian_oracle_rejects_unit_floats(rng):
@@ -175,9 +175,8 @@ def test_hessian_oracle_rejects_unit_floats(rng):
 def test_matched_interval_map_peaks_at_blob_center():
     # sigma 2.0 corresponds to filter size 15 = octave 1, interval 2
     img = blob_image(64, 64, [(32, 32)], 2.0)
-    maps = build_response_maps(integral_of(img))
-    m = next(mm for mm in maps if mm.octave == 1 and mm.interval == 2)
-    i, j = np.unravel_index(np.argmax(m.responses), m.responses.shape)
+    layer = build_response_maps(integral_of(img))[0].responses[1]
+    i, j = np.unravel_index(np.argmax(layer), layer.shape)
     assert abs(j - 32) <= 1 and abs(i - 32) <= 1
 
 
@@ -186,7 +185,7 @@ def test_checkerboard_saddle_negative_response():
     f[:32, :32] = 200
     f[32:, 32:] = 200
     maps = build_response_maps(integral_of(gray_raster(f)))
-    assert maps[0].responses[32, 32] < 0.0
+    assert maps[0].responses[0, 32, 32] < 0.0
 
 
 def test_laplacian_sign_tracks_blob_polarity():
@@ -221,10 +220,20 @@ def test_detect_two_blobs_80px_apart():
 
 def test_detection_requires_three_intervals():
     img = blob_image(64, 64, [(32, 32)], 3.0)
-    maps = build_response_maps(integral_of(img))
-    partial = [m for m in maps if m.interval <= 2]
-    with pytest.raises(ValueError):
-        detect_interest_points(partial, 4e-4)
+    m = build_response_maps(integral_of(img))[0]
+    with pytest.raises(ValueError, match="3 intervals"):
+        ResponseMap(m.stride, m.filter_sizes[:2], m.responses[:2], m.laplacian_signs[:2])
+
+
+def test_response_map_layers_must_match_filter_sizes():
+    m = build_response_maps(integral_of(blob_image(64, 64, [(32, 32)], 3.0)))[0]
+    for responses, signs in [
+        (m.responses[:3], m.laplacian_signs[:3]),
+        (m.responses, m.laplacian_signs[:, 1:]),
+        (m.responses[0], m.laplacian_signs[0]),
+    ]:
+        with pytest.raises(ValueError, match="shape"):
+            ResponseMap(m.stride, m.filter_sizes, responses, signs)
 
 
 def test_nms_soundness_by_reinspection():
@@ -236,15 +245,11 @@ def test_nms_soundness_by_reinspection():
     maps = build_response_maps(ii, cfg)
     pts = detect_interest_points(maps, cfg.threshold)
     assert pts
-    by_octave = {}
-    for m in maps:
-        by_octave.setdefault(m.octave, []).append(m)
     for p in pts:
         hits = 0
-        for octave_maps in by_octave.values():
-            octave_maps.sort(key=lambda m: m.interval)
-            stack = np.stack([m.responses for m in octave_maps])
-            stride = octave_maps[0].stride
+        for m in maps:
+            stack = m.responses
+            stride = m.stride
             n, gh, gw = stack.shape
             for k in range(1, n - 1):
                 i = round(p.y / stride)
@@ -263,9 +268,9 @@ def test_nms_soundness_by_reinspection():
         assert hits >= 1
 
 
-def reference_refine(stack, octave_maps, k, i, j, stride, step):
+def reference_refine(m, k, i, j):
     """Per-candidate reference: one quadratic step, one 3x3 solve."""
-    c = stack[k - 1 : k + 2, i - 1 : i + 2, j - 1 : j + 2]
+    c = m.responses[k - 1 : k + 2, i - 1 : i + 2, j - 1 : j + 2]
     dx = (c[1, 1, 2] - c[1, 1, 0]) / 2.0
     dy = (c[1, 2, 1] - c[1, 0, 1]) / 2.0
     ds = (c[2, 1, 1] - c[0, 1, 1]) / 2.0
@@ -284,13 +289,14 @@ def reference_refine(stack, octave_maps, k, i, j, stride, step):
         return None
     if np.max(np.abs(offset)) > 0.5:
         return None
-    size = octave_maps[k].filter_size + offset[2] * step
+    step = m.filter_sizes[k + 1] - m.filter_sizes[k]
+    size = m.filter_sizes[k] + offset[2] * step
     return InterestPoint(
-        x=float((j + offset[0]) * stride),
-        y=float((i + offset[1]) * stride),
+        x=float((j + offset[0]) * m.stride),
+        y=float((i + offset[1]) * m.stride),
         scale=float(1.2 * size / 9),
         response=float(v),
-        laplacian_sign=int(octave_maps[k].laplacian_signs[i, j]),
+        laplacian_sign=int(m.laplacian_signs[k, i, j]),
     )
 
 
@@ -298,9 +304,8 @@ def dense_nms_reference(maps, threshold):
     """Dense reference: every middle-layer cell compared with its 26
     neighbours, then a per-candidate refinement and the library's order."""
     points = []
-    for octave in sorted({m.octave for m in maps}):
-        octave_maps = sorted((m for m in maps if m.octave == octave), key=lambda m: m.interval)
-        stack = np.stack([m.responses for m in octave_maps])
+    for m in maps:
+        stack = m.responses
         n, gh, gw = stack.shape
         if gh < 3 or gw < 3:
             continue
@@ -312,9 +317,8 @@ def dense_nms_reference(maps, threshold):
                     for dj in (-1, 0, 1):
                         if dk or di or dj:
                             mask &= core > stack[k + dk, 1 + di : gh - 1 + di, 1 + dj : gw - 1 + dj]
-            step = octave_maps[k + 1].filter_size - octave_maps[k].filter_size
             for i, j in np.argwhere(mask) + 1:
-                pt = reference_refine(stack, octave_maps, k, int(i), int(j), octave_maps[0].stride, step)
+                pt = reference_refine(m, k, int(i), int(j))
                 if pt is not None:
                     points.append(pt)
     points.sort(key=lambda p: (-p.response, p.y, p.x, p.scale))
@@ -327,14 +331,15 @@ def tied_maps(rng, octaves, h, w):
     for octave in range(1, octaves + 1):
         stride = 1 << (octave - 1)
         shape = (-(-h // stride), -(-w // stride))
-        for interval, size in enumerate(filter_sizes(octave, 4), start=1):
-            maps.append(
-                ResponseMap(
-                    octave, interval, size, 1.2 * size / 9, stride,
-                    rng.integers(0, 6, size=shape).astype(np.float64),
-                    np.where(rng.random(shape) < 0.5, -1, 1).astype(np.int8),
-                )
+        layers = [
+            (
+                rng.integers(0, 6, size=shape).astype(np.float64),
+                np.where(rng.random(shape) < 0.5, -1, 1).astype(np.int8),
             )
+            for _ in range(4)
+        ]
+        responses, signs = (np.stack(a) for a in zip(*layers))
+        maps.append(ResponseMap(stride, tuple(filter_sizes(octave, 4)), responses, signs))
     return maps
 
 
@@ -360,12 +365,8 @@ def test_singular_candidate_beside_regular_one():
     # At j = 2 the xy corners 9/5/5/9 give dxx = dyy = -2 and dxy = 2, so the
     # Hessian's first two rows are dependent.
     layers[1, [1, 1, 3, 3], [1, 3, 1, 3]] = [9.0, 5.0, 5.0, 9.0]
-    maps = [
-        ResponseMap(1, k + 1, size, 1.2 * size / 9, 1, layers[k], np.ones((9, 9), dtype=np.int8))
-        for k, size in enumerate(filter_sizes(1, 4))
-    ]
-    stack = np.stack([m.responses for m in maps])
-    assert reference_refine(stack, maps, 1, 2, 2, 1, 6) is None
+    maps = [ResponseMap(1, tuple(filter_sizes(1, 4)), layers, np.ones((4, 9, 9), dtype=np.int8))]
+    assert reference_refine(maps[0], 1, 2, 2) is None
     got = detect_interest_points(maps, 1.0)
     assert [(p.x, p.y, p.response) for p in got] == [(6.0, 2.0, 10.0)]
     assert got == dense_nms_reference(maps, 1.0)

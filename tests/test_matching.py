@@ -16,7 +16,6 @@ from arfex.matching import (
     TargetSet,
     block_rows,
     descriptor_arrays,
-    match_descriptors,
     match_sets,
 )
 from oracles import brute_force_matches
@@ -50,6 +49,13 @@ def reference_match(query, target, ratio=0.7):
     return matches
 
 
+def match_one(query, target, ratio=0.7):
+    """`match_sets` of a query against one record, as `Match`es: at most one
+    per query index, sorted by distance, then query and target index."""
+    _, qi, tj, dist = match_sets(*descriptor_arrays(query), TargetSet.build([target]), ratio)
+    return list(map(Match, qi.tolist(), tj.tolist(), dist.tolist()))
+
+
 def bits(matches):
     return [(m.query_index, m.target_index, m.distance.hex()) for m in matches]
 
@@ -77,7 +83,7 @@ def random_descs(rng, n, sign_choices=(1, -1)):
 
 def test_identical_unique_sets_match_at_zero(rng):
     descs = random_descs(rng, 5, sign_choices=(1,))
-    matches = match_descriptors(descs, list(descs))
+    matches = match_one(descs, list(descs))
     assert len(matches) == 5
     assert all(m.distance == 0.0 for m in matches)
     assert sorted(m.query_index for m in matches) == list(range(5))
@@ -88,7 +94,7 @@ def test_ratio_accepts_distinctive_candidate():
     # candidates at 0.2 and 0.9: 0.22 < 0.7 -> kept
     q = [desc([1.0])]
     t = [desc([1.0, 0.2]), desc([1.0, 0.9])]
-    matches = match_descriptors(q, t)
+    matches = match_one(q, t)
     assert len(matches) == 1
     assert matches[0].target_index == 0
     assert matches[0].distance == pytest.approx(0.2, abs=1e-12)
@@ -98,7 +104,7 @@ def test_ratio_rejects_ambiguous_candidate():
     # candidates at 0.5 and 0.6: 0.83 > 0.7 -> rejected
     q = [desc([1.0])]
     t = [desc([1.0, 0.5]), desc([1.0, 0.6])]
-    assert match_descriptors(q, t) == []
+    assert match_one(q, t) == []
 
 
 def test_sign_filter_excludes_opposite_sign():
@@ -108,7 +114,7 @@ def test_sign_filter_excludes_opposite_sign():
         desc([1.0, 0.4], sign=1),
         desc([1.0, 1.0], sign=1),
     ]
-    matches = match_descriptors(q, t)
+    matches = match_one(q, t)
     assert len(matches) == 1
     assert matches[0].target_index == 1
     assert matches[0].distance == pytest.approx(0.4, abs=1e-12)
@@ -118,25 +124,25 @@ def test_single_candidate_absolute_fallback():
     q = [desc([1.0])]
     near = [desc([1.0, 0.3])]
     far = [desc([1.0, 0.8])]
-    assert len(match_descriptors(q, near)) == 1
-    assert match_descriptors(q, far) == []
+    assert len(match_one(q, near)) == 1
+    assert match_one(q, far) == []
 
 
 def test_duplicate_targets_at_zero_are_ambiguous(rng):
     d = random_descs(rng, 1, sign_choices=(1,))[0]
-    assert match_descriptors([d], [d, d]) == []
+    assert match_one([d], [d, d]) == []
 
 
 def test_empty_sides_give_no_matches(rng):
     descs = random_descs(rng, 3)
-    assert match_descriptors([], descs) == []
-    assert match_descriptors(descs, []) == []
+    assert match_one([], descs) == []
+    assert match_one(descs, []) == []
 
 
 def test_matches_identical_to_brute_force_oracle(rng):
     query = random_descs(rng, 200)
     target = random_descs(rng, 200)
-    got = [(m.query_index, m.target_index, m.distance) for m in match_descriptors(query, target)]
+    got = [(m.query_index, m.target_index, m.distance) for m in match_one(query, target)]
     want = brute_force_matches(query, target)
     assert got == want
 
@@ -144,14 +150,14 @@ def test_matches_identical_to_brute_force_oracle(rng):
 def test_no_match_joins_opposite_signs(rng):
     query = random_descs(rng, 60)
     target = random_descs(rng, 60)
-    for m in match_descriptors(query, target):
+    for m in match_one(query, target):
         assert query[m.query_index].laplacian_sign == target[m.target_index].laplacian_sign
 
 
 def test_at_most_one_match_per_query(rng):
     query = random_descs(rng, 80)
     target = random_descs(rng, 80)
-    matches = match_descriptors(query, target)
+    matches = match_one(query, target)
     qs = [m.query_index for m in matches]
     assert len(qs) == len(set(qs))
 
@@ -159,11 +165,11 @@ def test_at_most_one_match_per_query(rng):
 def test_lowering_ratio_never_adds_matches(rng):
     query = random_descs(rng, 100)
     target = random_descs(rng, 100)
-    loose = {(m.query_index, m.target_index) for m in match_descriptors(query, target, ratio=0.9)}
+    loose = {(m.query_index, m.target_index) for m in match_one(query, target, ratio=0.9)}
     for ratio in (0.7, 0.5, 0.3):
         tight = {
             (m.query_index, m.target_index)
-            for m in match_descriptors(query, target, ratio=ratio)
+            for m in match_one(query, target, ratio=ratio)
         }
         assert tight <= loose
         loose = tight
@@ -172,7 +178,7 @@ def test_lowering_ratio_never_adds_matches(rng):
 def test_output_ordering_is_canonical(rng):
     query = random_descs(rng, 50)
     target = random_descs(rng, 50)
-    matches = match_descriptors(query, target)
+    matches = match_one(query, target)
     keys = [(m.distance, m.query_index, m.target_index) for m in matches]
     assert keys == sorted(keys)
 
@@ -180,9 +186,9 @@ def test_output_ordering_is_canonical(rng):
 def test_config_validation():
     d = unit_desc(0)
     with pytest.raises(ValueError):
-        match_descriptors([d], [d], ratio=0.0)
+        match_one([d], [d], ratio=0.0)
     with pytest.raises(ValueError):
-        match_descriptors([d], [d], ratio=1.5)
+        match_one([d], [d], ratio=1.5)
 
 
 # --- the screened core against the per-row reference -------------------------
@@ -241,7 +247,7 @@ RATIOS = st.sampled_from((0.7, 1.0, 0.5)) | st.floats(0.01, 1.0)
 @given(descriptor_lists(), descriptor_lists(), RATIOS, st.integers(0, 2**32 - 1))
 def test_core_bit_identical_to_per_row_reference(target, query, ratio, seed):
     query = mixed_query(query, target, np.random.default_rng(seed))
-    assert bits(match_descriptors(query, target, ratio)) == bits(reference_match(query, target, ratio))
+    assert bits(match_one(query, target, ratio)) == bits(reference_match(query, target, ratio))
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -255,7 +261,7 @@ def test_query_blocks_bit_identical_to_per_row_reference(target, query, ratio, s
     # blocks of 64 query rows at any target count, so the sizes cross block edges
     query = mixed_query(query, target, np.random.default_rng(seed))
     with patch.object(matching, "SCREEN_ELEMENTS", 64 * max(1, len(target))):
-        assert bits(match_descriptors(query, target, ratio)) == bits(reference_match(query, target, ratio))
+        assert bits(match_one(query, target, ratio)) == bits(reference_match(query, target, ratio))
 
 
 def test_block_rows_shrink_as_the_database_grows():
@@ -270,7 +276,7 @@ def test_blocks_at_benchmark_size_bit_identical_to_per_row_reference():
     rng = np.random.default_rng(17)
     target = random_descs(rng, 724)
     query = mixed_query(random_descs(rng, 128), target, rng) + [target[5]]  # row 128 matches
-    got = match_descriptors(query, target)
+    got = match_one(query, target)
     assert bits(got) == bits(reference_match(query, target))
     assert {m.query_index // 64 for m in got} == {0, 1, 2}
 
@@ -310,5 +316,5 @@ def test_overflowing_norms_fall_back_to_full_rows():
     # distances (1e150, 1e154, inf) still decide
     q = [desc([1e160])]
     t = [desc([1e160, 1e150]), desc([1e160, 1e154]), desc([-1e160])]
-    assert bits(match_descriptors(q, t)) == bits(reference_match(q, t))
-    assert [m.target_index for m in match_descriptors(q, t)] == [0]
+    assert bits(match_one(q, t)) == bits(reference_match(q, t))
+    assert [m.target_index for m in match_one(q, t)] == [0]

@@ -158,6 +158,13 @@ def test_corrupt_json_raises_parse_error(tmp_path):
         load_db(path)
 
 
+def test_deeply_nested_json_raises_parse_error(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    with pytest.raises(ParseError):
+        load_db(path)
+
+
 def test_malformed_document_raises_parse_error(tmp_path):
     path = tmp_path / "weird.json"
     path.write_text(json.dumps({"version": 1, "extraction_config": {}, "objects": [{"id": "x"}]}))
@@ -194,8 +201,10 @@ def one_record_doc(db):
         [0.1] * 63 + ["0.1"],
         [0.1] * 63 + [None],
         [[0.1] * 64],
+        [0.1] * 63 + [True],
+        [False] + [0.1] * 63,
     ],
-    ids=["short", "long", "nan", "inf", "string", "null", "nested"],
+    ids=["short", "long", "nan", "inf", "string", "null", "nested", "true", "false"],
 )
 def test_descriptor_must_be_64_finite_floats(small_db, bad):
     doc = one_record_doc(small_db)
