@@ -23,9 +23,31 @@ border b = (L-1)//2, half-lobe m = (l-1)//2; rectangles inclusive):
 
 Each D is normalized by L^2.  Grid cells whose filter support (reach b from
 the center) is not fully inside the image have response 0 and Laplacian
-sign +1.  Interior cells never need clipping, so each of the 32 corner
-lookups (8 boxes x 4 corners) is one strided slice of `IntegralImage.padded`
-over the whole interior sub-grid, and the boxes combine in exact int64.
+sign +1.  Interior cells never need clipping, so every lookup is a strided
+slice of the padded table P (P[r, c] sums the levels above row r and left
+of column c).  Boxes that share rows or columns share one strip difference:
+
+  Dxx = v[x+b+1] - v[x-b] - 3 (v[x+m+1] - v[x-m]),  v = P[y+l] - P[y-l+1]
+  Dyy = the same with the column strip u = P[:, x+l] - P[:, x-l+1]
+  Dxy = S[x+l+1] - S[x+1] - S[x] + S[x-l],
+        S = P[y] - P[y-l] - P[y+l+1] + P[y+1]
+
+that is, 16 integer passes per layer; the four corners of eight boxes
+would take about 31.  Each layer is filled in row bands of about BAND_CELLS grid
+cells, so every temporary stays cache-sized whatever the image size.
+
+The integer passes run on an int32 copy of P, which wraps each entry mod
+2^32.  Adding, subtracting and multiplying by 3 are ring operations mod
+2^32, so each D comes out congruent to its true value, and equal to it
+because the true value fits in int32: the largest filter (195, octave 4)
+gives |Dxx| <= 3 * 195 * 129 * 255 < 2^26, and |Dyy| and |Dxy| are no
+larger, for any image size.  Only the exact D are converted to float.
+
+The first INTERVALS/2 layers of octave o >= 2 are not computed:
+filter_sizes(o)[:2] == filter_sizes(o-1)[1::2], and cell (i, j) of octave o
+sits on the pixel of cell (2i, 2j) of octave o-1, so they are octave o-1's
+odd layers at [::2, ::2], copied bit for bit.  This is the filter-size
+overlap of SURF's octaves.
 
 Non-maximum suppression compares only the cells above threshold with their
 26 neighbours.  The survivors of one layer are refined together: their 3x3
@@ -99,6 +121,7 @@ DESCRIPTOR_HAAR = 2.0  # Haar wavelet size
 DESCRIPTOR_SIGMA = 3.3  # Gaussian weight
 DESCRIPTOR_LENGTH = 4 * DESCRIPTOR_GRID * DESCRIPTOR_GRID  # four sums per subregion
 BLOCK = 16  # points per array pass of orientation and descriptors; bounds peak memory
+BAND_CELLS = 32768  # grid cells per row band of a response layer; keeps its temporaries in L2
 
 
 def filter_sizes(octave: int, intervals: int) -> list[int]:
@@ -192,6 +215,7 @@ def build_response_maps(ii: IntegralImage, config: Optional[ExtractionConfig] = 
         raise ImageTooSmall(
             f"image {ii.width}x{ii.height} below {FILTER_BASE}x{FILTER_BASE} minimum"
         )
+    table = ii.padded.astype(np.int32)  # wraps mod 2**32; exact, see the module docstring
     maps = []
     for octave in range(1, config.octaves + 1):
         stride = 1 << (octave - 1)
@@ -199,52 +223,89 @@ def build_response_maps(ii: IntegralImage, config: Optional[ExtractionConfig] = 
         shape = (INTERVALS, -(-ii.height // stride), -(-ii.width // stride))
         responses = np.zeros(shape)
         signs = np.ones(shape, dtype=np.int8)
-        for k, size in enumerate(sizes):
-            _hessian_grid(ii, stride, size, responses[k], signs[k])
+        reused = 0
+        if maps:
+            # The first layers repeat the previous octave's odd layers on every
+            # other cell: same pixels, same filter sizes.
+            prev = maps[-1]
+            reused = INTERVALS // 2
+            responses[:reused] = prev.responses[1::2, ::2, ::2]
+            signs[:reused] = prev.laplacian_signs[1::2, ::2, ::2]
+        for k in range(reused, INTERVALS):
+            _hessian_grid(table, stride, sizes[k], responses[k], signs[k])
         maps.append(ResponseMap(stride, sizes, responses, signs))
     return maps
 
 
-def _hessian_grid(ii: IntegralImage, stride: int, size: int, responses: np.ndarray, signs: np.ndarray) -> None:
-    """Fill one layer in place: interior cells get their response and sign;
-    the rest keep the 0.0 and +1 they were allocated with."""
+def _hessian_grid(table: np.ndarray, stride: int, size: int, responses: np.ndarray, signs: np.ndarray) -> None:
+    """Fill one layer in place from the int32 padded table, one row band at a
+    time: interior cells get their response and sign; the rest keep the 0.0
+    and +1 they were allocated with."""
     lobe = size // 3
     border = (size - 1) // 2
     half = (lobe - 1) // 2
+    height, width = table.shape[0] - 1, table.shape[1] - 1
     # Interior cells: border <= i*stride <= height-1-border, likewise for j.
-    i0 = j0 = -(-border // stride)
-    ny = (ii.height - 1 - border) // stride + 1 - i0
-    nx = (ii.width - 1 - border) // stride + 1 - j0
+    first = -(-border // stride)
+    ny = (height - 1 - border) // stride + 1 - first
+    nx = (width - 1 - border) // stride + 1 - first
     if ny <= 0 or nx <= 0:
         return
-    p = ii.padded
-
-    def corner(dx: int, dy: int) -> np.ndarray:
-        """padded[y+dy, x+dx] for every interior center (x, y), as a strided view."""
-        y = i0 * stride + dy
-        x = j0 * stride + dx
-        return p[y : y + (ny - 1) * stride + 1 : stride, x : x + (nx - 1) * stride + 1 : stride]
-
-    def box(x0: int, y0: int, x1: int, y1: int) -> np.ndarray:
-        """Level sums of the inclusive rectangle [x+x0..x+x1] x [y+y0..y+y1]."""
-        return corner(x1 + 1, y1 + 1) - corner(x1 + 1, y0) - corner(x0, y1 + 1) + corner(x0, y0)
-
-    # Integer-domain combinations: flat regions cancel to exactly zero.
-    dxx = box(-border, -lobe + 1, border, lobe - 1) - 3 * box(-half, -lobe + 1, half, lobe - 1)
-    dyy = box(-lobe + 1, -border, lobe - 1, border) - 3 * box(-lobe + 1, -half, lobe - 1, half)
-    dxy = (
-        box(1, -lobe, lobe, -1)
-        + box(-lobe, 1, -1, lobe)
-        - box(-lobe, -lobe, -1, -1)
-        - box(1, 1, lobe, lobe)
-    )
+    band = min(ny, max(1, BAND_CELLS // nx))
     inv_area = 1.0 / (255.0 * size * size)
-    dxx = dxx * inv_area
-    dyy = dyy * inv_area
-    dxy = dxy * inv_area
-    interior = (slice(i0, i0 + ny), slice(j0, j0 + nx))
-    responses[interior] = dxx * dyy - (DXY_WEIGHT * dxy) ** 2
-    signs[interior][dxx + dyy < 0] = -1
+    fxx, fyy, fxy = np.empty((3, band, nx))
+
+    def every(start: int, n: int) -> slice:
+        """n indices from start, stride apart."""
+        return slice(start, start + (n - 1) * stride + 1, stride)
+
+    def cols(d: int) -> slice:
+        """Columns x+d of every interior center x."""
+        return every(first * stride + d, nx)
+
+    for top in range(first, first + ny, band):
+        n = min(band, first + ny - top)
+        y = top * stride  # the band's first center row
+
+        def rows(d: int) -> slice:
+            """Rows y+d of the band's centers."""
+            return every(y + d, n)
+
+        # Dxx: both boxes span rows y-l+1..y+l-1, so one row strip serves both.
+        strip = table[rows(lobe)] - table[rows(1 - lobe)]
+        dxx = strip[:, cols(border + 1)] - strip[:, cols(-border)]
+        part = strip[:, cols(half + 1)] - strip[:, cols(-half)]
+        part *= 3
+        dxx -= part
+        # Dyy: the same with one column strip, over rows y-b..y+b+1.
+        span = slice(y - border, y + (n - 1) * stride + border + 2)
+        strip = table[span, cols(lobe)] - table[span, cols(1 - lobe)]
+        dyy = strip[every(2 * border + 1, n)] - strip[every(0, n)]
+        np.subtract(strip[every(border + half + 1, n)], strip[every(border - half, n)], out=part)
+        part *= 3
+        dyy -= part
+        # Dxy: one strip, the rows y-l..y-1 above the center minus y+1..y+l below.
+        strip = table[rows(0)] - table[rows(-lobe)]
+        strip -= table[rows(lobe + 1)]
+        strip += table[rows(1)]
+        dxy = strip[:, cols(lobe + 1)] - strip[:, cols(1)]
+        dxy -= strip[:, cols(0)]
+        dxy += strip[:, cols(-lobe)]
+
+        # One fixed order of float steps: scale each D, then Dxx Dyy - (0.9 Dxy)^2,
+        # and the sign of the scaled Dxx + Dyy.
+        bxx, byy, bxy = fxx[:n], fyy[:n], fxy[:n]
+        np.multiply(dxx, inv_area, out=bxx)
+        np.multiply(dyy, inv_area, out=byy)
+        np.multiply(dxy, inv_area, out=bxy)
+        cells = (slice(top, top + n), slice(first, first + nx))
+        out = responses[cells]
+        np.multiply(bxx, byy, out=out)
+        bxy *= DXY_WEIGHT
+        np.square(bxy, out=bxy)
+        out -= bxy
+        bxx += byy
+        signs[cells][bxx < 0] = -1
 
 
 def detect_interest_points(maps: list[ResponseMap], threshold: float) -> list[InterestPoint]:

@@ -4,9 +4,10 @@ Rectangular luminance sums cost O(1) via the four-corner identity on the
 one table an `IntegralImage` holds: the zero-padded inclusive int64 prefix
 table `padded`.  Haar responses, for orientation and descriptors, gather
 eight corners per sample from the padded table with each index clamped into
-it (see `features`); response maps read whole strided views of it, since
-their interior cells never need clipping.  `box_level_sums` clips any
-rectangles to the image, and `box_sums` is its unit-scaled form.
+it; response maps take strip differences of strided row and column slices
+of an int32 copy of it, one row band at a time (see `features`).
+`box_level_sums` clips any rectangles to the image, and `box_sums` is its
+unit-scaled form.
 
 Values are immutable after construction; all functions are pure.
 """
@@ -112,11 +113,20 @@ class IntegralImage:
 
 
 def to_grayscale(img: RasterImage) -> GrayImage:
-    """BT.601 luminance: round(0.299 r + 0.587 g + 0.114 b), half up, clamped."""
-    rgb = img.pixels.astype(np.float64)
-    lum = 0.299 * rgb[:, :, 0] + 0.587 * rgb[:, :, 1] + 0.114 * rgb[:, :, 2]
-    levels = np.clip(np.floor(lum + 0.5), 0.0, 255.0).astype(np.uint8)
-    return GrayImage(levels)
+    """BT.601 luminance: round(0.299 r + 0.587 g + 0.114 b), half up, clamped.
+
+    One channel at a time into one float buffer, with the sums in that order.
+    """
+    px = img.pixels
+    lum = np.multiply(px[:, :, 0], 0.299, dtype=np.float64)
+    term = np.multiply(px[:, :, 1], 0.587, dtype=np.float64)
+    lum += term
+    np.multiply(px[:, :, 2], 0.114, out=term, dtype=np.float64)
+    lum += term
+    lum += 0.5
+    np.floor(lum, out=lum)
+    np.clip(lum, 0.0, 255.0, out=lum)
+    return GrayImage(lum.astype(np.uint8))
 
 
 def build_integral(gray: GrayImage) -> IntegralImage:

@@ -3,9 +3,13 @@
 import argparse
 import json
 import math
+import os
+import shutil
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from arfex.cli import _extraction_config, main
 from arfex.image import RasterImage
@@ -13,6 +17,7 @@ from arfex.image_io import read_image, write_ppm
 from synthetic import blob_texture, noise_image, similarity_map, warp_similarity
 from conftest import gray_raster
 from oracles import flood_fill_labels
+from test_image_io import encode_png
 
 
 @pytest.fixture(scope="module")
@@ -368,3 +373,124 @@ def test_extract_json_deterministic(tmp_path, texture_ppm):
     assert main(["extract", "--input", str(texture_ppm), "--output", str(out1)]) == 0
     assert main(["extract", "--input", str(texture_ppm), "--output", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+# --- any argv ---------------------------------------------------------------
+
+# Each example runs in a fresh copy of the files `argv_files` makes, which is
+# also the working directory, so a junk token used as a path lands in it too.
+IMAGES = ("texture.ppm", "texture.png", "other.ppm", "tiny.ppm", "flat.ppm")
+ARGV_PATHS = IMAGES + (
+    "db.json", "corrupt.json", "info.txt", "info.bin", "dir",
+    "missing.ppm", "out.json", "out.ppm", "dir/out.json", "missing/out.json",
+)
+
+# What a shell can pass: any bytes but NUL, decoded the way Python decodes
+# argv.  Tokens that would abbreviate --help are left out: help exits 0.
+JUNK = (
+    st.binary(max_size=8)
+    .filter(lambda b: b"\0" not in b)
+    .map(os.fsdecode)
+    .filter(lambda t: not t.startswith(("-h", "--h")))
+)
+
+
+def one_in(n: int) -> st.SearchStrategy:
+    """True about once in n draws; shrinks to False."""
+    return st.sampled_from([False] * (n - 1) + [True])
+
+
+def mostly(common: st.SearchStrategy, rare: st.SearchStrategy) -> st.SearchStrategy:
+    """`rare` about once in five draws, `common` otherwise."""
+    return one_in(5).flatmap(lambda r: rare if r else common)
+
+
+PATH = mostly(st.sampled_from(ARGV_PATHS), JUNK)
+IMAGE = mostly(st.sampled_from(IMAGES), PATH)
+DB = mostly(st.just("db.json"), PATH)
+OUTPUT = mostly(st.sampled_from(["out.json", "out.ppm"]), PATH)
+TEXT = mostly(st.sampled_from(["a", "obj0", "Object 0", ""]), JUNK)
+FLOAT_TEXT = mostly(
+    st.sampled_from(["0", "4e-4", "0.01", "0.7", "1", "1.5", "-1", "nan", "inf", "1e400", "x", ""]),
+    st.floats().map(repr),
+)
+INT_TEXT = mostly(st.integers(-3, 300).map(str), st.sampled_from(["x", "", "1.5", "9" * 30, "-" + "9" * 30]))
+FLAG = None  # an option that takes no value
+
+# (required options, optional options) of each command, with their values.
+GRAMMAR = {
+    "extract": (
+        {"--input": IMAGE, "--output": OUTPUT},
+        {"--overlay": OUTPUT, "--threshold": FLOAT_TEXT, "--octaves": INT_TEXT, "--upright": FLAG},
+    ),
+    "blobs": (
+        {"--input": IMAGE, "--output": OUTPUT},
+        {"--threshold": INT_TEXT, "--polarity": st.sampled_from(["white", "black", "grey"]), "--min-pixels": INT_TEXT},
+    ),
+    "index": (
+        {"--db": DB, "--input": IMAGE, "--id": TEXT, "--name": TEXT, "--info": mostly(TEXT, PATH.map("@".__add__))},
+        {},
+    ),
+    "query": (
+        {"--db": DB, "--input": IMAGE, "--output": OUTPUT},
+        {"--annotate": OUTPUT, "--seed": INT_TEXT, "--ratio": FLOAT_TEXT},
+    ),
+    "annotate": (
+        {"--input": IMAGE, "--output": OUTPUT},
+        {"--threshold": FLOAT_TEXT, "--octaves": INT_TEXT, "--upright": FLAG},
+    ),
+}
+
+
+@st.composite
+def argvs(draw):
+    """A command with its required options (now and then one too few), some
+    optional ones, in any order, now and then with a junk token anywhere or
+    no command."""
+    command = draw(st.sampled_from(sorted(GRAMMAR)))
+    required, optional = GRAMMAR[command]
+    flags = [f for f in required if not draw(one_in(20))]
+    flags += draw(st.lists(st.sampled_from(sorted(optional)), max_size=3)) if optional else []
+    values = {**required, **optional}
+    argv = []
+    for flag in draw(st.permutations(flags)):
+        argv += [flag] if values[flag] is FLAG else [flag, draw(values[flag])]
+    while draw(one_in(6)):
+        argv.insert(draw(st.integers(0, len(argv))), draw(JUNK))
+    return argv if draw(one_in(20)) else [command, *argv]
+
+
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("argv")
+    texture = blob_texture(96, 96, 8, seed=41)
+    write_ppm(texture, root / "texture.ppm")
+    (root / "texture.png").write_bytes(encode_png(texture.pixels))
+    write_ppm(blob_texture(96, 96, 8, seed=42), root / "other.ppm")
+    write_ppm(gray_raster(np.full((6, 6), 90)), root / "tiny.ppm")
+    write_ppm(gray_raster(np.full((32, 32), 90)), root / "flat.ppm")
+    (root / "corrupt.json").write_text('{"version": 1, "objects": [')
+    (root / "info.txt").write_text("about the object")
+    (root / "info.bin").write_bytes(b"\xff\xfe")
+    (root / "dir").mkdir()
+    index = ["index", "--db", str(root / "db.json"), "--input", str(root / "texture.ppm")]
+    assert main([*index, "--id", "obj0", "--name", "O", "--info", "i"]) == 0
+    return root
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(argv=argvs())
+def test_any_argv_ends_in_an_exit_code_or_a_usage_error(argv_files, argv):
+    work = shutil.copytree(argv_files, tempfile.mkdtemp(dir=argv_files.parent), dirs_exist_ok=True)
+    cwd = os.getcwd()
+    os.chdir(work)
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        event("usage error")
+        assert exc.code == 2
+    else:
+        event(f"exit {code}")
+        assert code in {0, 1, 2, 3, 4}
+    finally:
+        os.chdir(cwd)

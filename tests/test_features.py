@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from arfex import features
 from arfex.errors import ImageTooSmall
 from arfex.features import (
+    BAND_CELLS,
     BLOCK,
     ExtractionConfig,
     InterestPoint,
@@ -21,7 +23,7 @@ from arfex.features import (
     extract_features,
     filter_sizes,
 )
-from arfex.image import RasterImage, box_level_sums, build_integral, to_grayscale
+from arfex.image import IntegralImage, RasterImage, box_level_sums, build_integral, to_grayscale
 from synthetic import apply_gain_offset, blob_texture, similarity_map, warp_similarity
 from conftest import gray_raster, random_raster
 from oracles import hessian_response_at, slice_box_sum
@@ -164,6 +166,56 @@ def test_response_maps_bit_identical_to_clipped_gather(levels):
                 assert m.responses[k].shape == want_resp.shape
                 assert m.responses[k].tobytes() == want_resp.tobytes()
                 assert m.laplacian_signs[k].tobytes() == want_signs.tobytes()
+
+
+def test_octave_layers_repeat_the_previous_octaves_odd_layers():
+    for octave in range(2, 5):
+        assert filter_sizes(octave, 4)[:2] == filter_sizes(octave - 1, 4)[1::2]
+
+
+@pytest.mark.parametrize(
+    "height, width",
+    [(12, 40000), (37, 300), (300, 11), (201, 157)],
+    ids=["12x40000", "37x300", "300x11", "201x157"],
+)
+def test_banded_layers_bit_identical_to_clipped_gather(monkeypatch, height, width):
+    # 12x40000 has one-row bands at BAND_CELLS; 1000 cells gives 201x157
+    # six-row bands with one row left over, and 1 cell one-row bands
+    # everywhere.  Reused layers must be the previous octave's, every other cell.
+    levels = np.random.default_rng(height * width).integers(0, 256, size=(height, width))
+    ii = integral_of(gray_raster(levels))
+    want = {}
+    for band_cells in (BAND_CELLS, 1000, 1):
+        monkeypatch.setattr(features, "BAND_CELLS", band_cells)
+        maps = build_response_maps(ii, ExtractionConfig(octaves=4))
+        for m in maps:
+            for k, size in enumerate(m.filter_sizes):
+                if (m.stride, size) not in want:
+                    want[m.stride, size] = gather_hessian_grid(ii, m.stride, size)
+                want_resp, want_signs = want[m.stride, size]
+                assert m.responses[k].tobytes() == want_resp.tobytes(), (band_cells, m.stride, size)
+                assert m.laplacian_signs[k].tobytes() == want_signs.tobytes(), (band_cells, m.stride, size)
+        for prev, m in zip(maps, maps[1:]):
+            assert m.responses[:2].tobytes() == prev.responses[1::2, ::2, ::2].tobytes()
+            assert m.laplacian_signs[:2].tobytes() == prev.laplacian_signs[1::2, ::2, ::2].tobytes()
+
+
+def test_response_maps_exact_when_the_table_wraps_int32():
+    # Box sums cancel any term that depends on the row alone or the column
+    # alone, so this table gives the same maps as the plain one.  Every entry
+    # is near 2**60: an int32 copy wraps on each one, and float64 would round.
+    levels = np.random.default_rng(5).integers(0, 256, size=(211, 203))
+    ii = integral_of(gray_raster(levels))
+    rng = np.random.default_rng(6)
+    h, w = ii.padded.shape
+    rows = rng.integers(-(2**45), 2**45, size=(h, 1))
+    cols = rng.integers(-(2**45), 2**45, size=(1, w))
+    shifted = IntegralImage(ii.padded + rows + cols + 2**60)
+    config = ExtractionConfig(octaves=4)
+    for m, s in zip(build_response_maps(ii, config), build_response_maps(shifted, config)):
+        assert np.any(m.responses[-1] != 0.0)
+        assert s.responses.tobytes() == m.responses.tobytes()
+        assert s.laplacian_signs.tobytes() == m.laplacian_signs.tobytes()
 
 
 def test_hessian_oracle_rejects_unit_floats(rng):

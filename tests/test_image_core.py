@@ -40,6 +40,21 @@ def test_grayscale_rounds_half_up():
     assert to_grayscale(solid(1, 0, 0)).levels[0, 0] == 0
 
 
+def test_grayscale_equals_whole_raster_float_formula_on_every_colour():
+    # All 2**24 colours, one red level (65,536 pixels) at a time, against
+    # the formula on a float64 copy of the raster.
+    green, blue = np.meshgrid(np.arange(256), np.arange(256), indexing="ij")
+    px = np.empty((256, 256, 3), dtype=np.uint8)
+    px[:, :, 1] = green
+    px[:, :, 2] = blue
+    for red in range(256):
+        px[:, :, 0] = red
+        rgb = px.astype(np.float64)
+        lum = 0.299 * rgb[:, :, 0] + 0.587 * rgb[:, :, 1] + 0.114 * rgb[:, :, 2]
+        want = np.clip(np.floor(lum + 0.5), 0.0, 255.0).astype(np.uint8)
+        assert to_grayscale(RasterImage(px)).levels.tobytes() == want.tobytes(), red
+
+
 def test_grayscale_idempotent_on_gray_input():
     values = np.arange(256, dtype=np.uint8).reshape(16, 16)
     img = RasterImage.from_gray(values)
