@@ -22,7 +22,7 @@ import numpy as np
 from .image import GrayImage
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Blob:
     """Merged region: size, tight bounding box, centroid, member runs."""
 

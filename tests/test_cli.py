@@ -17,7 +17,7 @@ from arfex.image_io import read_image, write_ppm
 from synthetic import blob_texture, noise_image, similarity_map, warp_similarity
 from conftest import gray_raster
 from oracles import flood_fill_labels
-from test_image_io import encode_png
+from test_image_io import encode_png, flip_chunk_byte
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +59,15 @@ def test_extract_overlay_has_red_marks(tmp_path, texture_ppm):
 def test_extract_missing_input_is_exit_2(tmp_path):
     out = tmp_path / "x.json"
     assert main(["extract", "--input", str(tmp_path / "nope.ppm"), "--output", str(out)]) == 2
+
+
+@pytest.mark.parametrize("ctype, offset", [(b"IHDR", 3), (b"IDAT", 2)])
+def test_extract_png_with_stale_crc_is_exit_2(tmp_path, capsys, ctype, offset):
+    png = tmp_path / "bad.png"
+    png.write_bytes(flip_chunk_byte(encode_png(blob_texture(32, 32, 2, seed=3).pixels), ctype, offset))
+    assert main(["extract", "--input", str(png), "--output", str(tmp_path / "x.json")]) == 2
+    assert f"PNG {ctype.decode()} chunk fails its CRC" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_extract_tiny_image_is_exit_3(tmp_path):

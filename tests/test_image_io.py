@@ -10,6 +10,7 @@ from hypothesis import event, given, settings, strategies as st
 
 from arfex.errors import ParseError
 from arfex.image import RasterImage
+from arfex import image_io
 from arfex.image_io import MAX_PNG_PIXELS, read_image, write_ppm
 from conftest import random_raster
 
@@ -181,8 +182,166 @@ def test_png_gray_each_filter_type_matches_reference(tmp_path, rng, ftype, width
     assert np.array_equal(img.pixels[:, :, 0], levels)
 
 
-def _png_with_header(width: int, height: int, idat: bytes) -> bytes:
-    ihdr = struct.pack(">IIBBBBB", width, height, 8, 0, 0, 0, 0)
+def _filtered_rows(filters, width: int, bpp: int, bright, seed: int) -> bytes:
+    """Filter-type byte plus `width * bpp` data bytes per row: `bright` rows of
+    255 then rows of 0 when `bright` is set, else bytes drawn from `seed`."""
+    height = len(filters)
+    if bright is None:
+        rows = np.random.default_rng(seed).integers(0, 256, (height, width * bpp + 1), dtype=np.uint8)
+    else:
+        rows = np.zeros((height, width * bpp + 1), dtype=np.uint8)
+        rows[:bright] = 255
+    rows[:, 0] = filters
+    return rows.tobytes()
+
+
+def _decoded_rows(path, raw: bytes, width: int, height: int, bpp: int) -> list[list[int]]:
+    path.write_bytes(_png_with_header(width, height, zlib.compress(raw), color=0 if bpp == 1 else 2))
+    pixels = read_image(path).pixels
+    return (pixels[:, :, 0] if bpp == 1 else pixels.reshape(height, -1)).tolist()
+
+
+@st.composite
+def filter_layouts(draw):
+    """Per-row filter types: one type for every row, the None-Sub-Up-Average-
+    Paeth cycle, runs of random length, or each row drawn on its own."""
+    height = draw(st.integers(1, 80))
+    kind = draw(st.sampled_from(("one", "cycle", "runs", "each")))
+    if kind == "one":
+        return [draw(st.integers(0, 4))] * height
+    if kind == "cycle":
+        return [y % 5 for y in range(height)]
+    if kind == "runs":
+        filters = []
+        while len(filters) < height:
+            filters += [draw(st.integers(0, 4))] * draw(st.integers(1, 20))
+        return filters[:height]
+    return draw(st.lists(st.integers(0, 4), min_size=height, max_size=height))
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(
+    filters=filter_layouts(),
+    width=st.integers(1, 64),
+    bpp=st.sampled_from((1, 3)),
+    bright=st.none() | st.integers(0, 80),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_png_rows_match_reference_unfilter(file_path, filters, width, bpp, bright, seed):
+    height = len(filters)
+    raw = _filtered_rows(filters, width, bpp, bright, seed)
+    assert _decoded_rows(file_path, raw, width, height, bpp) == reference_unfilter(raw, width, height, bpp)
+
+
+# Layouts that give the wavefront sweep one long chain, many one-row chains,
+# Up rows inside chains, and chains of unequal length after an Up run.
+SWEEP_CASES = [
+    # (filters, width, bpp)
+    ([4] * 80, 64, 1),
+    ([3] * 80, 64, 3),
+    ([y % 5 for y in range(80)], 64, 3),
+    ([1, 4] * 40, 64, 1),
+    ([0, 3, 2, 4, 3] * 16, 17, 3),
+    ([1, 4, 4, 4, 2, 3, 0, 2, 2, 4] * 8, 23, 1),
+]
+
+
+@pytest.mark.parametrize("filters, width, bpp", SWEEP_CASES)
+@pytest.mark.parametrize("bright", [None, 40])
+@pytest.mark.parametrize("values", [1, 4000, image_io.SWEEP_VALUES])
+def test_png_sweep_in_bands_and_batches_matches_reference(tmp_path, monkeypatch, filters, width, bpp, bright, values):
+    # A small SWEEP_VALUES cuts chains into bands of a few levels (one level
+    # at 1) and sweeps a band's chains in several batches.
+    monkeypatch.setattr(image_io, "SWEEP_VALUES", values)
+    height = len(filters)
+    raw = _filtered_rows(filters, width, bpp, bright, seed=height * width)
+    assert _decoded_rows(tmp_path / "rows.png", raw, width, height, bpp) == reference_unfilter(raw, width, height, bpp)
+
+
+@pytest.mark.parametrize("filters, sweeps", [([4] * 80, 14), ([1, 4] * 40, 7)])
+def test_png_small_sweep_budget_splits_the_sweep(tmp_path, monkeypatch, filters, sweeps):
+    # 64 gray pixels and 4000 values: 12 columns a sweep, bands of 6 levels.
+    # An 80-row chain takes 14 bands; 40 one-row chains need 2 columns each.
+    calls = []
+    sweep = image_io._sweep
+    monkeypatch.setattr(image_io, "SWEEP_VALUES", 4000)
+    monkeypatch.setattr(image_io, "_sweep", lambda out, starts, lengths, *args: calls.append(lengths) or sweep(out, starts, lengths, *args))
+    raw = _filtered_rows(filters, 64, 1, None, seed=3)
+    assert _decoded_rows(tmp_path / "rows.png", raw, 64, 80, 1) == reference_unfilter(raw, 64, 80, 1)
+    assert len(calls) == sweeps
+    assert max(len(n) + n.sum() for n in calls) <= 12 + 6 + 1
+    assert max(n.max() for n in calls) <= 6
+
+
+def test_png_sweep_memory_is_bounded(tmp_path, monkeypatch):
+    # 256 one-row Paeth chains of 512 RGB pixels.  Besides the file, the
+    # inflated rows and the output, the sweep holds at most about
+    # 1.5 * SWEEP_VALUES int32 values; one sweep of all rows would hold
+    # 3.2 MB.
+    monkeypatch.setattr(image_io, "SWEEP_VALUES", 1 << 16)
+    width = height = 512
+    raw = _filtered_rows([1, 4] * (height // 2), width, 3, None, seed=5)
+    data = _png_with_header(width, height, zlib.compress(raw, 1), color=2)
+    path = tmp_path / "big.png"
+    path.write_bytes(data)
+    read_image(path)  # builds the cached predictor table
+    tracemalloc.start()
+    try:
+        read_image(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < len(data) + 2 * len(raw) + 8 * image_io.SWEEP_VALUES
+
+
+def test_valid_fuzz_file_with_chains_decodes(tmp_path):
+    path = tmp_path / "chains.png"
+    path.write_bytes(VALID_FILES[3])
+    assert np.array_equal(read_image(path).pixels, CHAIN_PIXELS)
+
+
+@pytest.mark.parametrize("bad", [{6: 5}, {3: 255, 5: 7}])
+def test_png_unknown_filter_type_rejected_before_any_row(tmp_path, bad):
+    # Type 5 on the last row; 255 on a middle row and 7 on a later one.  The
+    # error names the first bad row's type.
+    filters = [4, 3, 2, 1, 4, 3, 0]
+    for row, ftype in bad.items():
+        filters[row] = ftype
+    path = tmp_path / "t.png"
+    path.write_bytes(_png_with_header(5, 7, zlib.compress(_filtered_rows(filters, 5, 3, None, seed=1)), color=2))
+    with pytest.raises(ParseError, match=f"unknown PNG filter type {bad[min(bad)]}$"):
+        read_image(path)
+
+
+def flip_chunk_byte(data: bytes, ctype: bytes, offset: int) -> bytes:
+    """Invert one payload byte of the first `ctype` chunk, keeping its old CRC."""
+    at = data.index(ctype) + 4 + offset
+    return data[:at] + bytes([data[at] ^ 0xFF]) + data[at + 1 :]
+
+
+@pytest.mark.parametrize("ctype, offset", [(b"IHDR", 12), (b"IHDR", 0), (b"IDAT", 5)])
+def test_png_critical_chunk_with_stale_crc_rejected(tmp_path, rng, ctype, offset):
+    data = encode_png(rng.integers(0, 256, size=(6, 5, 3), dtype=np.uint8), filters=[0, 1, 2, 3, 4, 0])
+    path = tmp_path / "crc.png"
+    path.write_bytes(data)
+    read_image(path)
+    path.write_bytes(flip_chunk_byte(data, ctype, offset))
+    with pytest.raises(ParseError, match=f"PNG {ctype.decode()} chunk fails its CRC"):
+        read_image(path)
+
+
+def test_png_ancillary_chunk_crc_not_checked(tmp_path, rng):
+    pixels = rng.integers(0, 256, size=(3, 4), dtype=np.uint8)
+    data = encode_png(pixels)
+    text = struct.pack(">I", 4) + b"tEXt" + b"a\x00bc" + b"\x00\x00\x00\x00"  # wrong CRC
+    at = 8 + 25  # after the IHDR chunk
+    path = tmp_path / "anc.png"
+    path.write_bytes(data[:at] + text + data[at:])
+    assert np.array_equal(read_image(path).pixels[:, :, 0], pixels)
+
+
+def _png_with_header(width: int, height: int, idat: bytes, color: int = 0) -> bytes:
+    ihdr = struct.pack(">IIBBBBB", width, height, 8, color, 0, 0, 0)
     return (
         b"\x89PNG\r\n\x1a\n"
         + _png_chunk(b"IHDR", ihdr)
@@ -270,20 +429,38 @@ def test_ppm_header_values_of_thousands_of_digits_rejected(tmp_path):
 
 # --- any file bytes: a RasterImage or a ParseError ---------------------------
 
+# 12 rows of 4 RGB pixels: Paeth and Average chains of one, two and three
+# rows, from the top, after a Sub row and after an Up run, one with an Up row.
+CHAIN_PIXELS = (np.arange(12 * 4 * 3) * 37 % 256).astype(np.uint8).reshape(12, 4, 3)
 VALID_FILES = (
     encode_png(np.arange(12, dtype=np.uint8).reshape(3, 4) * 20),
     encode_png(np.arange(18, dtype=np.uint8).reshape(2, 3, 3) * 13, filters=[3, 4]),
     encode_png(np.arange(12, dtype=np.uint8).reshape(3, 4), filters=[1, 2, 4]),
+    encode_png(CHAIN_PIXELS, filters=[4, 3, 1, 3, 4, 2, 0, 4, 1, 2, 3, 4]),
     b"P6\n2 2\n255\n" + bytes(range(12)),
     b"P5 # comment\n3 2\n255\n" + bytes(range(6)),
 )
 
 
+def _with_fresh_crcs(data: bytearray) -> bytearray:
+    """Rewrite the CRC of every whole PNG chunk, so that a mutated chunk gets
+    past the CRC check to the parser behind it."""
+    pos = 8
+    while pos + 12 <= len(data):
+        end = pos + 8 + int.from_bytes(data[pos : pos + 4], "big")
+        if end + 4 > len(data):
+            break
+        data[end : end + 4] = zlib.crc32(data[pos + 4 : end]).to_bytes(4, "big")
+        pos = end + 4
+    return data
+
+
 @st.composite
 def image_files(draw):
     """Mostly a small valid PNG or PPM with one to four bytes after its magic
-    set, inserted or deleted, or cut short, half of them in its header;
-    sometimes any bytes after a known magic."""
+    set, inserted or deleted, or cut short, half of them in its header, and
+    for half of the PNGs every chunk CRC made valid again; sometimes any
+    bytes after a known magic."""
     if draw(st.integers(0, 4)) == 0:
         magic = draw(st.sampled_from((b"", b"P5", b"P6", b"\x89PNG\r\n\x1a\n")))
         return magic + draw(st.binary(max_size=64))
@@ -301,6 +478,8 @@ def image_files(draw):
             del data[at]
         elif action == "cut":
             del data[at:]
+    if magic == 8 and draw(st.booleans()):
+        data = _with_fresh_crcs(data)
     return bytes(data)
 
 
