@@ -23,6 +23,7 @@ from .errors import (
 from .features import (
     Descriptor,
     ExtractionConfig,
+    Features,
     InterestPoint,
     ResponseMap,
     assign_orientation,
@@ -50,7 +51,6 @@ from .image import (
     to_grayscale,
 )
 from .image_io import read_image, write_ppm
-from .matching import Match
 from .store import (
     Database,
     ObjectRecord,
@@ -73,13 +73,13 @@ __all__ = [
     "Descriptor",
     "DuplicateId",
     "ExtractionConfig",
+    "Features",
     "GrayImage",
     "Homography",
     "ImageTooSmall",
     "InsufficientMatches",
     "IntegralImage",
     "InterestPoint",
-    "Match",
     "NoFeatures",
     "ObjectRecord",
     "ParseError",

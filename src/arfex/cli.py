@@ -23,14 +23,14 @@ from .errors import (
     ParseError,
     VersionMismatch,
 )
-from .features import ExtractionConfig, extract_features
+from .features import ExtractionConfig, Features, extract_features
 from .image import to_grayscale
 from .store import (
     Database,
     UNRECOGNIZED,
+    features_to_json,
     index_image,
     load_db,
-    point_to_json,
     query_image,
     save_db,
 )
@@ -125,11 +125,8 @@ def cmd_extract(args) -> int:
     img = image_io.read_image(args.input)
     cfg = _extraction_config(args)
     points, descriptors = extract_features(img, cfg)
-    doc = {
-        "config": cfg.to_dict(),
-        "points": [point_to_json(p) for p in points],
-        "descriptors": [d.components.tolist() for d in descriptors],
-    }
+    features = features_to_json(Features.from_points(points, descriptors))
+    doc = {"config": cfg.to_dict(), "points": features["keypoints"], "descriptors": features["descriptors"]}
     _write_json(args.output, doc)
     if args.overlay:
         image_io.write_ppm(draw.keypoint_overlay(img, points), args.overlay)
@@ -210,18 +207,12 @@ def cmd_query(args) -> int:
         doc["inlier_indices"] = best.verification.inlier_indices
     _write_json(args.output, doc)
     if args.annotate:
+        overlay = img
         if result.recognized:
             best = result.ranked[0]
             record = next(r for r in db.records if r.object_id == best.object_id)
-            inlier_pts = [
-                query_points[best.matches[i].query_index]
-                for i in best.verification.inlier_indices
-            ]
-            overlay = draw.recognition_overlay(
-                img, inlier_pts, best.verification.model, record.image_size
-            )
-        else:
-            overlay = img
+            inliers = [query_points[q] for q in best.matches[best.verification.inlier_indices, 0].tolist()]
+            overlay = draw.recognition_overlay(img, inliers, best.verification.model, record.image_size)
         image_io.write_ppm(overlay, args.annotate)
     return EXIT_OK if result.recognized else EXIT_UNRECOGNIZED
 

@@ -208,6 +208,43 @@ class Descriptor:
     laplacian_sign: int
 
 
+@dataclass(frozen=True, eq=False)
+class Features:
+    """N interest points and their descriptors as one read-only table.
+
+    Row i of every field is point i: `xy` (N, 2), `scale`, `response`,
+    `orientation`, `sign` (the Laplacian sign, int8 +1 or -1) and `desc`
+    (N, DESCRIPTOR_LENGTH); all but `sign` are float64.  The constructor
+    copies each field, checks its shape and makes it read-only.
+    """
+
+    xy: np.ndarray
+    scale: np.ndarray
+    response: np.ndarray
+    orientation: np.ndarray
+    sign: np.ndarray
+    desc: np.ndarray
+
+    def __post_init__(self):
+        n = len(self.xy)
+        for f in dataclasses.fields(self):
+            a = np.array(getattr(self, f.name), dtype=np.int8 if f.name == "sign" else np.float64, order="C")
+            if a.shape != {"xy": (n, 2), "desc": (n, DESCRIPTOR_LENGTH)}.get(f.name, (n,)):
+                raise ValueError(f"Features.{f.name} of shape {a.shape} does not fit {n} points")
+            a.flags.writeable = False
+            object.__setattr__(self, f.name, a)
+
+    @classmethod
+    def from_points(cls, points: list[InterestPoint], descriptors: list[Descriptor]) -> "Features":
+        """The table of `extract_features`' lists, the sign read from the points:
+        the one place they become arrays, gone once `extract_features`
+        returns a `Features` itself."""
+        rows = [(p.x, p.y, p.scale, p.response, p.orientation, p.laplacian_sign) for p in points]
+        table = np.array(rows, dtype=np.float64).reshape(-1, 6)
+        desc = np.array([d.components for d in descriptors], dtype=np.float64).reshape(-1, DESCRIPTOR_LENGTH)
+        return cls(table[:, :2], *table[:, 2:].T, desc)
+
+
 def build_response_maps(ii: IntegralImage, config: Optional[ExtractionConfig] = None) -> list[ResponseMap]:
     """One response map per octave, in octave order."""
     config = config or ExtractionConfig()

@@ -213,7 +213,7 @@ def ransac_verify(src, dst, seed: int = 0) -> VerificationResult:
 
     best_count = 0
     best_model: Optional[Homography] = None
-    best_mask: Optional[np.ndarray] = None
+    best_err: Optional[np.ndarray] = None
     needed = MAX_ITERATIONS
     it = 0
     while it < needed:
@@ -224,12 +224,11 @@ def ransac_verify(src, dst, seed: int = 0) -> VerificationResult:
         except (DegenerateConfiguration, SingularSystem):
             continue
         err = reprojection_errors(candidate, src, dst)
-        mask = err <= INLIER_THRESHOLD
-        count = int(mask.sum())
+        count = int(np.count_nonzero(err <= INLIER_THRESHOLD))
         if count > best_count:
             best_count = count
             best_model = candidate
-            best_mask = mask
+            best_err = err
             w = count / n
             miss = 1.0 - w**SAMPLE_SIZE
             if miss <= 0.0:
@@ -247,8 +246,10 @@ def ransac_verify(src, dst, seed: int = 0) -> VerificationResult:
     # noisy 4-point hypothesis missed.  Candidate A iterates the refit at the
     # inlier threshold; candidate B first polishes at a widened threshold
     # (2x, 1.5x) before tightening.  Both are bounded and deterministic; the
-    # better consensus wins.
-    def tighten(model, mask):
+    # better consensus wins.  Each model travels with its reprojection errors,
+    # from which its inliers and their mean error are read.
+    def tighten(model, err):
+        mask = err <= INLIER_THRESHOLD
         for _ in range(10):
             consensus = np.flatnonzero(mask)
             if len(consensus) < SAMPLE_SIZE:
@@ -257,20 +258,18 @@ def ransac_verify(src, dst, seed: int = 0) -> VerificationResult:
                 refit = estimate_homography(src[consensus], dst[consensus])
             except (DegenerateConfiguration, SingularSystem):
                 break
-            err = reprojection_errors(refit, src, dst)
-            new_mask = err <= INLIER_THRESHOLD
+            refit_err = reprojection_errors(refit, src, dst)
+            new_mask = refit_err <= INLIER_THRESHOLD
             if int(new_mask.sum()) < int(mask.sum()):
                 break
             converged = bool(np.array_equal(new_mask, mask))
-            model = refit
-            mask = new_mask
+            model, err, mask = refit, refit_err, new_mask
             if converged:
                 break
-        return model, mask
+        return model, err
 
-    def widened(model):
+    def widened(model, err):
         for factor in (2.0, 1.5):
-            err = reprojection_errors(model, src, dst)
             wide = np.flatnonzero(err <= factor * INLIER_THRESHOLD)
             if len(wide) < SAMPLE_SIZE:
                 continue
@@ -278,32 +277,21 @@ def ransac_verify(src, dst, seed: int = 0) -> VerificationResult:
                 model = estimate_homography(src[wide], dst[wide])
             except (DegenerateConfiguration, SingularSystem):
                 continue
-        return model
+            err = reprojection_errors(model, src, dst)
+        return model, err
 
-    def score(model, mask):
-        err = reprojection_errors(model, src, dst)
-        idx = np.flatnonzero(mask)
-        mean_err = float(err[idx].mean()) if len(idx) else math.inf
-        return len(idx), mean_err
+    def inliers_of(err):
+        inliers = np.flatnonzero(err <= INLIER_THRESHOLD)
+        return inliers, float(err[inliers].mean()) if len(inliers) else math.inf
 
-    model_a, mask_a = tighten(best_model, best_mask)
-    model_b = widened(best_model)
-    mask_b = reprojection_errors(model_b, src, dst) <= INLIER_THRESHOLD
-    model_b, mask_b = tighten(model_b, mask_b)
-    count_a, err_a = score(model_a, mask_a)
-    count_b, err_b = score(model_b, mask_b)
-    if (count_b, -err_b) > (count_a, -err_a):
-        model, mask = model_b, mask_b
+    model_a, err_a = tighten(best_model, best_err)
+    model_b, err_b = tighten(*widened(best_model, best_err))
+    inliers_a, mean_a = inliers_of(err_a)
+    inliers_b, mean_b = inliers_of(err_b)
+    if (len(inliers_b), -mean_b) > (len(inliers_a), -mean_a):
+        model, inliers, mean_err = model_b, inliers_b, mean_b
     else:
-        model, mask = model_a, mask_a
+        model, inliers, mean_err = model_a, inliers_a, mean_a
 
-    err = reprojection_errors(model, src, dst)
-    inliers = np.flatnonzero(err <= INLIER_THRESHOLD)
-    mean_err = float(err[inliers].mean()) if len(inliers) else math.inf
     verified = len(inliers) >= min_inliers and _plausible_view(model, src[inliers])
-    return VerificationResult(
-        model=model if verified else None,
-        inlier_indices=[int(i) for i in inliers],
-        mean_reprojection_error=mean_err,
-        verified=verified,
-    )
+    return VerificationResult(model if verified else None, inliers.tolist(), mean_err, verified)

@@ -1,7 +1,10 @@
 """Descriptor matching: Laplacian-sign prefilter + nearest-neighbor ratio test.
 
 One core, `match_sets`, matches a query's descriptor matrix against every
-record of a `TargetSet` (all records' descriptors as one matrix) at once.
+record of a `TargetSet` at once: the records' `features.Features` `desc`
+rows and `sign`s, concatenated in record order.  Matches come back as index
+arrays, not per-match objects.
+
 The answer is defined by the exact distance
 `sqrt(einsum("ij,ij->i", t - q, t - q))` between a query row q and each
 same-sign target row t, with Lowe's ratio test (IJCV 2004) on the nearest
@@ -34,14 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import DESCRIPTOR_LENGTH, Descriptor
-
-
-@dataclass(frozen=True)
-class Match:
-    query_index: int
-    target_index: int
-    distance: float
+from .features import DESCRIPTOR_LENGTH, Features
 
 
 # A lone same-sign candidate has no second neighbour for the ratio test; it is
@@ -62,13 +58,14 @@ SCREEN_ABS = 1e-300  # delta floor, above the error of underflowed products
 class TargetSet:
     """The descriptors of R records as one matrix.
 
-    Rows offsets[r]:offsets[r + 1] of `desc` and `signs` are record r's, in
+    `desc` and `signs` are the concatenations of the records' `Features.desc`
+    and `Features.sign`: rows offsets[r]:offsets[r + 1] are record r's, in
     record order.  `starts` are the offsets of the non-empty records, and
     `segment[j]` is the index into `starts` of row j's record.
     """
 
     desc: np.ndarray  # (M, 64) float64
-    signs: np.ndarray  # (M,) Laplacian signs
+    signs: np.ndarray  # (M,) int8 Laplacian signs
     offsets: np.ndarray  # (R + 1,)
     record: np.ndarray  # (M,) record of each row
     starts: np.ndarray
@@ -77,9 +74,10 @@ class TargetSet:
     max_norm: float
 
     @classmethod
-    def build(cls, records: list[list[Descriptor]]) -> "TargetSet":
-        counts = np.array([len(r) for r in records], dtype=np.intp)
-        desc, signs = descriptor_arrays([d for r in records for d in r])
+    def build(cls, records: list[Features]) -> "TargetSet":
+        counts = np.array([len(r.desc) for r in records], dtype=np.intp)
+        desc = np.concatenate([np.zeros((0, DESCRIPTOR_LENGTH)), *(r.desc for r in records)])
+        signs = np.concatenate([np.zeros(0, dtype=np.int8), *(r.sign for r in records)])
         sq = np.einsum("ij,ij->i", desc, desc)
         offsets = np.concatenate(([0], np.cumsum(counts)))
         return cls(
@@ -97,12 +95,6 @@ class TargetSet:
 def block_rows(m: int) -> int:
     """Query rows per screen against m target rows."""
     return max(1, SCREEN_ELEMENTS // m)
-
-
-def descriptor_arrays(descs: list[Descriptor]) -> tuple[np.ndarray, np.ndarray]:
-    """The (N, 64) component matrix and (N,) Laplacian signs of a list."""
-    desc = np.array([d.components for d in descs], dtype=np.float64).reshape(-1, DESCRIPTOR_LENGTH)
-    return desc, np.array([d.laplacian_sign for d in descs], dtype=np.int64)
 
 
 def match_sets(

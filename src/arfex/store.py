@@ -4,11 +4,12 @@ A Database is an immutable snapshot: indexing returns a new snapshot,
 queries never mutate.  Persistence is a single versioned JSON document;
 floats survive the round trip exactly.
 
-A query builds its match arrays from the records it is given: every
-record's descriptors as one `matching.TargetSet` and the keypoints as one
-(M, 2) xy array, in record order.  They live only for that query, so a
-snapshot holds no state besides its records, and indexing or saving never
-pays for them.  Building them takes O(M) against the O(N * M) screen.
+A record holds its features as one read-only `features.Features` table,
+written by `features_to_json` (also used by `arfex extract`) and read back
+by one validator.  A query concatenates the records' `desc` and `sign`
+into one `matching.TargetSet`, and their `xy` into one (M, 2) array, in
+record order.  These live only for that query, so a snapshot holds no state
+besides its records.  Building them takes O(M) against the O(N * M) screen.
 """
 
 from __future__ import annotations
@@ -23,10 +24,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import DuplicateId, InsufficientMatches, NoFeatures, ParseError, VersionMismatch
-from .features import DESCRIPTOR_LENGTH, Descriptor, ExtractionConfig, InterestPoint, extract_features
+from .features import DESCRIPTOR_LENGTH, ExtractionConfig, Features, InterestPoint, extract_features
 from .geometry import VerificationResult, ransac_verify
 from .image import RasterImage
-from .matching import Match, TargetSet, descriptor_arrays, match_sets
+from .matching import TargetSet, match_sets
 
 DB_VERSION = 1
 UNRECOGNIZED = "unrecognized"
@@ -40,8 +41,7 @@ class ObjectRecord:
     name: str
     info: str
     image_size: tuple[int, int]  # (width, height)
-    keypoints: list[InterestPoint]
-    descriptors: list[Descriptor]
+    features: Features
 
 
 @dataclass
@@ -52,12 +52,14 @@ class Database:
 
 @dataclass
 class RankedCandidate:
-    """Per-record query outcome; `matches` are kept for overlay drawing."""
+    """Per-record query outcome.  `matches`, kept for overlay drawing, is a
+    (match_count, 2) intp array of (query row, record row) pairs in match
+    order, which `verification.inlier_indices` index."""
 
     object_id: str
     match_count: int
     verification: VerificationResult
-    matches: list[Match] = field(default_factory=list)
+    matches: np.ndarray
 
 
 @dataclass
@@ -86,8 +88,7 @@ def index_image(db: Database, img: RasterImage, object_id: str, name: str, info:
         name=name,
         info=info,
         image_size=(img.width, img.height),
-        keypoints=points,
-        descriptors=descriptors,
+        features=Features.from_points(points, descriptors),
     )
     return Database(extraction_config=db.extraction_config, records=[*db.records, record])
 
@@ -108,27 +109,19 @@ def query_image(
     points, descriptors = extract_features(img, db.extraction_config)
     if not points:
         raise NoFeatures("query image produced no interest points")
-    targets = TargetSet.build([r.descriptors for r in db.records])
-    keypoint_xy = _xy([p for r in db.records for p in r.keypoints])
-    matched, query, target, dist = match_sets(*descriptor_arrays(descriptors), targets, ratio)
+    query = Features.from_points(points, descriptors)
+    targets = TargetSet.build([r.features for r in db.records])
+    keypoint_xy = np.concatenate([np.zeros((0, 2)), *(r.features.xy for r in db.records)])
+    matched, qrow, trow, _ = match_sets(query.desc, query.sign, targets, ratio)
     bounds = np.searchsorted(matched, np.arange(len(db.records) + 1))  # each record's rows
-    query_xy = _xy(points)
     ranked: list[RankedCandidate] = []
     for r, rec in enumerate(db.records):
-        qi, tj, d = (a[bounds[r] : bounds[r + 1]] for a in (query, target, dist))
-        matches = list(map(Match, qi.tolist(), (tj - targets.offsets[r]).tolist(), d.tolist()))
+        qi, tj = qrow[bounds[r] : bounds[r + 1]], trow[bounds[r] : bounds[r + 1]]
         try:
-            verification = ransac_verify(keypoint_xy[tj], query_xy[qi], seed)
+            verification = ransac_verify(keypoint_xy[tj], query.xy[qi], seed)
         except InsufficientMatches:
             verification = VerificationResult(None, [], math.inf, False)
-        ranked.append(
-            RankedCandidate(
-                object_id=rec.object_id,
-                match_count=len(matches),
-                verification=verification,
-                matches=matches,
-            )
-        )
+        ranked.append(RankedCandidate(rec.object_id, len(qi), verification, np.stack([qi, tj - targets.offsets[r]], 1)))
     ranked.sort(
         key=lambda c: (
             not c.verification.verified,
@@ -137,35 +130,27 @@ def query_image(
             c.object_id,
         )
     )
-    best = UNRECOGNIZED
-    info = None
-    for cand in ranked:
-        if cand.verification.verified:
-            best = cand.object_id
-            rec = next(r for r in db.records if r.object_id == best)
-            info = {"name": rec.name, "info": rec.info}
-            break
+    verified = [c.object_id for c in ranked if c.verification.verified]
+    best = verified[0] if verified else UNRECOGNIZED
+    info = next({"name": r.name, "info": r.info} for r in db.records if r.object_id == best) if verified else None
     return QueryResult(ranked=ranked, best=best, associated_info=info), points
-
-
-def _xy(points: list[InterestPoint]) -> np.ndarray:
-    return np.array([(p.x, p.y) for p in points], dtype=np.float64).reshape(-1, 2)
 
 
 # --- persistence --------------------------------------------------------
 
-_POINT_FLOATS = ("x", "y", "scale", "response", "orientation")
+KEYPOINT_KEYS = ("x", "y", "scale", "orientation", "laplacian", "response")  # in written order
+MAX_IMAGE_SIDE = 2**31 - 1  # PNG's own limit on a side
 
 
-def point_to_json(p: InterestPoint) -> dict:
-    """The JSON form of an interest point, in databases and `arfex extract` output."""
+def features_to_json(f: Features) -> dict:
+    """The JSON form of a features table, in databases and `arfex extract`
+    output: one dict per keypoint, keyed by KEYPOINT_KEYS, and one list of
+    numbers per descriptor row."""
+    columns = (f.xy[:, 0], f.xy[:, 1], f.scale, f.orientation, f.sign, f.response)
+    rows = zip(*(c.tolist() for c in columns))
     return {
-        "x": p.x,
-        "y": p.y,
-        "scale": p.scale,
-        "orientation": p.orientation,
-        "laplacian": p.laplacian_sign,
-        "response": p.response,
+        "keypoints": [dict(zip(KEYPOINT_KEYS, row)) for row in rows],
+        "descriptors": f.desc.tolist(),
     }
 
 
@@ -177,40 +162,47 @@ def _typed(d: dict, key: str, *types: type):
     return value
 
 
-def _point_from_json(d: dict) -> InterestPoint:
-    values = [float(_typed(d, k, int, float)) for k in _POINT_FLOATS]
-    if not all(map(math.isfinite, values)):
-        raise ParseError(f"keypoint has a non-finite field: {d!r}")
-    x, y, scale, response, orientation = values
-    laplacian = _typed(d, "laplacian", int, float)
-    if laplacian not in (1, -1):
-        raise ParseError(f"keypoint laplacian must be 1 or -1, got {laplacian!r}")
-    return InterestPoint(x, y, scale, response, int(laplacian), orientation)
+def _numeric_rows(rows: list, width: int, what: str) -> np.ndarray:
+    """`rows` as an (n, width) float64 array, n >= 1, every element a finite
+    JSON number.  A number is an int or a float, not a bool; it is read as
+    the nearest float64, so an int past the float range is refused."""
+    # Element types are read before np.array, which would turn a JSON true into 1.0.
+    if not set(map(type, chain.from_iterable(rows))) <= {int, float}:
+        raise ParseError(f"{what} must be JSON numbers")
+    array = np.array(rows, dtype=np.float64)
+    if array.ndim != 2 or array.shape[1] != width or not len(array):
+        raise ParseError(f"{what} must be one or more rows of {width} numbers each")
+    if not np.isfinite(array).all():
+        raise ParseError(f"{what} has a non-finite value")
+    return array
+
+
+def _features_from_json(obj: dict, object_id: str) -> Features:
+    """The one validator of a record's `keypoints` and `descriptors`;
+    `Features` refuses unequal row counts."""
+    keypoints = _numeric_rows(
+        [[p[k] for k in KEYPOINT_KEYS] for p in obj["keypoints"]], len(KEYPOINT_KEYS), f"object {object_id!r} keypoints"
+    )
+    desc = _numeric_rows(obj["descriptors"], DESCRIPTOR_LENGTH, f"object {object_id!r} descriptors")
+    scale, orientation, sign, response = keypoints[:, 2:].T
+    if not (np.abs(sign) == 1.0).all():
+        raise ParseError(f"object {object_id!r}: keypoint laplacian must be 1 or -1")
+    return Features(keypoints[:, :2], scale, response, orientation, sign, desc)
 
 
 def _record_from_json(obj: dict) -> ObjectRecord:
     object_id, name, info = (_typed(obj, k, str) for k in ("id", "name", "info"))
     size = _typed(obj, "image_size", list)
-    if len(size) != 2 or not all(type(v) is int and v >= 1 for v in size):
-        raise ParseError(f"object {object_id!r}: image_size must be two integers >= 1, got {size!r}")
-    keypoints = [_point_from_json(p) for p in obj["keypoints"]]
-    if not keypoints or len(keypoints) != len(obj["descriptors"]):
-        raise ParseError(f"object {object_id!r} has mismatched or empty features")
-    # Element types are read before np.asarray, which would turn a JSON true into 1.0.
-    types = set(map(type, chain.from_iterable(obj["descriptors"])))
-    rows = np.asarray(obj["descriptors"])
-    if not types <= {int, float} or rows.shape != (len(keypoints), DESCRIPTOR_LENGTH) or rows.dtype.kind not in "fi":
-        raise ParseError(f"object {object_id!r}: descriptors must be {DESCRIPTOR_LENGTH} numbers each")
-    rows = rows.astype(np.float64, copy=False)
-    if not np.isfinite(rows).all():
-        raise ParseError(f"object {object_id!r} has a non-finite descriptor component")
+    if len(size) != 2 or not all(type(v) is int and 1 <= v <= MAX_IMAGE_SIDE for v in size):
+        raise ParseError(
+            f"object {object_id!r}: image_size must be two integers in [1, {MAX_IMAGE_SIDE}], got {size!r}"
+        )
     return ObjectRecord(
         object_id=object_id,
         name=name,
         info=info,
         image_size=tuple(size),
-        keypoints=keypoints,
-        descriptors=[Descriptor(components=c, laplacian_sign=p.laplacian_sign) for c, p in zip(rows, keypoints)],
+        features=_features_from_json(obj, object_id),
     )
 
 
@@ -224,8 +216,7 @@ def db_to_json(db: Database) -> dict:
                 "name": r.name,
                 "info": r.info,
                 "image_size": list(r.image_size),
-                "keypoints": [point_to_json(p) for p in r.keypoints],
-                "descriptors": [d.components.tolist() for d in r.descriptors],
+                **features_to_json(r.features),
             }
             for r in db.records
         ],

@@ -11,9 +11,12 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
+from arfex import draw
 from arfex.cli import _extraction_config, main
+from arfex.geometry import reprojection_errors
 from arfex.image import RasterImage
 from arfex.image_io import read_image, write_ppm
+from arfex.store import load_db, query_image
 from synthetic import blob_texture, noise_image, similarity_map, warp_similarity
 from conftest import gray_raster
 from oracles import flood_fill_labels
@@ -287,6 +290,26 @@ def test_query_annotate_corners_match_ground_truth(tmp_path):
     assert red.any()
 
 
+def test_query_annotate_circles_the_query_points_of_the_inliers(tmp_path):
+    db = build_db(tmp_path)
+    query = warp_similarity(read_image(tmp_path / "obj1.ppm"), 10.0, 0.9)
+    query_path = tmp_path / "query.ppm"
+    write_ppm(query, query_path)
+    annotated = tmp_path / "annotated.ppm"
+    args = ["query", "--db", str(db), "--input", str(query_path), "--output", str(tmp_path / "r.json")]
+    assert main([*args, "--annotate", str(annotated), "--seed", "0"]) == 0
+    loaded = load_db(db)
+    result, points = query_image(loaded, query, seed=0)
+    best = result.ranked[0]
+    record = next(r for r in loaded.records if r.object_id == best.object_id)
+    query_rows, record_rows = best.matches[best.verification.inlier_indices].T
+    # the model maps each inlier's record point onto its query point
+    query_xy = np.array([(points[q].x, points[q].y) for q in query_rows])
+    assert (reprojection_errors(best.verification.model, record.features.xy[record_rows], query_xy) <= 3.0).all()
+    want = draw.recognition_overlay(query, [points[q] for q in query_rows], best.verification.model, record.image_size)
+    assert np.array_equal(read_image(annotated).pixels, want.pixels)
+
+
 def test_query_output_byte_identical_across_runs(tmp_path):
     db = build_db(tmp_path)
     out1 = tmp_path / "r1.json"
@@ -340,6 +363,23 @@ def test_query_annotates_a_record_of_huge_image_size(tmp_path):
     assert code == 0
     assert read_json(out)["best"] == "obj0"
     assert (read_image(annotated).pixels == (255, 0, 0)).all(axis=2).any()
+
+
+@pytest.mark.parametrize("size", [[10**400, 5], [5, 2**31]])
+def test_query_annotate_record_beyond_png_side_limit_exit_2(tmp_path, capsys, size):
+    db = build_db(tmp_path, seeds=(31,))
+    doc = read_json(db)
+    doc["objects"][0]["image_size"] = size
+    db.write_text(json.dumps(doc))
+    out = tmp_path / "result.json"
+    annotated = tmp_path / "annotated.ppm"
+    code = main(
+        ["query", "--db", str(db), "--input", str(tmp_path / "obj0.ppm"), "--output", str(out), "--annotate", str(annotated)]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("arfex: ") and "image_size" in err
+    assert not out.exists() and not annotated.exists()
 
 
 def test_query_version_mismatch_exit_4(tmp_path, texture_ppm):

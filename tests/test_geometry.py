@@ -203,6 +203,22 @@ def test_ransac_inliers_revalidate(rng):
     assert res.mean_reprojection_error == pytest.approx(float(err[res.inlier_indices].mean()))
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_ransac_result_is_read_from_its_models_errors(seed):
+    """Inliers are exactly the points within the threshold under the returned
+    model, and the mean error is their mean, bit for bit."""
+    rng = np.random.default_rng(900 + seed)
+    truth = random_well_conditioned_h(rng)
+    src = rng.uniform(0, 200, size=(40, 2))
+    dst = apply_h(truth, src) + rng.normal(0, 1.0, size=(40, 2))
+    dst[30:] = rng.uniform(0, 200, size=(10, 2))
+    res = ransac_verify(src, dst, seed)
+    assert res.verified
+    err = reprojection_errors(res.model, src, dst)
+    assert res.inlier_indices == np.flatnonzero(err <= INLIER_THRESHOLD).tolist()
+    assert res.mean_reprojection_error == float(err[res.inlier_indices].mean())
+
+
 def test_ransac_seed_determinism(rng):
     truth = random_well_conditioned_h(rng)
     src = rng.uniform(0, 200, size=(40, 2))

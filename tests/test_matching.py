@@ -1,6 +1,7 @@
 """Ratio-test matching against exhaustive brute-force search and against the
 per-row loop the screened matcher replaced."""
 
+from typing import NamedTuple
 from unittest.mock import patch
 
 import numpy as np
@@ -8,17 +9,33 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from arfex import matching
-from arfex.features import Descriptor
+from arfex.features import Descriptor, Features, InterestPoint
 from arfex.matching import (
     LONE_CANDIDATE_MAX_DISTANCE,
     SCREEN_ELEMENTS,
-    Match,
     TargetSet,
     block_rows,
-    descriptor_arrays,
     match_sets,
 )
 from oracles import brute_force_matches
+
+
+class Match(NamedTuple):
+    """One kept match of the per-row reference, in the form tests compare."""
+
+    query_index: int
+    target_index: int
+    distance: float
+
+
+def features_of(descs):
+    """A features table of the descriptors, at points that only carry their signs."""
+    return Features.from_points([InterestPoint(0.0, 0.0, 1.0, 0.0, d.laplacian_sign) for d in descs], descs)
+
+
+def descriptors_of(features):
+    """The descriptor list of a features table, as the reference takes it."""
+    return [Descriptor(components=row, laplacian_sign=int(s)) for row, s in zip(features.desc, features.sign)]
 
 
 def reference_match(query, target, ratio=0.7):
@@ -52,7 +69,8 @@ def reference_match(query, target, ratio=0.7):
 def match_one(query, target, ratio=0.7):
     """`match_sets` of a query against one record, as `Match`es: at most one
     per query index, sorted by distance, then query and target index."""
-    _, qi, tj, dist = match_sets(*descriptor_arrays(query), TargetSet.build([target]), ratio)
+    q = features_of(query)
+    _, qi, tj, dist = match_sets(q.desc, q.sign, TargetSet.build([features_of(target)]), ratio)
     return list(map(Match, qi.tolist(), tj.tolist(), dist.tolist()))
 
 
@@ -291,8 +309,9 @@ def test_blocks_at_benchmark_size_bit_identical_to_per_row_reference():
 def test_records_bit_identical_to_per_record_reference(records, query, ratio, seed):
     flat = [d for r in records for d in r]
     query = mixed_query(query, flat, np.random.default_rng(seed))
-    targets = TargetSet.build(records)
-    got_record, qi, tj, dist = match_sets(*descriptor_arrays(query), targets, ratio)
+    targets = TargetSet.build([features_of(r) for r in records])
+    q = features_of(query)
+    got_record, qi, tj, dist = match_sets(q.desc, q.sign, targets, ratio)
     local = tj - targets.offsets[got_record]
     got = list(zip(got_record.tolist(), qi.tolist(), local.tolist(), map(float.hex, dist.tolist())))
     want = [(r, *m) for r, rec in enumerate(records) for m in bits(reference_match(query, rec, ratio))]
@@ -303,9 +322,10 @@ def test_lone_candidates_across_records():
     # each one-row record, and the one same-sign row of a mixed record, is a lone candidate
     near, far = desc([1.0, 0.3]), desc([1.0, 0.8])
     records = [[near], [far], [desc([1.0, 0.1], sign=-1), near]]
-    targets = TargetSet.build(records)
+    targets = TargetSet.build([features_of(r) for r in records])
     q = [desc([1.0])]
-    record, qi, tj, dist = match_sets(*descriptor_arrays(q), targets)
+    qf = features_of(q)
+    record, qi, tj, dist = match_sets(qf.desc, qf.sign, targets)
     assert record.tolist() == [0, 2]
     assert (tj - targets.offsets[record]).tolist() == [0, 1]
     assert dist.tolist() == [reference_match(q, [near])[0].distance] * 2

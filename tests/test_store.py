@@ -1,20 +1,24 @@
 """Object database: indexing, querying, ranking, and JSON persistence."""
 
 import copy
+import dataclasses
 import json
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, event, given, settings, strategies as st
+from hypothesis import HealthCheck, event, example, given, settings, strategies as st
 
+from arfex import draw
 from arfex.errors import ArfexError, DuplicateId, InsufficientMatches, NoFeatures, ParseError, VersionMismatch
-from arfex.features import ExtractionConfig, extract_features
+from arfex.features import ExtractionConfig, Features, extract_features
 from arfex.geometry import ransac_verify
 from arfex.store import (
     Database,
+    MAX_IMAGE_SIDE,
     UNRECOGNIZED,
     db_from_json,
     db_to_json,
+    features_to_json,
     index_image,
     load_db,
     query_image,
@@ -22,7 +26,14 @@ from arfex.store import (
 )
 from synthetic import add_noise, blob_texture, noise_image, warp_similarity
 from conftest import gray_raster
-from test_matching import bits, reference_match
+from test_matching import descriptors_of, reference_match
+
+FIELDS = [f.name for f in dataclasses.fields(Features)]
+
+
+def feature_bytes(features):
+    """Every field of a features table, as (name, dtype, shape, bytes)."""
+    return [(k, str(a.dtype), a.shape, a.tobytes()) for k, a in ((k, getattr(features, k)) for k in FIELDS)]
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +49,8 @@ def test_index_appends_record(small_db):
     assert len(small_db.records) == 3
     assert [r.object_id for r in small_db.records] == ["obj0", "obj1", "obj2"]
     for rec in small_db.records:
-        assert len(rec.keypoints) == len(rec.descriptors) >= 1
+        assert len(rec.features.xy) >= 1
+        assert {len(getattr(rec.features, k)) for k in FIELDS} == {len(rec.features.xy)}
         assert rec.image_size == (192, 192)
 
 
@@ -119,9 +131,8 @@ def test_save_load_round_trip(tmp_path, small_db):
     save_db(small_db, path)
     loaded = load_db(path)
     assert db_to_json(loaded) == db_to_json(small_db)
-    a, b = small_db.records[0], loaded.records[0]
-    assert a.keypoints == b.keypoints
-    assert all(np.array_equal(x.components, y.components) for x, y in zip(a.descriptors, b.descriptors))
+    for a, b in zip(small_db.records, loaded.records):
+        assert feature_bytes(a.features) == feature_bytes(b.features)
     assert loaded.extraction_config == small_db.extraction_config
 
 
@@ -213,6 +224,22 @@ def test_descriptor_must_be_64_finite_floats(small_db, bad):
         db_from_json(doc)
 
 
+@pytest.mark.parametrize("edit", ["drop-keypoint", "drop-descriptor", "extra-descriptor", "no-features"])
+def test_keypoint_and_descriptor_rows_must_pair_up(small_db, edit):
+    doc = one_record_doc(small_db)
+    obj = doc["objects"][0]
+    if edit == "drop-keypoint":
+        obj["keypoints"].pop()
+    elif edit == "drop-descriptor":
+        obj["descriptors"].pop()
+    elif edit == "extra-descriptor":
+        obj["descriptors"].append(obj["descriptors"][0])
+    else:
+        obj["keypoints"], obj["descriptors"] = [], []
+    with pytest.raises(ParseError):
+        db_from_json(doc)
+
+
 @pytest.mark.parametrize("bad", [7, 0, "1", None, 0.5])
 def test_laplacian_must_be_plus_or_minus_one(small_db, bad):
     doc = one_record_doc(small_db)
@@ -242,9 +269,37 @@ def test_keypoint_fields_must_be_json_numbers(small_db, name, value):
 def test_integer_keypoint_fields_load_as_floats(small_db):
     doc = one_record_doc(small_db)
     doc["objects"][0]["keypoints"][0].update(x=12, laplacian=-1.0)
-    point = db_from_json(doc).records[0].keypoints[0]
-    assert (point.x, point.laplacian_sign) == (12.0, -1)
-    assert type(point.x) is float and type(point.laplacian_sign) is int
+    features = db_from_json(doc).records[0].features
+    assert (features.xy[0, 0], features.sign[0]) == (12.0, -1)
+    assert features.xy.dtype == np.float64 and features.sign.dtype == np.int8
+    assert db_to_json(db_from_json(doc))["objects"][0]["keypoints"][0]["laplacian"] == -1
+
+
+@pytest.mark.parametrize("value", [2**70, -(2**64) - 1, 10**300], ids=["2**70", "-2**64-1", "10**300"])
+@pytest.mark.parametrize("where", ["keypoint", "descriptor"])
+def test_integers_past_int64_load_as_their_nearest_float(small_db, where, value):
+    """One rule for every number of a record's features: a JSON int is read
+    as the nearest float64, in a keypoint field and in a descriptor row alike."""
+    doc = one_record_doc(small_db)
+    obj = doc["objects"][0]
+    if where == "keypoint":
+        obj["keypoints"][0]["response"] = value
+        assert db_from_json(doc).records[0].features.response[0] == float(value)
+    else:
+        obj["descriptors"][0][5] = value
+        assert db_from_json(doc).records[0].features.desc[0, 5] == float(value)
+
+
+@pytest.mark.parametrize("where", ["keypoint", "descriptor"])
+def test_integers_past_the_float_range_are_refused(small_db, where):
+    doc = one_record_doc(small_db)
+    obj = doc["objects"][0]
+    if where == "keypoint":
+        obj["keypoints"][0]["x"] = 10**400
+    else:
+        obj["descriptors"][0][5] = -(10**400)
+    with pytest.raises(ParseError):
+        db_from_json(doc)
 
 
 @pytest.mark.parametrize("key", ["id", "name", "info"])
@@ -271,6 +326,20 @@ def test_smallest_image_size_loads(small_db):
     doc = one_record_doc(small_db)
     doc["objects"][0]["image_size"] = [1, 1]
     assert db_from_json(doc).records[0].image_size == (1, 1)
+
+
+@pytest.mark.parametrize("value", [[MAX_IMAGE_SIDE + 1, 5], [5, 2**64], [10**400, 5]])
+def test_image_size_beyond_png_side_limit_refused(small_db, value):
+    doc = one_record_doc(small_db)
+    doc["objects"][0]["image_size"] = value
+    with pytest.raises(ParseError):
+        db_from_json(doc)
+
+
+def test_largest_image_size_loads(small_db):
+    doc = one_record_doc(small_db)
+    doc["objects"][0]["image_size"] = [MAX_IMAGE_SIDE, MAX_IMAGE_SIDE]
+    assert db_from_json(doc).records[0].image_size == (MAX_IMAGE_SIDE, MAX_IMAGE_SIDE)
 
 
 @pytest.mark.parametrize(
@@ -341,10 +410,15 @@ def test_query_equals_per_record_reference(small_db):
     by_id = {c.object_id: c for c in result.ranked}
     for rec in small_db.records:
         got = by_id[rec.object_id]
-        want = reference_match(descriptors, rec.descriptors)
-        assert bits(got.matches) == bits(want)
+        want = reference_match(descriptors, descriptors_of(rec.features))
+        assert got.matches.dtype == np.intp and got.matches.shape == (len(want), 2)
+        assert got.matches.tolist() == [[m.query_index, m.target_index] for m in want]
+        diff = rec.features.desc[got.matches[:, 1]] - np.array([d.components for d in descriptors])[got.matches[:, 0]]
+        assert [d.hex() for d in np.sqrt(np.einsum("ij,ij->i", diff, diff)).tolist()] == [
+            m.distance.hex() for m in want
+        ]
         assert got.match_count == len(want)
-        src = np.array([[rec.keypoints[m.target_index].x, rec.keypoints[m.target_index].y] for m in want])
+        src = np.array([rec.features.xy[m.target_index] for m in want]).reshape(-1, 2)
         dst = np.array([[points[m.query_index].x, points[m.query_index].y] for m in want])
         try:
             verification = ransac_verify(src, dst, 3)
@@ -370,8 +444,8 @@ def test_record_indexed_after_a_query_is_seen_by_the_new_snapshot_only(small_db)
     assert [c.object_id for c in after.ranked][0] == "extra"
     again, _ = query_image(old, extra)
     assert again.best == before.best != "extra"
-    assert [(c.object_id, bits(c.matches)) for c in again.ranked] == [
-        (c.object_id, bits(c.matches)) for c in before.ranked
+    assert [(c.object_id, c.matches.tolist()) for c in again.ranked] == [
+        (c.object_id, c.matches.tolist()) for c in before.ranked
     ]
     assert db_to_json(old) == saved
     assert len(old.records) == 3
@@ -379,11 +453,53 @@ def test_record_indexed_after_a_query_is_seen_by_the_new_snapshot_only(small_db)
 
 def test_query_leaves_saved_bytes_unchanged(tmp_path, small_db):
     fresh = Database(small_db.extraction_config, list(small_db.records))
+    before = [(r, dataclasses.astuple(r)[:4], feature_bytes(r.features)) for r in fresh.records]
     save_db(fresh, tmp_path / "before.json")
     query_image(fresh, blob_texture(192, 192, 16, seed=51))
     save_db(fresh, tmp_path / "after.json")
     assert (tmp_path / "before.json").read_bytes() == (tmp_path / "after.json").read_bytes()
-    assert fresh == Database(small_db.extraction_config, list(small_db.records))
+    assert fresh.extraction_config == small_db.extraction_config
+    assert [(r, dataclasses.astuple(r)[:4], feature_bytes(r.features)) for r in fresh.records] == before
+    assert all(a is b for a, b in zip(fresh.records, small_db.records)) and len(fresh.records) == 3
+
+
+def _assert_read_only(features):
+    for k in FIELDS:
+        a = getattr(features, k)
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            a += 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        features.desc = np.zeros_like(features.desc)
+
+
+def test_indexed_and_loaded_features_are_read_only(tmp_path, small_db):
+    path = tmp_path / "db.json"
+    save_db(small_db, path)
+    for rec in [*small_db.records, *load_db(path).records]:
+        _assert_read_only(rec.features)
+
+
+def test_features_copy_their_arrays_and_check_shapes(small_db):
+    f = small_db.records[0].features
+    arrays = {k: getattr(f, k).copy() for k in FIELDS}
+    copy_ = Features(**arrays)
+    arrays["desc"][0, 0] = 7.0  # the caller's arrays stay the caller's
+    assert copy_.desc[0, 0] == f.desc[0, 0] and arrays["desc"].flags.writeable
+    _assert_read_only(copy_)
+    n = len(f.xy)
+    for k, bad in [("xy", np.zeros((n, 3))), ("desc", np.zeros((n, 63))), ("scale", np.zeros(n + 1)), ("sign", np.ones((n, 1)))]:
+        with pytest.raises(ValueError):
+            Features(**{**arrays, k: bad})
+
+
+def test_features_serialize_in_the_documented_key_order(small_db):
+    doc = features_to_json(small_db.records[0].features)
+    assert list(doc) == ["keypoints", "descriptors"]
+    assert all(list(p) == ["x", "y", "scale", "orientation", "laplacian", "response"] for p in doc["keypoints"])
+    assert all(type(p["laplacian"]) is int and type(p["x"]) is float for p in doc["keypoints"])
 
 
 # --- any document: a Database or a ParseError, and a Database answers --------
@@ -391,7 +507,7 @@ def test_query_leaves_saved_bytes_unchanged(tmp_path, small_db):
 NUMBERS = (
     st.integers(-(2**70), 2**70)
     | st.floats()
-    | st.sampled_from((0, 1, -1, 2, 64, 1e300, -1e300, 1e154, 1e-300, 5e-324, -0.0))
+    | st.sampled_from((0, 1, -1, 2, 64, 1e300, -1e300, 1e154, 1e-300, 5e-324, -0.0, 10**400))
 )
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | NUMBERS | st.text(max_size=4),
@@ -412,12 +528,19 @@ def _base_document():
 BASE_DOCUMENT = _base_document()
 
 
-def _containers(node):
+def _with_image_size(size):
+    doc = copy.deepcopy(BASE_DOCUMENT)
+    doc["objects"][0]["image_size"] = size
+    return doc
+
+
+def _containers(node, depth):
+    """The containers of the tree at most `depth` levels below `node`."""
     out = [node]
     children = node.values() if isinstance(node, dict) else node
     for child in children:
-        if isinstance(child, (dict, list)):
-            out += _containers(child)
+        if depth and isinstance(child, (dict, list)):
+            out += _containers(child, depth - 1)
     return out
 
 
@@ -425,12 +548,15 @@ def _containers(node):
 def documents(draw):
     """Mostly a valid document with a few edits: a value replaced (by a
     number, most often), a key or item removed, or an item repeated,
-    anywhere in the tree; sometimes any JSON value."""
+    anywhere in the tree or, half of the time, in its top three levels (the
+    config and each record's own fields, image_size included, which the
+    hundreds of keypoints and descriptor rows would otherwise crowd out);
+    sometimes any JSON value."""
     if draw(st.integers(0, 9)) == 0:
         return draw(JSON_VALUES)
     doc = copy.deepcopy(BASE_DOCUMENT)
     for _ in range(draw(st.integers(0, 4))):
-        containers = _containers(doc)
+        containers = _containers(doc, 3 if draw(st.booleans()) else -1)
         node = containers[draw(st.integers(0, len(containers) - 1))]
         keys = list(node.keys()) if isinstance(node, dict) else list(range(len(node)))
         if not keys:
@@ -448,20 +574,36 @@ def documents(draw):
     return doc
 
 
+@pytest.fixture(scope="module")
+def db_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("any-document") / "db.json"
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
-@given(documents())
-def test_any_document_gives_a_database_or_a_parse_error(doc):
+@given(doc=documents())
+@example(doc=_with_image_size([10**400, 5]))  # once drew a traceback from recognition_overlay
+@example(doc=_with_image_size([2**31 - 1, 2**31 - 1]))
+def test_any_document_gives_a_database_or_a_parse_error(db_file, doc):
     try:
         db = db_from_json(doc)
     except (ParseError, VersionMismatch) as exc:
         event(f"refused: {type(exc).__name__}")
         return
     assert isinstance(db, Database)
+    save_db(db, db_file)
+    saved = db_file.read_bytes()
+    save_db(load_db(db_file), db_file)
+    assert db_file.read_bytes() == saved
     try:
-        result, _ = query_image(db, QUERY_IMAGE)
+        result, points = query_image(db, QUERY_IMAGE)
     except ArfexError as exc:
         event(f"query raised {type(exc).__name__}")
         return
     event(f"answered {result.best}")
     assert len(result.ranked) == len(db.records)
     assert result.best == UNRECOGNIZED or result.best in {r.object_id for r in db.records}
+    if result.recognized:
+        best = result.ranked[0]
+        record = next(r for r in db.records if r.object_id == best.object_id)
+        inliers = [points[q] for q in best.matches[best.verification.inlier_indices, 0].tolist()]
+        draw.recognition_overlay(QUERY_IMAGE, inliers, best.verification.model, record.image_size)
