@@ -7,7 +7,7 @@ from an indexed object database.  Scanline blob detection is provided as a
 companion region detector.
 """
 
-from .blobs import Blob, binarize, detect_blobs, merge_lineblobs, scan_lineblobs
+from .blobs import Blob, Blobs, binarize, detect_blobs, merge_lineblobs, scan_lineblobs
 from .errors import (
     ArfexError,
     DegenerateConfiguration,
@@ -68,6 +68,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ArfexError",
     "Blob",
+    "Blobs",
     "Database",
     "DegenerateConfiguration",
     "Descriptor",

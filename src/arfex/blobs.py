@@ -8,14 +8,24 @@ components, and segment reductions give each component's statistics.
 
 Runs are rows of an (n, 4) int64 run table: row, x_start, x_end (inclusive)
 and label.  `scan_lineblobs` gives the table of a mask in row-major order,
-labelled 0..n-1.  A labelling result keeps one read-only table with its
-runs grouped blob by blob, each group in (row, x_start) order; a `Blob`'s
-`member_runs` is the view of its group, so its length costs O(1).
+labelled 0..n-1, from one pass over the flattened mask.
+
+A labelling result is one read-only `Blobs` table, blob i in row i of each
+array: `pixel_count` (n,), `bbox` (n, 4) as x_min, y_min, x_max, y_max,
+`centroid` (n, 2) as x, y, and `run_range` (n, 2), the [start, stop) rows
+of `runs` that hold its runs.  `runs` is the one run table, grouped blob by
+blob, each group in (row, x_start) order.  Labelling builds no per-blob
+object: the first index or iteration of the table builds and keeps the
+`Blob` of every row, and each `member_runs` is the view of its group, so
+its length costs O(1).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass, fields
+from functools import cached_property
+from itertools import starmap
 
 import numpy as np
 
@@ -30,6 +40,49 @@ class Blob:
     bbox: tuple[int, int, int, int]  # (x_min, y_min, x_max, y_max)
     centroid: tuple[float, float]
     member_runs: np.ndarray  # (k, 4) read-only run-table rows, in (row, x_start) order
+
+
+@dataclass(frozen=True, eq=False)
+class Blobs(Sequence):
+    """Labelled blobs as one read-only table, a sequence of `Blob`.
+
+    Row i of each array is blob i, in descending pixel count, then
+    (y_min, x_min), then first run.  `len(t)` builds no `Blob`.  The first
+    index or iteration builds the `Blob` of every row at once and keeps
+    them, so `t[i]` is the same object each time and `t[a:b]`, `in`,
+    `index` and `count` behave as on a list of them.
+    """
+
+    pixel_count: np.ndarray  # (n,) int64
+    bbox: np.ndarray  # (n, 4) int64: x_min, y_min, x_max, y_max
+    centroid: np.ndarray  # (n, 2) float64: x, y
+    run_range: np.ndarray  # (n, 2) int64: [start, stop) rows of `runs`
+    runs: np.ndarray  # (m, 4) int64 run table, grouped blob by blob
+
+    def __post_init__(self):
+        for f in fields(self):
+            getattr(self, f.name).flags.writeable = False
+
+    @cached_property
+    def _blobs(self) -> list[Blob]:
+        return list(
+            map(
+                Blob,
+                self.pixel_count.tolist(),
+                map(tuple, self.bbox.tolist()),
+                map(tuple, self.centroid.tolist()),
+                map(self.runs.__getitem__, starmap(slice, self.run_range.tolist())),
+            )
+        )
+
+    def __len__(self) -> int:
+        return len(self.pixel_count)
+
+    def __getitem__(self, i):
+        return self._blobs[i]
+
+    def __iter__(self) -> Iterator[Blob]:
+        return iter(self._blobs)
 
 
 def binarize(gray: GrayImage, threshold: int, polarity: str = "white") -> np.ndarray:
@@ -50,12 +103,15 @@ def scan_lineblobs(mask: np.ndarray) -> np.ndarray:
     """Run table of every maximal run of a 2-D mask, row-major, labelled 0..n-1."""
     mask = np.asarray(mask, dtype=bool)
     h, w = mask.shape
-    padded = np.zeros((h, w + 2), dtype=np.int8)
+    padded = np.zeros((h, w + 2), dtype=bool)
     padded[:, 1:-1] = mask
-    edges = np.diff(padded, axis=1)
-    rows, starts = np.nonzero(edges == 1)
-    ends = np.nonzero(edges == -1)[1] - 1
-    return np.stack([rows, starts, ends, np.arange(rows.size)], axis=1)
+    flat = padded.ravel()
+    # Edge p lies between flat[p] and flat[p + 1].  Every padded row begins
+    # and ends background, so edges pair up within a row: an even edge is
+    # just before a run's first pixel, an odd one at its last.
+    start, end = np.flatnonzero(flat[1:] != flat[:-1]).reshape(-1, 2).T
+    rows, starts = np.divmod(start, w + 2)
+    return np.stack([rows, starts, end - rows * (w + 2) - 1, np.arange(rows.size)], axis=1)
 
 
 def _components(rows: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -87,19 +143,20 @@ def _components(rows: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.nd
             root, jumped = jumped, jumped[jumped]
 
 
-def _label_runs(table: np.ndarray, min_pixels: int) -> list[Blob]:
-    """Blobs from a run table sorted by (row, x_start), disjoint within a row.
+def _label_runs(table: np.ndarray, min_pixels: int) -> Blobs:
+    """Blobs from a fresh int64 run table sorted by (row, x_start), disjoint
+    within a row.
 
     Blobs below min_pixels are dropped; the rest are ordered by descending
     size, then (y_min, x_min), then first run.
     """
     if len(table) == 0:
-        return []
+        empty = np.zeros((0, 4), dtype=np.int64)
+        return Blobs(empty[:, 0], empty, np.zeros((0, 2)), empty[:, :2], table)
     root = _components(*table.T[:3])
     # Groups in order of their root, members in (row, x_start) order.
     order = np.argsort(root, kind="stable")
     table = table[order]
-    table.flags.writeable = False
     rows, starts, ends, _ = table.T
     roots = np.flatnonzero(root == np.arange(root.size))
     first = np.searchsorted(root[order], roots)
@@ -124,27 +181,21 @@ def _label_runs(table: np.ndarray, min_pixels: int) -> list[Blob]:
     )
     rank = np.lexsort((stats[:, 1], stats[:, 2], -count))
     rank = rank[count[rank] >= min_pixels]
-    count, *bbox, lo, hi = stats[rank].T.tolist()
-    return list(
-        map(
-            Blob,
-            count,
-            zip(*bbox),
-            zip(cx[rank].tolist(), cy[rank].tolist()),
-            map(table.__getitem__, map(slice, lo, hi)),
-        )
-    )
+    ranked = stats[rank]
+    ranked.flags.writeable = False  # the base of the table's column views
+    return Blobs(ranked[:, 0], ranked[:, 1:5], np.stack([cx[rank], cy[rank]], axis=1), ranked[:, 5:], table)
 
 
-def merge_lineblobs(runs: np.ndarray, min_pixels: int = 1) -> list[Blob]:
+def merge_lineblobs(runs: np.ndarray, min_pixels: int = 1) -> Blobs:
     """Union column-overlapping runs on adjacent rows into blobs.
 
     `runs` is an (n, 4) run table in any row order (it is sorted
     internally), so a bottom-to-top scan produces the same partition.  Runs
     must be non-empty and must not overlap on one row, as holds for maximal
     runs (ValueError otherwise).  Blobs smaller than min_pixels are dropped;
-    output sorted by descending pixel count, ties by (y_min, x_min).  Member
-    runs are the given rows, labels included, in (row, x_start) order.
+    the table's rows are sorted by descending pixel count, ties by (y_min,
+    x_min).  Its `runs` are the given rows, labels included, in (row,
+    x_start) order within each blob.
     """
     table = np.asarray(runs)
     if table.ndim != 2 or table.shape[1] != 4 or table.dtype.kind not in "iu":
@@ -158,6 +209,6 @@ def merge_lineblobs(runs: np.ndarray, min_pixels: int = 1) -> list[Blob]:
     return _label_runs(table, min_pixels)
 
 
-def detect_blobs(mask: np.ndarray, min_pixels: int = 1) -> list[Blob]:
+def detect_blobs(mask: np.ndarray, min_pixels: int = 1) -> Blobs:
     """Scan and merge in one call: equal to merge_lineblobs(scan_lineblobs(mask))."""
     return _label_runs(scan_lineblobs(mask), min_pixels)

@@ -141,12 +141,10 @@ def cmd_blobs(args) -> int:
         "threshold": args.threshold,
         "polarity": args.polarity,
         "blobs": [
-            {
-                "count": b.pixel_count,
-                "bbox": list(b.bbox),
-                "centroid": list(b.centroid),
-            }
-            for b in blobs
+            {"count": count, "bbox": bbox, "centroid": centroid}
+            for count, bbox, centroid in zip(
+                blobs.pixel_count.tolist(), blobs.bbox.tolist(), blobs.centroid.tolist()
+            )
         ],
     }
     _write_json(args.output, doc)

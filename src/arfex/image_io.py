@@ -4,13 +4,13 @@ PPM (binary P5 grayscale / P6 color, maxval 255) is the deterministic native
 format; PNG (8-bit grayscale or RGB, non-interlaced) is accepted as a
 convenience input.  All output images are written as PPM P6.
 
-A PNG may declare at most `MAX_PNG_PIXELS` (2**26) pixels; larger headers are
-refused before any allocation, and the compressed stream is inflated no
-further than the declared size plus one byte.  PPM pixel data must be present
-in the file, so its size is bounded by the file's.  The CRCs of the critical
-PNG chunks (IHDR, IDAT, IEND) are checked; ancillary chunks are skipped
-unread, as libpng does.  Every row's filter type is checked before any row is
-reconstructed.
+A PNG or PPM may declare at most `MAX_PNG_PIXELS` (2**26) pixels; larger
+headers of either format are refused before any pixel data is read.  A PNG's
+compressed stream is inflated no further than the declared size plus one
+byte, and PPM pixel data must be present in the file.  The CRCs of the
+critical PNG chunks (IHDR, IDAT, IEND) are checked; ancillary chunks are
+skipped unread, as libpng does.  Every row's filter type is checked before
+any row is reconstructed.
 
 PNG rows are reconstructed in dependency order (PNG spec, 2nd ed., 9.2-9.4).
 None and Sub rows read no other row and are done first: all Sub rows as one
@@ -89,6 +89,8 @@ def _decode_ppm(data: bytes) -> RasterImage:
     width, height, maxval = fields
     if width < 1 or height < 1:
         raise ParseError(f"bad PPM dimensions {width}x{height}")
+    if width * height > MAX_PNG_PIXELS:
+        raise ParseError(f"PPM {width}x{height} exceeds {MAX_PNG_PIXELS} pixels")
     if maxval != 255:
         raise ParseError(f"unsupported PPM maxval {maxval} (need 255)")
     pos += 1  # single whitespace byte after maxval

@@ -5,7 +5,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from arfex import blobs as blobs_module
 from arfex.blobs import (
+    Blob,
+    Blobs,
     binarize,
     detect_blobs,
     merge_lineblobs,
@@ -182,12 +185,12 @@ def serpentine(h, w):
 
 
 def test_empty_mask_has_no_blobs():
-    assert assert_matches_flood_fill(np.zeros((6, 7), dtype=bool)) == []
+    assert len(assert_matches_flood_fill(np.zeros((6, 7), dtype=bool))) == 0
 
 
 @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
 def test_zero_sized_mask_has_no_blobs(shape):
-    assert assert_matches_flood_fill(np.zeros(shape, dtype=bool)) == []
+    assert len(assert_matches_flood_fill(np.zeros(shape, dtype=bool))) == 0
     assert scan_lineblobs(np.zeros(shape, dtype=bool)).shape == (0, 4)
 
 
@@ -223,8 +226,8 @@ def test_serpentine_is_one_blob(transpose):
 
 def test_min_pixels_can_drop_every_blob(rng):
     mask = rng.random((16, 16)) < 0.4
-    assert assert_matches_flood_fill(mask, min_pixels=mask.size + 1) == []
-    assert merge_lineblobs(scan_lineblobs(mask), min_pixels=mask.size + 1) == []
+    assert len(assert_matches_flood_fill(mask, min_pixels=mask.size + 1)) == 0
+    assert len(merge_lineblobs(scan_lineblobs(mask), min_pixels=mask.size + 1)) == 0
 
 
 def test_min_pixels_matches_flood_fill_on_random_masks(rng):
@@ -269,7 +272,9 @@ def test_member_runs_are_views_of_one_read_only_table(rng):
     mask = rng.random((40, 40)) < 0.45
     blobs = detect_blobs(mask)
     table = blobs[0].member_runs.base
-    assert table is not None and not table.flags.writeable and table.shape == (len(scan_lineblobs(mask)), 4)
+    assert table is blobs.runs and not table.flags.writeable and table.shape == (len(scan_lineblobs(mask)), 4)
+    # Every run sits in exactly one blob's range of the table.
+    assert sorted(r for start, stop in blobs.run_range.tolist() for r in range(start, stop)) == list(range(len(table)))
     for b in blobs:
         runs = b.member_runs
         assert runs.base is table and np.shares_memory(runs, table)
@@ -354,3 +359,118 @@ def test_built_runs_equal_constructed_runs(rng):
     assert runs.dtype == np.int64 and runs.tolist() == want
     got = sorted((r for b in detect_blobs(mask) for r in b.member_runs.tolist()), key=lambda r: r[3])
     assert got == want
+
+
+TABLE_FIELDS = ("pixel_count", "bbox", "centroid", "run_range", "runs")
+
+
+def table_arrays(t):
+    """Every array of a blob table, as (name, dtype, shape, bytes)."""
+    return [(k, str(a.dtype), a.shape, a.tobytes()) for k, a in ((k, getattr(t, k)) for k in TABLE_FIELDS)]
+
+
+def test_blob_table_arrays_are_read_only_with_documented_layout(rng):
+    mask = rng.random((30, 30)) < 0.45
+    t = detect_blobs(mask)
+    n = len(t)
+    assert isinstance(t, Blobs) and n > 1
+    want = {
+        "pixel_count": (np.int64, (n,)),
+        "bbox": (np.int64, (n, 4)),
+        "centroid": (np.float64, (n, 2)),
+        "run_range": (np.int64, (n, 2)),
+        "runs": (np.int64, (len(scan_lineblobs(mask)), 4)),
+    }
+    for k, (dtype, shape) in want.items():
+        a = getattr(t, k)
+        assert a.dtype == dtype and a.shape == shape, k
+        assert not a.flags.writeable and (a.base is None or not a.base.flags.writeable), k
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+    for i, b in enumerate(t):
+        assert (b.pixel_count, b.bbox, b.centroid) == (t.pixel_count[i], tuple(t.bbox[i]), tuple(t.centroid[i]))
+        start, stop = t.run_range[i]
+        assert np.array_equal(b.member_runs, t.runs[start:stop])
+
+
+def test_blob_table_is_a_sequence_of_blobs(rng):
+    mask = rng.random((25, 25)) < 0.45
+    t = detect_blobs(mask)
+    n = len(t)
+    by_index = [t[i] for i in range(n)]
+    assert blob_fields(t) == blob_fields(by_index)
+    assert blob_fields(t[-i] for i in range(1, n + 1)) == blob_fields(by_index[::-1])
+    assert blob_fields(reversed(t)) == blob_fields(by_index[::-1])
+    for i in (n, -n - 1, 10**6):
+        with pytest.raises(IndexError):
+            t[i]
+    with pytest.raises(TypeError):
+        t[1.0]
+    for b in t:
+        assert type(b) is Blob
+        assert type(b.pixel_count) is int
+        assert type(b.bbox) is tuple and all(type(v) is int for v in b.bbox)
+        assert type(b.centroid) is tuple and all(type(v) is float for v in b.centroid)
+
+
+def test_blob_table_keeps_its_blobs_as_a_list_would(rng):
+    t = detect_blobs(rng.random((25, 25)) < 0.45)
+    listed = list(t)
+    n = len(t)
+    assert all(t[i] is b and t[i - n] is b for i, b in enumerate(listed))
+    for i in (0, n // 2, n - 1):
+        b = t[i]
+        assert b in t and t.index(b) == i and t.count(b) == 1
+    stranger = Blob(t[0].pixel_count, t[0].bbox, t[0].centroid, t[0].member_runs)
+    assert stranger not in t and t.count(stranger) == 0
+    with pytest.raises(ValueError):
+        t.index(stranger)
+    for s in (slice(None, 5), slice(-3, None), slice(None, None, -2), slice(n, n + 4)):
+        got = t[s]
+        assert type(got) is list and len(got) == len(listed[s])
+        assert all(a is b for a, b in zip(got, listed[s]))
+    t[0].pixel_count = -1  # a field set on a blob stays set
+    assert t[0].pixel_count == -1 and next(iter(t)).pixel_count == -1
+    assert t.pixel_count[0] > 0  # the table's arrays do not follow
+
+
+@pytest.mark.parametrize("shape, min_pixels", [((6, 7), 1), ((0, 4), 1), ((9, 9), 82)])
+def test_blob_table_of_nothing_has_length_zero(rng, shape, min_pixels):
+    mask = rng.random(shape) < 0.5 if min_pixels > 1 else np.zeros(shape, dtype=bool)
+    for t in (detect_blobs(mask, min_pixels), merge_lineblobs(scan_lineblobs(mask), min_pixels)):
+        assert len(t) == 0 and list(t) == []
+        assert t.pixel_count.shape == (0,) and t.bbox.shape == (0, 4) and t.centroid.shape == (0, 2)
+        assert t.run_range.shape == (0, 2) and t.run_range.dtype == np.int64
+        assert t.runs.shape == (len(scan_lineblobs(mask)), 4)
+        with pytest.raises(IndexError):
+            t[0]
+
+
+def test_merge_of_shuffled_runs_equals_detect_as_a_table(rng):
+    for _ in range(10):
+        mask = rng.random((22, 26)) < 0.45
+        runs = scan_lineblobs(mask)
+        want = detect_blobs(mask)
+        got = merge_lineblobs(runs[rng.permutation(len(runs))])
+        assert table_arrays(got) == table_arrays(want)
+        assert blob_fields(got) == blob_fields(want)
+
+
+def test_detect_blobs_builds_no_blob(monkeypatch, rng):
+    built = []
+
+    class CountingBlob(Blob):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(blobs_module, "Blob", CountingBlob)
+    mask = rng.random((120, 160)) < 0.5
+    t = detect_blobs(mask)
+    merge_lineblobs(scan_lineblobs(mask))
+    assert len(t) > 1000 and built == []
+    t[-1]  # builds every row's blob once
+    assert len(built) == len(t)
+    assert sum(1 for _ in t) == len(t) and t[0] is t[0] and len(built) == len(t)

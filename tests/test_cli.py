@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, JSON artifacts, overlays, determinism."""
 
 import argparse
+from fractions import Fraction
 import json
 import math
 import os
@@ -164,6 +165,36 @@ def test_blobs_count_matches_flood_fill(tmp_path, rng):
     assert main(["blobs", "--input", str(img_path), "--output", str(out)]) == 0
     want = int(flood_fill_labels(mask).max())
     assert len(read_json(out)["blobs"]) == want
+
+
+def flood_fill_blobs_doc(mask, threshold, polarity, min_pixels):
+    """The `arfex blobs` document of a mask, built from flood-fill labels: blobs
+    by descending size, then (y_min, x_min), then first pixel in row order."""
+    labels = flood_fill_labels(mask)
+    blobs = []
+    for label in range(1, int(labels.max()) + 1):
+        ys, xs = np.nonzero(labels == label)
+        n = len(xs)
+        if n < min_pixels:
+            continue
+        bbox = [int(xs.min()), int(ys.min()), int(xs.max()), int(ys.max())]
+        centroid = [float(Fraction(int(xs.sum()), n)), float(Fraction(int(ys.sum()), n))]
+        blobs.append(((-n, bbox[1], bbox[0], label), {"count": n, "bbox": bbox, "centroid": centroid}))
+    return {"threshold": threshold, "polarity": polarity, "blobs": [b for _, b in sorted(blobs, key=lambda kb: kb[0])]}
+
+
+@pytest.mark.parametrize("polarity, min_pixels", [("white", 1), ("black", 1), ("white", 4)])
+def test_blobs_json_bytes_equal_the_flood_fill_document(tmp_path, polarity, min_pixels):
+    rng = np.random.default_rng(17)
+    levels = np.where(rng.random((40, 56)) < 0.45, 255, 0).astype(np.uint8)
+    levels[5:15, 30:50] = 255  # one solid block beside the noise
+    img_path = tmp_path / "mask.ppm"
+    write_ppm(gray_raster(levels), img_path)
+    out = tmp_path / "blobs.json"
+    args = ["blobs", "--input", str(img_path), "--output", str(out), "--polarity", polarity]
+    assert main([*args, "--min-pixels", str(min_pixels)]) == 0
+    mask = levels >= 128 if polarity == "white" else levels < 128
+    assert out.read_text() == json.dumps(flood_fill_blobs_doc(mask, 128, polarity, min_pixels)) + "\n"
 
 
 def test_blobs_polarity_black(tmp_path):

@@ -376,6 +376,23 @@ def test_png_pixel_cap(tmp_path):
         read_image(path)
 
 
+@pytest.mark.parametrize("magic", [b"P5", b"P6"])
+@pytest.mark.parametrize("width, height", [(4096, MAX_PNG_PIXELS // 4096 + 1), (100_000, 100_000)])
+def test_ppm_pixel_cap(tmp_path, magic, width, height):
+    # The file holds a few pixel bytes, far fewer than the header declares.
+    path = tmp_path / "huge.ppm"
+    path.write_bytes(b"%s\n%d %d\n255\n" % (magic, width, height) + bytes(6))
+    with pytest.raises(ParseError, match=f"PPM {width}x{height} exceeds {MAX_PNG_PIXELS} pixels"):
+        read_image(path)
+
+
+def test_ppm_header_at_the_pixel_cap_fails_on_its_short_data(tmp_path):
+    path = tmp_path / "cap.ppm"
+    path.write_bytes(b"P5\n4096 %d\n255\n" % (MAX_PNG_PIXELS // 4096) + bytes(6))
+    with pytest.raises(ParseError, match="truncated PPM pixel data"):
+        read_image(path)
+
+
 def test_png_stream_without_end_rejected(tmp_path):
     # All pixel bytes present, but the zlib stream stops before its checksum.
     raw = bytes([0, 1, 2, 3, 0, 4, 5, 6])

@@ -486,8 +486,10 @@ def test_features_copy_their_arrays_and_check_shapes(small_db):
     f = small_db.records[0].features
     arrays = {k: getattr(f, k).copy() for k in FIELDS}
     copy_ = Features(**arrays)
-    arrays["desc"][0, 0] = 7.0  # the caller's arrays stay the caller's
-    assert copy_.desc[0, 0] == f.desc[0, 0] and arrays["desc"].flags.writeable
+    for a in arrays.values():  # the caller's arrays stay the caller's
+        a += 1
+    assert feature_bytes(copy_) == feature_bytes(f)
+    assert all(a.flags.writeable for a in arrays.values())
     _assert_read_only(copy_)
     n = len(f.xy)
     for k, bad in [("xy", np.zeros((n, 3))), ("desc", np.zeros((n, 63))), ("scale", np.zeros(n + 1)), ("sign", np.ones((n, 1)))]:
