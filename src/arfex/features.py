@@ -49,12 +49,18 @@ sits on the pixel of cell (2i, 2j) of octave o-1, so they are octave o-1's
 odd layers at [::2, ::2], copied bit for bit.  This is the filter-size
 overlap of SURF's octaves.
 
-Non-maximum suppression compares only the cells above threshold with their
-26 neighbours.  The survivors of one layer are refined together: their 3x3
-Hessians form one (N, 3, 3) stack for one `np.linalg.solve`, which runs the
-same LAPACK solve per matrix as a one-matrix call.  One singular matrix makes
-the whole stack raise, so then each candidate is solved on its own and the
-singular ones are dropped.
+Non-maximum suppression starts from the cells above threshold, listed in
+row-major order.  It reads each neighbour from the flattened stack at a
+fixed flat offset, compares the 8 neighbours in the candidate's own layer
+first, since they reject most candidates, and keeps only the survivors
+after each of the 26 comparisons.  The kept set is the AND of the same 26
+strict comparisons, and compaction keeps row-major order, so refinement
+gets the same (i, j) arrays in the same order as from comparing every
+candidate with all 26 neighbours.  The survivors of one layer are refined
+together: their 3x3 Hessians form one (N, 3, 3) stack for one
+`np.linalg.solve`, which runs the same LAPACK solve per matrix as a
+one-matrix call.  One singular matrix makes the whole stack raise, so then
+each candidate is solved on its own and the singular ones are dropped.
 
 `assign_orientation` and `extract_descriptor` take arrays of points and run
 as array passes over blocks of BLOCK points.  Each point gets the same bits
@@ -76,12 +82,24 @@ so its four-corner sum is exactly 0: the sums equal clipped box sums in
 exact int64.
 
 The orientation window mask tests (a - start) mod 2 pi < pi/3 for sample
-angles a and window starts in [0, 2 pi), so d = a - start lies in
-(-2 pi, 2 pi).  There numpy's float `mod` returns d itself when d >= 0 and
-d + 2 pi, rounded once, when d < 0; adding 2 pi in place where d < 0 gives
-the same bits.  (A sample angle is np.mod(atan2, 2 pi), which reaches 2 pi
-only for an atan2 within half an ulp below 0; the ratio of two nonzero Haar
-responses, integer sums over boxes of bounded size, is never that small.)
+angles a in [0, 2 pi] and window starts in [0, 2 pi), so d = a - start lies
+in (-2 pi, 2 pi].  There numpy's float `mod` returns d itself when d >= 0
+and d + 2 pi, rounded once, when d < 0; `_in_window` computes that.  (A
+sample angle is np.mod(atan2, 2 pi), which reaches 2 pi only for an atan2
+within half an ulp below 0; the ratio of two nonzero Haar responses,
+integer sums over boxes of bounded size, is never that small.)
+
+The mask comes from an angle table.  Rounding is monotone, so on each side
+of its branch d < 0 the predicate is monotone in a.  Over [0, 2 pi], window
+w's bit therefore changes only at start_w itself (w >= 1), at one float near
+start_w + pi/3 (windows 0-53) and at one float near start_w + pi/3 - 2 pi
+(windows 54-63): 63 + 54 + 10 = 127 bounds that cut [0, 2 pi] into 128
+cells, in each of which every window's bit is constant.  At import, a
+bisection over float64 bit patterns that evaluates `_in_window` itself
+finds each bound, so the bounds are the predicate's own floats, not
+real-number edges, and the table holds each window's bit at each cell's
+lowest float.  A sample's cell is one `searchsorted`, and its mask column
+is the table's column for that cell.
 """
 
 from __future__ import annotations
@@ -345,6 +363,14 @@ def _hessian_grid(table: np.ndarray, stride: int, size: int, responses: np.ndarr
         signs[cells][bxx < 0] = -1
 
 
+# The 26 (layer, row, column) steps to a cell's 3x3x3 neighbours, the 8 of
+# its own layer first: they reject most candidates.
+_NEIGHBOUR_STEPS = sorted(
+    ((dk, di, dj) for dk in (-1, 0, 1) for di in (-1, 0, 1) for dj in (-1, 0, 1) if dk or di or dj),
+    key=lambda step: step[0] != 0,
+)
+
+
 def detect_interest_points(maps: list[ResponseMap], threshold: float) -> list[InterestPoint]:
     """Strict 3x3x3 maxima above threshold, refined by one quadratic step.
 
@@ -359,20 +385,19 @@ def detect_interest_points(maps: list[ResponseMap], threshold: float) -> list[In
         n, gh, gw = stack.shape
         if gh < 3 or gw < 3:
             continue
+        flat = stack.ravel()
         for k in range(1, n - 1):
-            # Only the few cells above threshold are compared with their 26
-            # neighbours; nonzero keeps them in row-major order.
+            # Only the cells above threshold are candidates; nonzero gives
+            # them in row-major order, and each comparison keeps the
+            # survivors in that order (module docstring).
             ci, cj = np.nonzero(stack[k, 1:-1, 1:-1] > threshold)
-            ci += 1
-            cj += 1
-            v = stack[k, ci, cj]
-            keep = np.ones(v.shape, dtype=bool)
-            for dk in (-1, 0, 1):
-                for di in (-1, 0, 1):
-                    for dj in (-1, 0, 1):
-                        if dk or di or dj:
-                            keep &= v > stack[k + dk, ci + di, cj + dj]
-            points += _refine(m, k, ci[keep], cj[keep])
+            at = (k * gh + ci + 1) * gw + cj + 1
+            v = flat[at]
+            for dk, di, dj in _NEIGHBOUR_STEPS:
+                keep = v > flat[at + ((dk * gh + di) * gw + dj)]
+                at, v = at[keep], v[keep]
+            i, j = np.divmod(at - k * gh * gw, gw)
+            points += _refine(m, k, i, j)
     points.sort(key=lambda p: (-p.response, p.y, p.x, p.scale))
     return points
 
@@ -469,15 +494,61 @@ _GRID_U, _GRID_V = np.meshgrid(_GRID_AXIS, _GRID_AXIS)
 _GRID_WEIGHT = np.exp(-(_GRID_U * _GRID_U + _GRID_V * _GRID_V) / (2.0 * DESCRIPTOR_SIGMA**2))
 
 
+def _in_window(angles: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Whether (angle - start) mod 2 pi < pi/3, elementwise, for angle in
+    [0, 2 pi] and start in [0, 2 pi), with numpy's float `mod` bits (module
+    docstring): the predicate the angle table is cut from."""
+    d = angles - starts
+    np.add(d, 2.0 * math.pi, out=d, where=d < 0)
+    return d < ORIENTATION_WINDOW
+
+
+def _angle_table() -> tuple[np.ndarray, np.ndarray]:
+    """The 127 cell bounds of [0, 2 pi] and the (windows, 128) 0/1 table of
+    each window's bit in each cell (module docstring).
+
+    Each bound is the first float at which one window's `_in_window` bit
+    changes, found by bisection over float64 bit patterns (monotone in the
+    value for floats >= 0) inside a bracket of +-1e-12 around the
+    real-number edge: far wider than the few ulps of 2 pi by which rounding
+    moves an edge, far narrower than the gaps between edges.
+    """
+    two_pi = 2.0 * math.pi
+    starts = _WINDOW_STARTS
+    edges = np.concatenate([starts, starts + ORIENTATION_WINDOW, starts + ORIENTATION_WINDOW - two_pi])
+    inside = (edges > 0.0) & (edges < two_pi)
+    edges, starts_of = edges[inside], np.tile(starts, 3)[inside]
+    lo = (edges - 1e-12).view(np.int64)
+    hi = (edges + 1e-12).view(np.int64)
+    below = _in_window(lo.view(np.float64), starts_of)
+    while np.any(hi - lo > 1):
+        mid = lo + (hi - lo) // 2
+        same = _in_window(mid.view(np.float64), starts_of) == below
+        lo = np.where(same, mid, lo)
+        hi = np.where(same, hi, mid)
+    bounds = np.sort(hi.view(np.float64))
+    table = _in_window(np.concatenate([[0.0], bounds]), starts[:, None]).astype(np.float64)
+    return bounds, table
+
+
+_ANGLE_BOUNDS, _ANGLE_TABLE = _angle_table()
+
+
 def _window_mask(angles: np.ndarray) -> np.ndarray:
     """(points, windows, samples): 1.0 where sample angle angles[p, m] in
-    [0, 2 pi) lies in window w, i.e. (angle - start_w) mod 2 pi < pi/3.
+    [0, 2 pi] lies in window w, i.e. `_in_window(angles[p, m], start_w)`.
 
-    One buffer serves all three steps, to bound peak memory.
+    The domain is closed: np.mod(atan2, 2 pi) can return 2 pi itself.  Each
+    sample's cell is one `searchsorted`, and each point's (windows, samples)
+    slice is one gather of the angle table's columns.  The gather writes
+    into a contiguous slice: `np.take` into a strided `out` goes through a
+    temporary copy that costs more than the gather.
     """
-    window = angles[:, None, :] - _WINDOW_STARTS[:, None]
-    np.add(window, 2.0 * math.pi, out=window, where=window < 0)
-    return np.less(window, ORIENTATION_WINDOW, out=window)
+    cells = np.searchsorted(_ANGLE_BOUNDS, angles, side="right")
+    mask = np.empty((len(angles), len(_WINDOW_STARTS), angles.shape[1]))
+    for p, row in enumerate(cells):
+        np.take(_ANGLE_TABLE, row, axis=1, out=mask[p], mode="clip")
+    return mask
 
 
 def assign_orientation(ii: IntegralImage, x: np.ndarray, y: np.ndarray, scale: np.ndarray) -> np.ndarray:

@@ -187,6 +187,15 @@ def _plausible_view(hom: Homography, pts: np.ndarray) -> bool:
     return bool(s[0] <= MAX_ANISOTROPY * s[1])
 
 
+def _distinct_rows(pts: np.ndarray) -> int:
+    """Number of distinct rows of an (n, 2) array, counted as
+    `len(np.unique(pts, axis=0))` counts them: -0.0 equals 0.0, and every row
+    holding a NaN is distinct.  Sorted rows are distinct where they differ
+    from the row before."""
+    rows = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    return min(len(rows), 1) + int(np.count_nonzero((rows[1:] != rows[:-1]).any(axis=1)))
+
+
 def default_min_inliers(n_matches: int) -> int:
     return max(8, math.ceil(0.15 * n_matches))
 
@@ -199,15 +208,18 @@ def ransac_verify(src, dst, seed: int = 0) -> VerificationResult:
     final consensus reaches default_min_inliers(n) and the final model passes
     the degeneracy rule (module docstring).  Fewer than 4 distinct
     source points raise InsufficientMatches: every sample would be degenerate.
+    Otherwise a NaN or infinite coordinate raises ValueError.
     """
     src = _as_points(src)
     dst = _as_points(dst)
     n = len(src)
     if n != len(dst):
         raise ValueError(f"mismatched correspondence arrays: {n} vs {len(dst)}")
-    distinct = len(np.unique(src, axis=0))
+    distinct = _distinct_rows(src)
     if distinct < SAMPLE_SIZE:
         raise InsufficientMatches(f"need >= {SAMPLE_SIZE} distinct source points, got {distinct}")
+    if not (np.isfinite(src).all() and np.isfinite(dst).all()):
+        raise ValueError("correspondence coordinates must be finite")
     min_inliers = default_min_inliers(n)
     rng = np.random.default_rng(seed)
 

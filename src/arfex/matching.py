@@ -29,6 +29,15 @@ decision runs on exact values of a superset of the top two.  A row with a
 non-finite a (norms near 1e154 overflow the GEMM) is recomputed in full.
 The exact distances are the same bits as a per-row loop gives: `einsum`
 reduces each contiguous 64-vector alone, whichever rows sit beside it.
+
+The group pick needs no sort.  `np.nonzero` lists the candidates in
+row-major order and `segment` does not decrease along target rows, so each
+(row, record) group is one contiguous run.  Its d1 is `np.fmin.reduceat` of
+the run's distances, which, like a sort, orders NaN after every number; its
+d2 is d1 when d1 occurs more than once, else the fmin of the rest: the
+second distance of the run sorted, counting repeats.  A tie at d1 gives
+d2 = d1 and is rejected, so an accepted group holds exactly one row at d1,
+the row that sorting by (distance, target row) puts first.
 """
 
 from __future__ import annotations
@@ -143,14 +152,16 @@ def _match_block(q, qsigns, base, t: TargetSet, ratio):
     diff = t.desc[tj]
     diff -= q[qi]
     dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    group = qi * len(t.starts) + t.segment[tj]  # one group per (row, record)
-    order = np.lexsort((tj, dist, group))
-    qi, tj, dist, group = qi[order], tj[order], dist[order], group[order]
+    # One group per (row, record), its candidates contiguous (module docstring).
+    group = qi * len(t.starts) + t.segment[tj]
     first = np.flatnonzero(np.diff(group, prepend=-1))
-    lone = np.diff(np.r_[first, len(group)]) == 1
-    d1 = dist[first]
-    d2 = dist[np.minimum(first + 1, len(dist) - 1)]  # read only where not lone
-    keep = first[np.where(lone, d1 < LONE_CANDIDATE_MAX_DISTANCE, d1 < ratio * d2)]
+    size = np.diff(np.append(first, len(group)))
+    d1 = np.fmin.reduceat(dist, first)  # NaN orders last: NaN only if the whole group is
+    at_d1 = dist == np.repeat(d1, size)
+    ties = np.add.reduceat(at_d1, first, dtype=np.intp)
+    d2 = np.where(ties > 1, d1, np.fmin.reduceat(np.where(at_d1, np.nan, dist), first))  # read where not lone
+    accept = np.where(size == 1, d1 < LONE_CANDIDATE_MAX_DISTANCE, d1 < ratio * d2)
+    keep = np.flatnonzero(at_d1 & np.repeat(accept, size))  # one row per accepted group
     return t.record[tj[keep]], qi[keep] + base, tj[keep], dist[keep]
 
 

@@ -406,6 +406,62 @@ def test_sparse_nms_equals_dense_reference(rng):
         assert want and detect_interest_points(maps, 4e-4) == want
 
 
+def gather_nms_reference(maps, threshold):
+    """The NMS the compacting pass replaced: every cell above threshold
+    compared with all 26 neighbours by three-array gathers, then the
+    library's refinement and order."""
+    points = []
+    for m in maps:
+        stack = m.responses
+        n, gh, gw = stack.shape
+        if gh < 3 or gw < 3:
+            continue
+        for k in range(1, n - 1):
+            ci, cj = np.nonzero(stack[k, 1:-1, 1:-1] > threshold)
+            ci += 1
+            cj += 1
+            v = stack[k, ci, cj]
+            keep = np.ones(v.shape, dtype=bool)
+            for dk in (-1, 0, 1):
+                for di in (-1, 0, 1):
+                    for dj in (-1, 0, 1):
+                        if dk or di or dj:
+                            keep &= v > stack[k + dk, ci + di, cj + dj]
+            points += features._refine(m, k, ci[keep], cj[keep])
+    points.sort(key=lambda p: (-p.response, p.y, p.x, p.scale))
+    return points
+
+
+def point_bits(points):
+    """Every field of each point, floats as hex."""
+    return [
+        (p.x.hex(), p.y.hex(), p.scale.hex(), p.response.hex(), p.laplacian_sign, p.orientation.hex())
+        for p in points
+    ]
+
+
+@pytest.mark.parametrize("threshold", [0.0, 1e-4, ExtractionConfig().threshold])
+def test_compacting_nms_bit_identical_to_gather_reference(threshold):
+    texture = blob_texture(160, 128, 12, seed=4)
+    images = [
+        blob_image(64, 64, [(32, 32)], 3.0),
+        blob_image(120, 100, [(30, 30), (80, 40), (60, 75)], 4.0),
+        texture,
+        warp_similarity(texture, 20.0, 0.9),
+        noise_frame(seed=9, side=112),
+        noise_frame(seed=3, side=256),
+        random_raster(np.random.default_rng(6), 97, 61),
+    ]
+    for img in images:
+        maps = build_response_maps(integral_of(img), ExtractionConfig(octaves=4))
+        want = gather_nms_reference(maps, threshold)
+        assert want
+        assert point_bits(detect_interest_points(maps, threshold)) == point_bits(want)
+    for octaves, (h, w) in [(1, (3, 3)), (3, (33, 31)), (4, (64, 48))]:
+        maps = tied_maps(np.random.default_rng(octaves), octaves, h, w)
+        assert point_bits(detect_interest_points(maps, threshold)) == point_bits(gather_nms_reference(maps, threshold))
+
+
 def test_singular_candidate_beside_regular_one():
     """A singular Hessian in a layer's stack falls back to one solve per
     candidate: the regular point survives, the singular one is dropped."""
@@ -536,6 +592,39 @@ def test_window_mask_equals_mod_form(rng):
         got = _window_mask(angles)
         assert got.dtype == np.float64
         assert np.array_equal(got, want.astype(np.float64))
+
+
+def reference_window_mask(angles):
+    """The three-pass mask the angle table replaced: subtract every window
+    start, add 2 pi where the difference is negative, compare with pi/3."""
+    window = angles[:, None, :] - features._WINDOW_STARTS[:, None]
+    np.add(window, 2.0 * math.pi, out=window, where=window < 0)
+    return np.less(window, features.ORIENTATION_WINDOW, out=window)
+
+
+def test_angle_table_equals_three_pass_reference():
+    two_pi = 2.0 * math.pi
+    special = np.array([0.0, -0.0, np.nextafter(two_pi, 0.0), two_pi])
+    # Every bound and the 64 floats either side of it (bit patterns of floats
+    # > 0 step one ulp at a time).
+    near = (features._ANGLE_BOUNDS.view(np.int64)[:, None] + np.arange(-64, 65)).ravel().view(np.float64)
+    drawn = np.random.default_rng(31).uniform(0.0, two_pi, 10**6)
+    for angles in (special, near, *np.split(drawn, 100)):
+        angles = angles.reshape(1, -1)
+        got = _window_mask(angles)
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert np.array_equal(got, reference_window_mask(angles))
+    block = drawn[: BLOCK * 113].reshape(BLOCK, 113)  # a full block of disc samples
+    assert np.array_equal(_window_mask(block), reference_window_mask(block))
+
+
+def test_angle_table_bounds_are_transitions():
+    bounds = features._ANGLE_BOUNDS
+    assert bounds.shape == (127,) and features._ANGLE_TABLE.shape == (64, 128)
+    assert np.all(np.diff(bounds) > 0.0) and 0.0 < bounds[0] and bounds[-1] < 2.0 * math.pi
+    at = reference_window_mask(bounds.reshape(1, -1))[0]
+    below = reference_window_mask(np.nextafter(bounds, 0.0).reshape(1, -1))[0]
+    assert np.all((at != below).any(axis=0))  # some window's bit changes at each bound
 
 
 def test_haar_equals_four_clipped_boxes():

@@ -183,6 +183,51 @@ def test_ransac_fewer_than_four_distinct_sources_is_insufficient(monkeypatch):
     assert calls == []
 
 
+def test_distinct_count_equals_np_unique():
+    # -0.0 equals 0.0, and every row holding a NaN is distinct
+    rng = np.random.default_rng(8)
+    values = np.array([0.0, -0.0, 1.0, 2.5, np.nan, np.inf, -np.inf])
+    for _ in range(3000):
+        pts = rng.choice(values, size=(int(rng.integers(0, 9)), 2))
+        assert geometry._distinct_rows(pts) == len(np.unique(pts, axis=0))
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [],
+        [[1.0, 2.0]],
+        [[0.0, 1.0], [-0.0, 1.0]],
+        [[0.0, 1.0], [-0.0, 1.0], [np.nan, 1.0]],
+        [[np.nan, 0.0], [np.nan, 0.0], [3.0, -0.0]],
+        [[0.0, 0.0], [0.0, -0.0], [-0.0, 0.0], [np.nan, 0.0]],
+        [[5.0, 5.0]] * 6 + [[np.inf, 1.0]] * 2,
+    ],
+)
+def test_too_few_distinct_sources_name_their_count(rows, monkeypatch):
+    calls = []
+    monkeypatch.setattr(geometry, "estimate_homography", lambda src, dst: calls.append(src))
+    src = np.array(rows, dtype=np.float64).reshape(-1, 2)
+    want = f"need >= 4 distinct source points, got {len(np.unique(src, axis=0))}"
+    with pytest.raises(InsufficientMatches) as info:
+        ransac_verify(src, np.zeros_like(src))
+    assert str(info.value) == want
+    assert calls == []
+
+
+@pytest.mark.parametrize("side", ["src", "dst"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_ransac_refuses_non_finite_coordinates(side, value, monkeypatch):
+    calls = []
+    monkeypatch.setattr(geometry, "estimate_homography", lambda src, dst: calls.append(src))
+    src = np.random.default_rng(5).uniform(0, 200, size=(10, 2))
+    dst = src + 3.0
+    (src if side == "src" else dst)[4, 1] = value
+    with pytest.raises(ValueError, match="finite"):
+        ransac_verify(src, dst)
+    assert calls == []
+
+
 def test_ransac_unverified_below_min_inliers(rng):
     # pure noise correspondences: no consensus reaches max(8, 15%)
     src = rng.uniform(0, 200, size=(30, 2))

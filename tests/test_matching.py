@@ -338,3 +338,111 @@ def test_overflowing_norms_fall_back_to_full_rows():
     t = [desc([1e160, 1e150]), desc([1e160, 1e154]), desc([-1e160])]
     assert bits(match_one(q, t)) == bits(reference_match(q, t))
     assert [m.target_index for m in match_one(q, t)] == [0]
+
+
+# --- the group pick against the lexsort it replaced ---------------------------
+
+
+def lexsort_match_block(q, qsigns, base, t, ratio):
+    """`_match_block` with the group pick it replaced: one three-key lexsort
+    orders each (row, record) group by distance, then target row, and the
+    first two of a group are d1 and d2."""
+    qq = np.einsum("ij,ij->i", q, q)
+    same = np.equal.outer(qsigns, t.signs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        approx = q @ t.desc.T
+        approx *= -2.0
+        approx += qq[:, None]
+        approx += t.sq
+        full = ~np.isfinite(approx).all(axis=1)
+        approx[~same] = np.inf
+        delta = matching.SCREEN_REL * (np.sqrt(qq) + t.max_norm) ** 2 + matching.SCREEN_ABS
+        limit = matching._second_smallest(approx, t) + 2.0 * delta[:, None]
+        cand = (approx <= limit[:, t.segment]) | full[:, None]
+    cand &= same
+
+    qi, tj = np.nonzero(cand)
+    diff = t.desc[tj]
+    diff -= q[qi]
+    dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    group = qi * len(t.starts) + t.segment[tj]
+    order = np.lexsort((tj, dist, group))
+    qi, tj, dist, group = qi[order], tj[order], dist[order], group[order]
+    first = np.flatnonzero(np.diff(group, prepend=-1))
+    lone = np.diff(np.r_[first, len(group)]) == 1
+    d1 = dist[first]
+    d2 = dist[np.minimum(first + 1, len(dist) - 1)]
+    keep = first[np.where(lone, d1 < LONE_CANDIDATE_MAX_DISTANCE, d1 < ratio * d2)]
+    return t.record[tj[keep]], qi[keep] + base, tj[keep], dist[keep]
+
+
+def table_of(desc, signs):
+    n = len(desc)
+    return Features(np.zeros((n, 2)), np.ones(n), np.zeros(n), np.zeros(n), signs, desc)
+
+
+def unit_rows(rng, n):
+    rows = rng.normal(size=(n, 64))
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+def spoil(rng, rows, share):
+    """NaN, +inf or -inf in one component of about `share` of the rows."""
+    for i in np.flatnonzero(rng.random(len(rows)) < share):
+        rows[i, rng.integers(64)] = rng.choice([np.nan, np.inf, -np.inf])
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_group_pick_bit_identical_to_lexsort_reference(seed):
+    rng = np.random.default_rng(seed)
+    records = []
+    for _ in range(int(rng.integers(0, 7))):
+        n = int(rng.integers(0, 9))  # empty and one-row records among them
+        rows = unit_rows(rng, n)
+        for i in range(1, n):
+            if rng.random() < 0.3:
+                rows[i] = rows[rng.integers(i)]  # a duplicated target row: a tie at d1 or d2
+        spoil(rng, rows, 0.1 if seed % 2 else 0.0)
+        records.append(table_of(rows, rng.choice([1, -1], n) if seed % 3 else np.ones(n)))
+    flat = np.concatenate([np.zeros((0, 64)), *(r.desc for r in records)])
+    query = unit_rows(rng, int(rng.integers(0, 30)))
+    for i in range(len(query)):
+        if len(flat) and rng.random() < 0.6:
+            query[i] = flat[rng.integers(len(flat))] + rng.normal(size=64) * 10.0 ** -rng.uniform(0, 17)
+    spoil(rng, query, 0.1 if seed % 2 else 0.0)
+    qsigns = rng.choice([1, -1], len(query)).astype(np.int8)
+    targets = TargetSet.build(records)
+    for ratio in (0.1, 0.3, 0.5, 0.7, 0.9, 1.0):
+        with np.errstate(invalid="ignore"):  # inf - inf in the exact distances, on both sides
+            got = match_sets(query, qsigns, targets, ratio)
+            with patch.object(matching, "_match_block", lexsort_match_block):
+                want = match_sets(query, qsigns, targets, ratio)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+def test_group_pick_orders_non_finite_distances_like_the_lexsort():
+    # Query row 0 against three records meets distances (NaN, 0.1, 1.0, inf),
+    # (NaN, 0.2, inf) and (1.0, 1.0, NaN): NaN orders after every number and
+    # inf before NaN, so the first two keep their nearest and the tie in the
+    # third is ambiguous.  Row 1 meets only NaN and keeps nothing.
+    def rows(*cells):
+        out = np.zeros((len(cells), 64))
+        for r, (k, v) in enumerate(cells):
+            out[r, k] = v
+        return out
+
+    records = [
+        rows((2, np.nan), (0, 0.1), (0, 1.0), (5, np.inf)),
+        rows((2, np.nan), (0, 0.2), (5, np.inf)),
+        rows((0, 1.0), (0, 1.0), (2, np.nan)),
+    ]
+    targets = TargetSet.build([table_of(r, np.ones(len(r))) for r in records])
+    q = rows((0, 0.0), (3, np.nan))
+    signs = np.ones(2, dtype=np.int8)
+    got = match_sets(q, signs, targets)
+    with patch.object(matching, "_match_block", lexsort_match_block):
+        want = match_sets(q, signs, targets)
+    assert [a.tolist() for a in got[:3]] == [[0, 1], [0, 0], [1, 5]]
+    assert got[3].tolist() == pytest.approx([0.1, 0.2])
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
