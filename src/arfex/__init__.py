@@ -57,6 +57,7 @@ from .store import (
     QueryResult,
     RankedCandidate,
     UNRECOGNIZED,
+    index_file,
     index_image,
     load_db,
     query_image,
@@ -105,6 +106,7 @@ __all__ = [
     "extract_descriptor",
     "extract_features",
     "filter_sizes",
+    "index_file",
     "index_image",
     "load_db",
     "merge_lineblobs",

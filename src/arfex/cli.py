@@ -26,13 +26,11 @@ from .errors import (
 from .features import ExtractionConfig, Features, extract_features
 from .image import to_grayscale
 from .store import (
-    Database,
     UNRECOGNIZED,
     features_to_json,
-    index_image,
+    index_file,
     load_db,
     query_image,
-    save_db,
 )
 
 EXIT_OK = 0
@@ -86,7 +84,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--polarity", choices=("white", "black"), default="white")
     p.add_argument("--min-pixels", type=int, default=1)
 
-    p = sub.add_parser("index", help="add an object to a feature database")
+    p = sub.add_parser(
+        "index",
+        help="add an object to a feature database: appended in place, rewriting only a file not in save_db's form",
+    )
     p.add_argument("--db", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--id", required=True)
@@ -151,18 +152,19 @@ def cmd_blobs(args) -> int:
     return EXIT_OK
 
 
+def _info_text(arg: str) -> str:
+    """--info's text: the argument itself, or the UTF-8 file named after an @."""
+    if not arg.startswith("@"):
+        return arg
+    try:
+        return Path(arg[1:]).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{arg[1:]}: info file is not UTF-8 text ({exc})") from exc
+
+
 def cmd_index(args) -> int:
-    db_path = Path(args.db)
-    db = load_db(db_path) if db_path.exists() else Database()
-    img = image_io.read_image(args.input)
-    info = args.info
-    if info.startswith("@"):
-        try:
-            info = Path(info[1:]).read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{info[1:]}: info file is not UTF-8 text ({exc})") from exc
-    db = index_image(db, img, args.id, args.name, info)
-    save_db(db, db_path)
+    # The image is read, and then the info, only once the database has loaded.
+    index_file(args.db, lambda: (image_io.read_image(args.input), _info_text(args.info)), args.id, args.name)
     return EXIT_OK
 
 

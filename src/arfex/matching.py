@@ -146,12 +146,11 @@ def _match_block(q, qsigns, base, t: TargetSet, ratio):
         delta = SCREEN_REL * (np.sqrt(qq) + t.max_norm) ** 2 + SCREEN_ABS
         limit = _second_smallest(approx, t) + 2.0 * delta[:, None]
         cand = (approx <= limit[:, t.segment]) | full[:, None]
-    cand &= same
-
-    qi, tj = np.nonzero(cand)
-    diff = t.desc[tj]
-    diff -= q[qi]
-    dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        cand &= same
+        qi, tj = np.nonzero(cand)
+        diff = t.desc[tj]
+        diff -= q[qi]  # inf - inf is NaN, and NaN distances order last below
+        dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
     # One group per (row, record), its candidates contiguous (module docstring).
     group = qi * len(t.starts) + t.segment[tj]
     first = np.flatnonzero(np.diff(group, prepend=-1))

@@ -4,6 +4,13 @@ A Database is an immutable snapshot: indexing returns a new snapshot,
 queries never mutate.  Persistence is a single versioned JSON document;
 floats survive the round trip exactly.
 
+`arfex index` (`index_file`) appends in place.  A file in `save_db`'s form
+gets only the new record encoded, written over the file's closing `]}\n`,
+so saving costs O(record) while loading still parses the whole file.  A
+missing file, or one in any other form, is written whole by `save_db`.
+Either way the bytes equal `save_db` of the new snapshot for a file that
+`save_db` wrote.
+
 A record holds its features as one read-only `features.Features` table,
 written by `features_to_json` (also used by `arfex extract`) and read back
 by one validator.  A query concatenates the records' `desc` and `sign`
@@ -19,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -206,20 +213,21 @@ def _record_from_json(obj: dict) -> ObjectRecord:
     )
 
 
+def _record_to_json(r: ObjectRecord) -> dict:
+    return {
+        "id": r.object_id,
+        "name": r.name,
+        "info": r.info,
+        "image_size": list(r.image_size),
+        **features_to_json(r.features),
+    }
+
+
 def db_to_json(db: Database) -> dict:
     return {
         "version": DB_VERSION,
         "extraction_config": db.extraction_config.to_dict(),
-        "objects": [
-            {
-                "id": r.object_id,
-                "name": r.name,
-                "info": r.info,
-                "image_size": list(r.image_size),
-                **features_to_json(r.features),
-            }
-            for r in db.records
-        ],
+        "objects": [_record_to_json(r) for r in db.records],
     }
 
 
@@ -252,8 +260,70 @@ def save_db(db: Database, path) -> None:
 
 
 def load_db(path) -> Database:
+    return _read_db(path)[0]
+
+
+# save_db's text is _HEAD, the config, _OBJECTS, the records joined by ", ", then _TAIL.
+_HEAD = f'{{"version": {DB_VERSION}, "extraction_config": '
+_OBJECTS = ', "objects": ['
+_TAIL = "]}\n"
+_DECODER = json.JSONDecoder()
+
+
+def _read_db(path) -> tuple[Database, Optional[int]]:
+    """load_db, plus the offset of the file's closing `]}\n` if the file is
+    in save_db's form, else None: one object of exactly the three keys, in
+    save_db's spelling up to the `objects` array, which closes at that
+    offset.  The text is dropped before the document is validated."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="ascii"))
+        doc, frame = _parse(Path(path).read_text(encoding="ascii"))
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:  # too deep a nesting recurses
         raise ParseError(f"{path}: {exc}") from exc
-    return db_from_json(doc)
+    db = db_from_json(doc)
+    if frame is None or frame[0] != json.dumps(db.extraction_config.to_dict()):
+        return db, None
+    return db, frame[1]
+
+
+def _parse(text: str) -> tuple[object, Optional[tuple[str, int]]]:
+    """json.loads(text), plus (the config's text, the offset of the closing
+    `]}\n`) if the text is _HEAD, an object, _OBJECTS, the rest of an array,
+    then _TAIL: a document of exactly those three keys.  Anything else is
+    parsed by json.loads, with None for the pair."""
+    try:
+        if text.startswith(_HEAD):
+            config, end = _DECODER.raw_decode(text, len(_HEAD))
+            config_text = text[len(_HEAD) : end]
+            if text.startswith(_OBJECTS, end):
+                objects, end = _DECODER.raw_decode(text, end + len(_OBJECTS) - 1)
+                tail = len(text) - len(_TAIL)
+                if text.endswith(_TAIL) and end == tail + 1:  # the array's `]` is the tail's
+                    doc = {"version": DB_VERSION, "extraction_config": config, "objects": objects}
+                    return doc, (config_text, tail)
+    except (ValueError, RecursionError):  # json.loads raises it again, as for any other text
+        pass
+    return json.loads(text), None
+
+
+def index_file(path, read_input: Callable[[], tuple[RasterImage, str]], object_id: str, name: str) -> Database:
+    """`arfex index`: add one record to the database file at `path`.
+
+    In order: load the file (a missing one is an empty database), call
+    `read_input()` for the image and the info text, index them with
+    `index_image`, then write.  A file in save_db's form (`_read_db`) is
+    appended in place, encoding only the new record; any other file is
+    written whole by save_db.  Nothing is written if a step raises.
+    Returns the new snapshot.
+    """
+    path = Path(path)
+    db, tail = _read_db(path) if path.exists() else (Database(), None)
+    img, info = read_input()
+    new = index_image(db, img, object_id, name, info)
+    if tail is None:
+        save_db(new, path)
+        return new
+    record = json.dumps(_record_to_json(new.records[-1]))
+    with open(path, "r+b") as f:
+        f.seek(tail)  # the write covers the old tail, so the file only grows
+        f.write(((", " if db.records else "") + record + _TAIL).encode("ascii"))
+    return new

@@ -12,12 +12,13 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from arfex import draw
+from arfex import draw, store
 from arfex.cli import _extraction_config, main
+from arfex.features import ExtractionConfig
 from arfex.geometry import reprojection_errors
 from arfex.image import RasterImage
 from arfex.image_io import read_image, write_ppm
-from arfex.store import load_db, query_image
+from arfex.store import Database, db_to_json, index_image, load_db, query_image, save_db
 from synthetic import blob_texture, noise_image, similarity_map, warp_similarity
 from conftest import gray_raster
 from oracles import flood_fill_labels
@@ -437,6 +438,101 @@ def test_deeply_nested_db_exit_2(tmp_path, texture_ppm, capsys, command):
     assert main([command, "--db", str(db), "--input", str(texture_ppm), *extra]) == 2
     assert capsys.readouterr().err.startswith("arfex: ")
     assert db.read_text() == "[" * 100000 and not out.exists()
+
+
+# --- arfex index appends in place ----------------------------------------
+
+
+def index_argv(db, image, object_id, info="i"):
+    return ["index", "--db", str(db), "--input", str(image), "--id", object_id, "--name", f"N {object_id}", "--info", info]
+
+
+def test_index_appends_bytes_equal_to_save_db_of_the_snapshots(tmp_path, monkeypatch):
+    gray = blob_texture(160, 128, 14, seed=71).pixels[:, :, 0]
+    images = [tmp_path / "gray.pgm", tmp_path / "rgb.ppm", tmp_path / "rgb2.ppm", tmp_path / "gray2.pgm"]
+    images[0].write_bytes(b"P5 160 128 255\n" + gray.tobytes())
+    write_ppm(blob_texture(192, 192, 16, seed=72), images[1])
+    write_ppm(blob_texture(128, 160, 12, seed=73), images[2])
+    images[3].write_bytes(b"P5\n128 128\n255\n" + blob_texture(128, 128, 12, seed=74).pixels[:, :, 0].tobytes())
+    info_file = tmp_path / "info.txt"
+    info_file.write_text('line one\n"quoted" and a tab\t', encoding="utf-8")
+    infos = ["plain", f"@{info_file}", "café ☃ \U0001f600", "\\ and \u0000"]
+    texts = ["plain", info_file.read_text(encoding="utf-8"), infos[2], infos[3]]
+    db, expected = tmp_path / "db.json", tmp_path / "expected.json"
+    snapshot = Database()
+    for k, (image, info, text) in enumerate(zip(images, infos, texts)):
+        assert main(index_argv(db, image, f"obj{k}", info)) == 0
+        snapshot = index_image(snapshot, read_image(image), f"obj{k}", f"N obj{k}", text)
+        save_db(snapshot, expected)
+        assert db.read_bytes() == expected.read_bytes()
+        if k == 0:  # every later call appends in place, without save_db
+            monkeypatch.setattr(store, "save_db", None)
+    assert b"\\u2603" in db.read_bytes() and [r.info for r in load_db(db).records] == texts
+
+
+def two_record_doc(tmp_path, texture_ppm):
+    db = tmp_path / "seed.json"
+    for object_id in ("a", "b"):
+        assert main(index_argv(db, texture_ppm, object_id)) == 0
+    return json.loads(db.read_text())
+
+
+def non_canonical(doc):
+    """An in-form text whose records are spelled unlike save_db: an unknown
+    key, a number in exponent form, extra spaces and newlines."""
+    first = dict(doc["objects"][0], colour="red")
+    number = first["descriptors"][0][0]
+    first["descriptors"][0][0] = "NUMBER"
+    records = [json.dumps(first, indent=1).replace('"NUMBER"', "%.17e" % number), json.dumps(doc["objects"][1])]
+    config = json.dumps(doc["extraction_config"])
+    return f'{{"version": 1, "extraction_config": {config}, "objects": [  ' + " ,\n".join(records) + " ]}\n"
+
+
+LAYOUTS = {
+    "save_db": lambda doc: json.dumps(doc) + "\n",
+    "empty, another config": lambda doc: json.dumps(db_to_json(Database(ExtractionConfig(octaves=2, upright=True)))) + "\n",
+    "indent": lambda doc: json.dumps(doc, indent=2) + "\n",
+    "reordered keys": lambda doc: json.dumps({k: doc[k] for k in ("objects", "version", "extraction_config")}) + "\n",
+    "no final newline": lambda doc: json.dumps(doc),
+    "trailing spaces": lambda doc: json.dumps(doc) + "\n  ",
+    "spaces before the newline": lambda doc: json.dumps(doc) + "  \n",
+    "array after objects": lambda doc: json.dumps({**doc, "notes": []}) + "\n",
+    "objects twice": lambda doc: json.dumps(doc)[:-1] + ', "objects": []}\n',
+    "unknown config key": lambda doc: json.dumps({**doc, "extraction_config": {**doc["extraction_config"], "x": 1}}) + "\n",
+    "records spelled otherwise": non_canonical,
+}
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_index_gives_save_db_of_the_loaded_file(tmp_path, texture_ppm, layout):
+    text = LAYOUTS[layout](two_record_doc(tmp_path, texture_ppm))
+    db = tmp_path / "db.json"
+    db.write_text(text, encoding="ascii")
+    expected = tmp_path / "expected.json"
+    save_db(index_image(load_db(db), read_image(texture_ppm), "c", "N c", "i"), expected)
+    assert main(index_argv(db, texture_ppm, "c")) == 0
+    if layout == "records spelled otherwise":  # appended in place, keeping the record text
+        assert db.read_text().startswith(text[: -len("]}\n")]) and db.read_text().endswith("]}\n")
+        assert db_to_json(load_db(db)) == db_to_json(load_db(expected))
+    else:
+        assert db.read_bytes() == expected.read_bytes()
+    kept = [] if layout in ("empty, another config", "objects twice") else ["a", "b"]
+    assert [r.object_id for r in load_db(db).records] == [*kept, "c"]
+
+
+@pytest.mark.parametrize("layout", ["save_db", "indent"])
+def test_failed_index_leaves_the_file_alone(tmp_path, texture_ppm, layout):
+    db = tmp_path / "db.json"
+    db.write_text(LAYOUTS[layout](two_record_doc(tmp_path, texture_ppm)), encoding="ascii")
+    before = db.read_bytes()
+    flat, garbage = tmp_path / "flat.ppm", tmp_path / "garbage.ppm"
+    write_ppm(gray_raster(np.full((64, 64), 128)), flat)
+    garbage.write_bytes(b"P6 not an image")
+    assert main(index_argv(db, texture_ppm, "b")) == 4  # duplicate id
+    assert main(index_argv(db, flat, "c")) == 3
+    assert main(index_argv(db, garbage, "c")) == 2
+    assert main(index_argv(db, tmp_path / "missing.ppm", "c")) == 2
+    assert db.read_bytes() == before
 
 
 def test_annotate_command_writes_overlay(tmp_path, texture_ppm):

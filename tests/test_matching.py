@@ -1,6 +1,7 @@
 """Ratio-test matching against exhaustive brute-force search and against the
 per-row loop the screened matcher replaced."""
 
+import warnings
 from typing import NamedTuple
 from unittest.mock import patch
 
@@ -413,10 +414,9 @@ def test_group_pick_bit_identical_to_lexsort_reference(seed):
     qsigns = rng.choice([1, -1], len(query)).astype(np.int8)
     targets = TargetSet.build(records)
     for ratio in (0.1, 0.3, 0.5, 0.7, 0.9, 1.0):
-        with np.errstate(invalid="ignore"):  # inf - inf in the exact distances, on both sides
-            got = match_sets(query, qsigns, targets, ratio)
-            with patch.object(matching, "_match_block", lexsort_match_block):
-                want = match_sets(query, qsigns, targets, ratio)
+        got = match_sets(query, qsigns, targets, ratio)
+        with np.errstate(invalid="ignore"), patch.object(matching, "_match_block", lexsort_match_block):
+            want = match_sets(query, qsigns, targets, ratio)  # the reference warns at inf - inf
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
@@ -445,4 +445,29 @@ def test_group_pick_orders_non_finite_distances_like_the_lexsort():
         want = match_sets(q, signs, targets)
     assert [a.tolist() for a in got[:3]] == [[0, 1], [0, 0], [1, 5]]
     assert got[3].tolist() == pytest.approx([0.1, 0.2])
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+def test_same_sign_infinities_match_without_a_warning():
+    # inf - inf in one component makes a NaN distance, which orders last:
+    # query row 0 meets NaN and two equal infs and keeps nothing, row 1 keeps
+    # its near target, and row 2 (-inf against -inf) meets NaN and infs only.
+    rows = np.zeros((4, 64))
+    rows[0, 5] = np.inf
+    rows[1, 0] = 1.0
+    rows[2, 1] = 1.0
+    rows[3, 7] = -np.inf
+    q = np.zeros((3, 64))
+    q[0, 5] = np.inf
+    q[1, 0] = 1.0 + 1e-3
+    q[2, 7] = -np.inf
+    targets = TargetSet.build([table_of(rows, np.ones(4))])
+    signs = np.ones(3, dtype=np.int8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = match_sets(q, signs, targets)
+    assert [a.tolist() for a in got[:3]] == [[0], [1], [1]]
+    assert got[3].tolist() == pytest.approx([1e-3])
+    with np.errstate(invalid="ignore"), patch.object(matching, "_match_block", lexsort_match_block):
+        want = match_sets(q, signs, targets)
     assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, event, example, given, settings, strategies as st
 
-from arfex import draw
+from arfex import draw, store
 from arfex.errors import ArfexError, DuplicateId, InsufficientMatches, NoFeatures, ParseError, VersionMismatch
 from arfex.features import ExtractionConfig, Features, extract_features
 from arfex.geometry import ransac_verify
@@ -19,6 +19,7 @@ from arfex.store import (
     db_from_json,
     db_to_json,
     features_to_json,
+    index_file,
     index_image,
     load_db,
     query_image,
@@ -194,6 +195,57 @@ def test_loaded_db_answers_queries(tmp_path, small_db):
     loaded = load_db(path)
     result, _ = query_image(loaded, blob_texture(192, 192, 16, seed=50))
     assert result.best == "obj0"
+
+
+def test_index_file_reads_its_input_only_after_the_database_loads(tmp_path):
+    path = tmp_path / "db.json"
+    path.write_text("{oops")
+    calls = []
+    with pytest.raises(ParseError):
+        index_file(path, lambda: calls.append("read"), "a", "A")
+    assert calls == [] and path.read_text() == "{oops"
+
+
+def test_index_file_returns_the_snapshot_it_wrote(tmp_path):
+    path = tmp_path / "db.json"
+    img = blob_texture(192, 192, 16, seed=50)
+    first = index_file(path, lambda: (img, "one"), "a", "A")
+    second = index_file(path, lambda: (img, "two"), "b", "B")
+    assert [r.object_id for r in first.records] == ["a"]
+    assert db_to_json(load_db(path)) == db_to_json(second) == db_to_json(index_image(first, img, "b", "B", "two"))
+
+
+SMALL_TEXT = json.dumps(
+    {"version": 1, "extraction_config": {"threshold": 0.001}, "objects": [{"id": "a", "v": [1.5, 2]}, {"id": "b"}]}
+) + "\n"
+EDITS = st.sampled_from(['[', ']', '{', '}', ',', ':', ' ', '"', '\n', '1', '"objects": ', ', "x": []', ', "objects": []'])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(0, len(SMALL_TEXT)), st.integers(0, 3), EDITS), max_size=3))
+@example(edits=[(len(SMALL_TEXT) - 2, 0, ', "objects": []')])  # `objects` twice: the last `]` closes the second
+@example(edits=[(len(SMALL_TEXT) - 2, 0, ', "x": []')])  # and here another key's
+@example(edits=[(len(SMALL_TEXT) - 3, 0, " ")])  # in form, spelled otherwise
+def test_parse_equals_json_loads_and_finds_the_closing_tail(edits):
+    text = SMALL_TEXT
+    for pos, cut, insert in edits:
+        text = text[:pos] + insert + text[pos + cut :]
+    try:
+        want = json.loads(text)
+    except ValueError as exc:
+        with pytest.raises(type(exc)) as got:
+            store._parse(text)
+        assert str(got.value) == str(exc)
+        return
+    doc, frame = store._parse(text)
+    assert doc == want and list(doc) == list(want)
+    if frame is not None:  # a value written at the tail is the last of `objects`
+        event("tail found")
+        config_text, tail = frame
+        assert json.loads(config_text) == doc["extraction_config"]
+        objects = doc["objects"]
+        appended = json.loads(text[:tail] + (", 7" if objects else "7") + text[tail:])
+        assert appended == {"version": 1, "extraction_config": doc["extraction_config"], "objects": [*objects, 7]}
 
 
 def one_record_doc(db):
