@@ -41,15 +41,7 @@ from .geometry import (
     ransac_verify,
     reprojection_errors,
 )
-from .image import (
-    GrayImage,
-    IntegralImage,
-    RasterImage,
-    box_level_sums,
-    box_sums,
-    build_integral,
-    to_grayscale,
-)
+from .image import RasterImage, box_level_sums, box_sums, build_integral, to_grayscale
 from .image_io import read_image, write_ppm
 from .store import (
     Database,
@@ -76,11 +68,9 @@ __all__ = [
     "DuplicateId",
     "ExtractionConfig",
     "Features",
-    "GrayImage",
     "Homography",
     "ImageTooSmall",
     "InsufficientMatches",
-    "IntegralImage",
     "InterestPoint",
     "NoFeatures",
     "ObjectRecord",

@@ -29,8 +29,6 @@ from itertools import starmap
 
 import numpy as np
 
-from .image import GrayImage
-
 
 @dataclass(eq=False, slots=True)
 class Blob:
@@ -85,17 +83,17 @@ class Blobs(Sequence):
         return iter(self._blobs)
 
 
-def binarize(gray: GrayImage, threshold: int, polarity: str = "white") -> np.ndarray:
-    """Boolean foreground mask.
+def binarize(levels: np.ndarray, threshold: int, polarity: str = "white") -> np.ndarray:
+    """Boolean foreground mask of an 8-bit level array (`image.to_grayscale`).
 
     White polarity: level >= threshold is foreground; black: level < threshold.
     """
     if not 0 <= threshold <= 255:
         raise ValueError(f"threshold must be in [0, 255], got {threshold}")
     if polarity == "white":
-        return gray.levels >= threshold
+        return levels >= threshold
     if polarity == "black":
-        return gray.levels < threshold
+        return levels < threshold
     raise ValueError(f"polarity must be 'white' or 'black', got {polarity!r}")
 
 

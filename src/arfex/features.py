@@ -6,6 +6,10 @@ quadratic refinement step -> orientation assignment -> 64-component
 descriptors.  All stages are pure functions; identical input and
 configuration give byte-identical output.
 
+The stages that read the image take the integral image as the plain
+(h + 1, w + 1) int64 padded table P of `image.build_integral`, and read the
+image's width and height from its shape.
+
 The scale space is one `ResponseMap` per octave.  Octave o (1-based)
 samples every 2^(o-1) pixels and has INTERVALS layers, filtered at
 filter_sizes(o, INTERVALS); its responses and Laplacian signs are two
@@ -113,13 +117,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ImageTooSmall
-from .image import (
-    GrayImage,
-    IntegralImage,
-    RasterImage,
-    build_integral,
-    to_grayscale,
-)
+from .image import RasterImage, build_integral, to_grayscale
 
 FILTER_BASE = 9  # smallest filter; also the minimum image side
 SIGMA_BASE = 1.2  # sigma of the 9x9 filter
@@ -263,19 +261,20 @@ class Features:
         return cls(table[:, :2], *table[:, 2:].T, desc)
 
 
-def build_response_maps(ii: IntegralImage, config: Optional[ExtractionConfig] = None) -> list[ResponseMap]:
-    """One response map per octave, in octave order."""
+def build_response_maps(table: np.ndarray, config: Optional[ExtractionConfig] = None) -> list[ResponseMap]:
+    """One response map per octave, in octave order, from the padded table."""
     config = config or ExtractionConfig()
-    if ii.width < FILTER_BASE or ii.height < FILTER_BASE:
+    height, width = table.shape[0] - 1, table.shape[1] - 1
+    if width < FILTER_BASE or height < FILTER_BASE:
         raise ImageTooSmall(
-            f"image {ii.width}x{ii.height} below {FILTER_BASE}x{FILTER_BASE} minimum"
+            f"image {width}x{height} below {FILTER_BASE}x{FILTER_BASE} minimum"
         )
-    table = ii.padded.astype(np.int32)  # wraps mod 2**32; exact, see the module docstring
+    wrapped = table.astype(np.int32)  # wraps mod 2**32; exact, see the module docstring
     maps = []
     for octave in range(1, config.octaves + 1):
         stride = 1 << (octave - 1)
         sizes = tuple(filter_sizes(octave, INTERVALS))
-        shape = (INTERVALS, -(-ii.height // stride), -(-ii.width // stride))
+        shape = (INTERVALS, -(-height // stride), -(-width // stride))
         responses = np.zeros(shape)
         signs = np.ones(shape, dtype=np.int8)
         reused = 0
@@ -287,7 +286,7 @@ def build_response_maps(ii: IntegralImage, config: Optional[ExtractionConfig] = 
             responses[:reused] = prev.responses[1::2, ::2, ::2]
             signs[:reused] = prev.laplacian_signs[1::2, ::2, ::2]
         for k in range(reused, INTERVALS):
-            _hessian_grid(table, stride, sizes[k], responses[k], signs[k])
+            _hessian_grid(wrapped, stride, sizes[k], responses[k], signs[k])
         maps.append(ResponseMap(stride, sizes, responses, signs))
     return maps
 
@@ -447,7 +446,7 @@ def _refine(m: ResponseMap, k, i, j) -> list[InterestPoint]:
     )
 
 
-def _haar(ii: IntegralImage, xs, ys, size) -> tuple[np.ndarray, np.ndarray]:
+def _haar(table: np.ndarray, xs, ys, size) -> tuple[np.ndarray, np.ndarray]:
     """Right-minus-left and bottom-minus-top box differences: positive for
     luminance increasing in +x and in +y.
 
@@ -456,8 +455,8 @@ def _haar(ii: IntegralImage, xs, ys, size) -> tuple[np.ndarray, np.ndarray]:
     eight clamped padded-table lookups serve both responses.
     """
     half = size // 2
-    w, h = ii.width, ii.height
-    flat = ii.padded.ravel()
+    h, w = table.shape[0] - 1, table.shape[1] - 1
+    flat = table.ravel()
     a = np.clip(xs - half, 0, w)
     b = np.clip(xs, 0, w)
     c = np.clip(xs + half, 0, w)
@@ -551,8 +550,9 @@ def _window_mask(angles: np.ndarray) -> np.ndarray:
     return mask
 
 
-def assign_orientation(ii: IntegralImage, x: np.ndarray, y: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """Dominant Haar-gradient direction of each point (x[i], y[i], scale[i]).
+def assign_orientation(table: np.ndarray, x: np.ndarray, y: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Dominant Haar-gradient direction of each point (x[i], y[i], scale[i]),
+    from the padded table.
 
     Haar responses (size ~4s) are sampled on a radius-6s disc at step s and
     Gaussian-weighted (sigma 2.5s); a pi/3 window slides by pi/32 and the
@@ -565,7 +565,7 @@ def assign_orientation(ii: IntegralImage, x: np.ndarray, y: np.ndarray, scale: n
         size = _even_size(ORIENTATION_HAAR * s)
         px = np.floor(x[b, None] + _DISC_U * s + 0.5).astype(np.int64)
         py = np.floor(y[b, None] + _DISC_V * s + 0.5).astype(np.int64)
-        gx, gy = _haar(ii, px, py, size)
+        gx, gy = _haar(table, px, py, size)
         gx *= _DISC_WEIGHT
         gy *= _DISC_WEIGHT
         window = _window_mask(np.mod(np.arctan2(gy, gx), 2.0 * math.pi))
@@ -580,9 +580,10 @@ def assign_orientation(ii: IntegralImage, x: np.ndarray, y: np.ndarray, scale: n
 
 
 def extract_descriptor(
-    ii: IntegralImage, x: np.ndarray, y: np.ndarray, scale: np.ndarray, theta: np.ndarray
+    table: np.ndarray, x: np.ndarray, y: np.ndarray, scale: np.ndarray, theta: np.ndarray
 ) -> np.ndarray:
-    """64-d descriptor of each point: per-subregion (sum dx, sum dy, sum |dx|, sum |dy|).
+    """64-d descriptor of each point, from the padded table: per-subregion
+    (sum dx, sum dy, sum |dx|, sum |dy|).
 
     A 20s x 20s window rotated by theta[i] (0 for upright) is sampled on a
     20x20 grid (4x4 subregions of 5x5 samples) with Haar size ~2s and
@@ -602,7 +603,7 @@ def extract_descriptor(
         ry = (_GRID_U * sin_t + _GRID_V * cos_t) * s
         px = np.floor(x[b, None, None] + rx + 0.5).astype(np.int64)
         py = np.floor(y[b, None, None] + ry + 0.5).astype(np.int64)
-        dx0, dy0 = _haar(ii, px, py, size)
+        dx0, dy0 = _haar(table, px, py, size)
         blocks_dx = (_GRID_WEIGHT * (dx0 * cos_t + dy0 * sin_t)).reshape(-1, g, m, g, m)
         blocks_dy = (_GRID_WEIGHT * (-dx0 * sin_t + dy0 * cos_t)).reshape(-1, g, m, g, m)
         vec = np.stack(
@@ -631,18 +632,17 @@ def extract_features(
     orientation stage is skipped (orientation stays 0).
     """
     config = config or ExtractionConfig()
-    gray = to_grayscale(img)
-    ii = build_integral(gray)
-    points = detect_interest_points(build_response_maps(ii, config), config.threshold)
+    table = build_integral(to_grayscale(img))
+    points = detect_interest_points(build_response_maps(table, config), config.threshold)
     x, y, scale = np.array([(p.x, p.y, p.scale) for p in points], dtype=np.float64).reshape(-1, 3).T
     if config.upright:
         theta = np.zeros(len(points))
     else:
-        theta = assign_orientation(ii, x, y, scale)
+        theta = assign_orientation(table, x, y, scale)
         points = [
             InterestPoint(p.x, p.y, p.scale, p.response, p.laplacian_sign, t)
             for p, t in zip(points, theta.tolist())
         ]
-    vectors = extract_descriptor(ii, x, y, scale, theta)
+    vectors = extract_descriptor(table, x, y, scale, theta)
     descriptors = list(map(Descriptor, vectors, [p.laplacian_sign for p in points]))
     return points, descriptors

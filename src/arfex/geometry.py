@@ -89,13 +89,16 @@ def _as_points(a) -> np.ndarray:
 
 
 def _check_collinear(src: np.ndarray) -> None:
-    n = len(src)
+    # Python floats give numpy's IEEE results without its overflow warnings:
+    # an inf or NaN area is not collinear either way.
+    pts = src.tolist()
+    n = len(pts)
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                a = src[j] - src[i]
-                b = src[k] - src[i]
-                if abs(a[0] * b[1] - a[1] * b[0]) <= _COLLINEAR_TOL:
+                ax, ay = pts[j][0] - pts[i][0], pts[j][1] - pts[i][1]
+                bx, by = pts[k][0] - pts[i][0], pts[k][1] - pts[i][1]
+                if abs(ax * by - ay * bx) <= _COLLINEAR_TOL:
                     raise DegenerateConfiguration(
                         f"source points {i}, {j}, {k} are collinear or duplicated"
                     )

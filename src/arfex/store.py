@@ -240,8 +240,8 @@ def db_from_json(doc: dict) -> Database:
     """
     try:
         version = doc["version"]
-        if version != DB_VERSION:
-            raise VersionMismatch(f"unsupported database version {version}")
+        if type(version) is not int or version != DB_VERSION:  # true and 1.0 are not 1 here
+            raise VersionMismatch(f"unsupported database version {version!r}")
         config = ExtractionConfig.from_dict(doc["extraction_config"])
         records = [_record_from_json(obj) for obj in doc["objects"]]
     except (KeyError, TypeError, ValueError, IndexError, AttributeError, OverflowError) as exc:

@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from arfex.image import GrayImage, RasterImage
+from arfex.image import RasterImage
 
 
 @pytest.fixture
@@ -18,8 +18,8 @@ def random_raster(rng, w: int, h: int) -> RasterImage:
     return RasterImage(rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8))
 
 
-def random_gray(rng, w: int, h: int) -> GrayImage:
-    return GrayImage(rng.integers(0, 256, size=(h, w), dtype=np.uint8))
+def random_gray(rng, w: int, h: int) -> np.ndarray:
+    return rng.integers(0, 256, size=(h, w), dtype=np.uint8)
 
 
 def gray_raster(levels) -> RasterImage:

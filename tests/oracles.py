@@ -39,7 +39,7 @@ def slice_box_sum(unit: np.ndarray, x0: int, y0: int, x1: int, y1: int) -> float
 def hessian_response_at(levels: np.ndarray, x: int, y: int, size: int, dxy_weight: float = 0.9):
     """(response, laplacian_sign) at one pixel by direct box-filter summation.
 
-    `levels` holds 8-bit integer levels (e.g. `GrayImage.levels`), not the
+    `levels` holds 8-bit integer levels (e.g. from `image.to_grayscale`), not the
     [0, 1] unit view; a float array raises TypeError rather than being
     truncated to zeros.  Rectangle layout restated independently; cells
     whose support (reach (size-1)/2) leaves the image are (0.0, +1).  Sums

@@ -14,7 +14,6 @@ from arfex.blobs import (
     merge_lineblobs,
     scan_lineblobs,
 )
-from arfex.image import GrayImage
 from oracles import flood_fill_labels, partition_from_labels
 
 
@@ -38,23 +37,23 @@ def blob_fields(blobs):
 
 
 def test_binarize_boundary_is_foreground_for_white():
-    g = GrayImage(np.array([[128]], dtype=np.uint8))
+    g = np.array([[128]], dtype=np.uint8)
     assert binarize(g, 128, "white")[0, 0]
     assert not binarize(g, 128, "black")[0, 0]
 
 
 def test_binarize_all_zero_white_is_empty():
-    g = GrayImage(np.zeros((4, 4), dtype=np.uint8))
+    g = np.zeros((4, 4), dtype=np.uint8)
     assert not binarize(g, 128, "white").any()
 
 
 def test_binarize_row_example():
-    g = GrayImage(np.array([[100, 140, 160]], dtype=np.uint8))
+    g = np.array([[100, 140, 160]], dtype=np.uint8)
     assert binarize(g, 128, "white").tolist() == [[False, True, True]]
 
 
 def test_binarize_rejects_bad_arguments():
-    g = GrayImage(np.zeros((2, 2), dtype=np.uint8))
+    g = np.zeros((2, 2), dtype=np.uint8)
     with pytest.raises(ValueError):
         binarize(g, 300, "white")
     with pytest.raises(ValueError):

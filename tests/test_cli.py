@@ -423,6 +423,18 @@ def test_query_version_mismatch_exit_4(tmp_path, texture_ppm):
     assert main(["query", "--db", str(db), "--input", str(texture_ppm), "--output", str(out)]) == 4
 
 
+@pytest.mark.parametrize("version", [True, 1.0])
+def test_query_version_that_only_equals_1_exit_4(tmp_path, texture_ppm, capsys, version):
+    db = build_db(tmp_path)
+    doc = read_json(db)
+    doc["version"] = version
+    db.write_text(json.dumps(doc))
+    out = tmp_path / "x.json"
+    assert main(["query", "--db", str(db), "--input", str(texture_ppm), "--output", str(out)]) == 4
+    assert "unsupported database version" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_query_corrupt_db_exit_2(tmp_path, texture_ppm):
     db = tmp_path / "broken.json"
     db.write_text("{oops")

@@ -124,6 +124,51 @@ def test_estimate_rejects_duplicated_sources():
         estimate_homography(src, SQUARE)
 
 
+def test_huge_sources_give_the_same_answers_without_a_warning():
+    # Areas of points near 1e300 overflow to inf (and inf - inf to NaN),
+    # which counts as not collinear; the collinearity test must not warn.
+    rng = np.random.default_rng(3)
+    dst = rng.uniform(0, 128, size=(30, 2))
+    src = dst * 1e300
+    with pytest.raises(SingularSystem):
+        estimate_homography(src[:4], dst[:4])
+    result = ransac_verify(src, dst)
+    assert not result.verified and result.model is None
+
+
+def numpy_scalar_collinear(src) -> bool:
+    """The collinearity test on numpy scalars, warnings silenced: the reference."""
+    with np.errstate(all="ignore"):
+        for i in range(len(src)):
+            for j in range(i + 1, len(src)):
+                for k in range(j + 1, len(src)):
+                    a, b = src[j] - src[i], src[k] - src[i]
+                    if abs(a[0] * b[1] - a[1] * b[0]) <= geometry._COLLINEAR_TOL:
+                        return True
+    return False
+
+
+def test_collinearity_decisions_equal_the_numpy_scalar_test():
+    rng = np.random.default_rng(11)
+    specials = [0.0, -0.0, 1e-300, 1e150, 1e300, -1e300, np.inf, -np.inf, np.nan]
+    decisions = []
+    for trial in range(400):
+        src = rng.uniform(-100, 100, size=(4, 2)) * 10.0 ** rng.integers(-5, 300)
+        if trial % 2:
+            src.flat[rng.integers(0, 8, size=rng.integers(1, 4))] = rng.choice(specials, size=1)
+        if trial % 5 == 0:
+            src[rng.integers(1, 4)] = src[0]
+        collinear = numpy_scalar_collinear(src)
+        try:
+            geometry._check_collinear(src)
+            refused = False
+        except DegenerateConfiguration:
+            refused = True
+        assert refused == collinear, src
+        decisions.append(refused)
+    assert 0 < sum(decisions) < len(decisions)
+
+
 def exact_correspondences(rng, n, truth):
     src = rng.uniform(0, 200, size=(n, 2))
     return src, apply_h(truth, src)

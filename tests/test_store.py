@@ -163,6 +163,17 @@ def test_version_mismatch(tmp_path, small_db):
         load_db(path)
 
 
+@pytest.mark.parametrize("version", [True, 1.0, "1", [1], None, 2, 0])
+def test_version_other_than_the_int_1_is_refused(tmp_path, small_db, version):
+    path = tmp_path / "db.json"
+    save_db(small_db, path)
+    doc = json.loads(path.read_text())
+    doc["version"] = version
+    path.write_text(json.dumps(doc))
+    with pytest.raises(VersionMismatch, match="unsupported database version"):
+        load_db(path)
+
+
 def test_corrupt_json_raises_parse_error(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
