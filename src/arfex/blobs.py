@@ -152,13 +152,17 @@ def _label_runs(table: np.ndarray, min_pixels: int) -> Blobs:
         empty = np.zeros((0, 4), dtype=np.int64)
         return Blobs(empty[:, 0], empty, np.zeros((0, 2)), empty[:, :2], table)
     root = _components(*table.T[:3])
-    # Groups in order of their root, members in (row, x_start) order.
-    order = np.argsort(root, kind="stable")
+    # Groups in order of their root, members in (row, x_start) order.  The
+    # sort key is each run's group number in root order, in the smallest
+    # dtype that holds it, so the stable sort can be a radix sort.
+    group = np.cumsum(root == np.arange(root.size))[root] - 1
+    group = group.astype(np.min_scalar_type(group.max()))
+    order = np.argsort(group, kind="stable")
     table = table[order]
     rows, starts, ends, _ = table.T
-    roots = np.flatnonzero(root == np.arange(root.size))
-    first = np.searchsorted(root[order], roots)
-    stop = np.append(first[1:], root.size)
+    members = np.bincount(group)
+    stop = np.cumsum(members)
+    first = stop - members
     length = ends - starts + 1
     count = np.add.reduceat(length, first)
     # Run-weighted sums are integers, so each centroid is one correctly

@@ -11,11 +11,14 @@ The stages that read the image take the integral image as the plain
 image's width and height from its shape.
 
 The scale space is one `ResponseMap` per octave.  Octave o (1-based)
-samples every 2^(o-1) pixels and has INTERVALS layers, filtered at
-filter_sizes(o, INTERVALS); its responses and Laplacian signs are two
-(INTERVALS, gh, gw) arrays, allocated once and filled layer by layer in
-place.  Detection reads each candidate's 3x3x3 neighbourhood straight from
-them.
+samples every 2^(o-1) pixels and has INTERVALS = 4 layers, filtered at
+filter_sizes(o, 4).  Detection keeps only maxima of the middle layers 1
+and 2, so only they are filled densely, into one (2, gh, gw) array.  The
+outer layers 0 and 3 are only compared against, and a Laplacian sign is
+read only at a kept point, so both are evaluated by `_layer_cells` at just
+the cells detection reads.  Octaves share no layer: octave o's first two
+filter sizes are octave o-1's second and fourth (SURF's octave overlap),
+but octave o fills its own layers 1 and 2 and reads the others by cell.
 
 Box-filter layout (center (x, y), odd filter size L, lobe l = L//3,
 border b = (L-1)//2, half-lobe m = (l-1)//2; rectangles inclusive):
@@ -36,9 +39,10 @@ of column c).  Boxes that share rows or columns share one strip difference:
   Dxy = S[x+l+1] - S[x+1] - S[x] + S[x-l],
         S = P[y] - P[y-l] - P[y+l+1] + P[y+1]
 
-that is, 16 integer passes per layer; the four corners of eight boxes
-would take about 31.  Each layer is filled in row bands of about BAND_CELLS grid
-cells, so every temporary stays cache-sized whatever the image size.
+that is, 16 integer passes per dense layer; the four corners of eight
+boxes would take about 31.  Each dense layer is filled in row bands of
+about BAND_CELLS grid cells, so every temporary stays cache-sized whatever
+the image size.
 
 The integer passes run on an int32 copy of P, which wraps each entry mod
 2^32.  Adding, subtracting and multiplying by 3 are ring operations mod
@@ -47,24 +51,33 @@ because the true value fits in int32: the largest filter (195, octave 4)
 gives |Dxx| <= 3 * 195 * 129 * 255 < 2^26, and |Dyy| and |Dxy| are no
 larger, for any image size.  Only the exact D are converted to float.
 
-The first INTERVALS/2 layers of octave o >= 2 are not computed:
-filter_sizes(o)[:2] == filter_sizes(o-1)[1::2], and cell (i, j) of octave o
-sits on the pixel of cell (2i, 2j) of octave o-1, so they are octave o-1's
-odd layers at [::2, ::2], copied bit for bit.  This is the filter-size
-overlap of SURF's octaves.
+A cell read gives the bits of a dense fill.  `_layer_cells` gathers each
+cell's 32 corners of the same strips (v and u at four columns or rows
+each, S at four columns) from the same table and forms the same D's; they
+are exact integers, so the order of the integer steps cannot change them.
+It then takes the dense fill's float steps in the same order: scale each D
+by 1 / (255 L^2), form Dxx Dyy - (0.9 Dxy)^2, and take the sign of the
+scaled Dxx + Dyy (+1 on exact zero).  It works in blocks of CELL_BLOCK
+cells, so its temporaries stay near 1 MB.
 
-Non-maximum suppression starts from the cells above threshold, listed in
-row-major order.  It reads each neighbour from the flattened stack at a
-fixed flat offset, compares the 8 neighbours in the candidate's own layer
-first, since they reject most candidates, and keeps only the survivors
-after each of the 26 comparisons.  The kept set is the AND of the same 26
-strict comparisons, and compaction keeps row-major order, so refinement
-gets the same (i, j) arrays in the same order as from comparing every
-candidate with all 26 neighbours.  The survivors of one layer are refined
-together: their 3x3 Hessians form one (N, 3, 3) stack for one
+Non-maximum suppression runs on each detection layer in turn.  It starts
+from the cells above threshold, listed in row-major order, compares them
+with their 8 neighbours in the same layer first, since they reject most
+candidates, then with the 9 in the other detection layer, and keeps only
+the survivors after each comparison.  Then it reads the outer layer (0
+below layer 1, 3 above layer 2) at the survivors' 3x3 neighbourhoods.  One
+cell read costs about CELL_COST dense cells, so when the survivors' cells
+would cost more than a dense fill, `_hessian_grid` fills that outer layer
+instead; both give the same bits.  The kept set is the AND of the same 26
+strict comparisons whatever their order, and compaction keeps row-major
+order, so refinement gets the same cells in the same order as from
+comparing every candidate with all 26 neighbours of a four-layer stack.
+The survivors of one layer are refined together: their 3x3x3
+neighbourhoods give 3x3 Hessians that form one (N, 3, 3) stack for one
 `np.linalg.solve`, which runs the same LAPACK solve per matrix as a
 one-matrix call.  One singular matrix makes the whole stack raise, so then
 each candidate is solved on its own and the singular ones are dropped.
+Each kept point's Laplacian sign is one more `_layer_cells` read.
 
 `assign_orientation` and `extract_descriptor` take arrays of points and run
 as array passes over blocks of BLOCK points.  Each point gets the same bits
@@ -138,6 +151,8 @@ DESCRIPTOR_SIGMA = 3.3  # Gaussian weight
 DESCRIPTOR_LENGTH = 4 * DESCRIPTOR_GRID * DESCRIPTOR_GRID  # four sums per subregion
 BLOCK = 16  # points per array pass of orientation and descriptors; bounds peak memory
 BAND_CELLS = 32768  # grid cells per row band of a response layer; keeps its temporaries in L2
+CELL_BLOCK = 2048  # cells per block of `_layer_cells`; keeps its temporaries near 1 MB
+CELL_COST = 16  # dense-fill cells that one `_layer_cells` cell costs, about
 
 
 def filter_sizes(octave: int, intervals: int) -> list[int]:
@@ -179,29 +194,31 @@ class ExtractionConfig:
 
 @dataclass(eq=False)
 class ResponseMap:
-    """Normalized Hessian-determinant responses of one octave's scale space.
+    """One octave's scale space: its two dense detection layers and the
+    table its other cells are read from.
 
-    Layer k of `responses` and `laplacian_signs` (shape (intervals, gh, gw))
-    is filtered at filter_sizes[k].  Grid cell (i, j) sits at pixel
-    (j*stride, i*stride); grid dims are ceil(height/stride) x
-    ceil(width/stride).  laplacian_signs holds the sign of Dxx+Dyy (+1 on
-    exact zero).
+    The octave's INTERVALS layers are filtered at `filter_sizes`; grid cell
+    (i, j) sits at pixel (j*stride, i*stride), and the grid is
+    ceil(height/stride) x ceil(width/stride).  `responses` (2, gh, gw)
+    holds layers 1 and 2.  `table` is the padded table, int64 or its int32
+    wrap (module docstring), that `_layer_cells` reads the outer layers
+    0 and 3 and every Laplacian sign from.
     """
 
     stride: int
     filter_sizes: tuple[int, ...]
     responses: np.ndarray
-    laplacian_signs: np.ndarray
+    table: np.ndarray
 
     def __post_init__(self):
-        if len(self.filter_sizes) < 3:
-            raise ValueError("need >= 3 intervals per octave for detection")
-        shape = self.responses.shape
-        if len(shape) != 3 or shape[0] != len(self.filter_sizes) or self.laplacian_signs.shape != shape:
-            raise ValueError(
-                "responses and laplacian_signs must share one (len(filter_sizes), gh, gw) shape, "
-                f"got {shape} and {self.laplacian_signs.shape}"
-            )
+        if len(self.filter_sizes) != INTERVALS:
+            raise ValueError(f"need {INTERVALS} filter sizes per octave, got {len(self.filter_sizes)}")
+        if self.table.ndim != 2:
+            raise ValueError(f"table must be a 2-D padded table, got shape {self.table.shape}")
+        height, width = self.table.shape[0] - 1, self.table.shape[1] - 1
+        grid = (2, -(-height // self.stride), -(-width // self.stride))
+        if self.responses.shape != grid:
+            raise ValueError(f"responses must have shape {grid} for this table and stride, got {self.responses.shape}")
 
 
 @dataclass(frozen=True)
@@ -262,7 +279,8 @@ class Features:
 
 
 def build_response_maps(table: np.ndarray, config: Optional[ExtractionConfig] = None) -> list[ResponseMap]:
-    """One response map per octave, in octave order, from the padded table."""
+    """One response map per octave, in octave order, from the padded table:
+    each octave's layers 1 and 2, filled densely."""
     config = config or ExtractionConfig()
     height, width = table.shape[0] - 1, table.shape[1] - 1
     if width < FILTER_BASE or height < FILTER_BASE:
@@ -274,27 +292,17 @@ def build_response_maps(table: np.ndarray, config: Optional[ExtractionConfig] = 
     for octave in range(1, config.octaves + 1):
         stride = 1 << (octave - 1)
         sizes = tuple(filter_sizes(octave, INTERVALS))
-        shape = (INTERVALS, -(-height // stride), -(-width // stride))
-        responses = np.zeros(shape)
-        signs = np.ones(shape, dtype=np.int8)
-        reused = 0
-        if maps:
-            # The first layers repeat the previous octave's odd layers on every
-            # other cell: same pixels, same filter sizes.
-            prev = maps[-1]
-            reused = INTERVALS // 2
-            responses[:reused] = prev.responses[1::2, ::2, ::2]
-            signs[:reused] = prev.laplacian_signs[1::2, ::2, ::2]
-        for k in range(reused, INTERVALS):
-            _hessian_grid(wrapped, stride, sizes[k], responses[k], signs[k])
-        maps.append(ResponseMap(stride, sizes, responses, signs))
+        responses = np.zeros((2, -(-height // stride), -(-width // stride)))
+        for layer, size in zip(responses, sizes[1:3]):
+            _hessian_grid(wrapped, stride, size, layer)
+        maps.append(ResponseMap(stride, sizes, responses, wrapped))
     return maps
 
 
-def _hessian_grid(table: np.ndarray, stride: int, size: int, responses: np.ndarray, signs: np.ndarray) -> None:
-    """Fill one layer in place from the int32 padded table, one row band at a
-    time: interior cells get their response and sign; the rest keep the 0.0
-    and +1 they were allocated with."""
+def _hessian_grid(table: np.ndarray, stride: int, size: int, responses: np.ndarray) -> None:
+    """Fill one layer in place from the padded table or its int32 wrap, one
+    row band at a time: interior cells get their response; the rest keep
+    the 0.0 they were allocated with."""
     lobe = size // 3
     border = (size - 1) // 2
     half = (lobe - 1) // 2
@@ -346,68 +354,153 @@ def _hessian_grid(table: np.ndarray, stride: int, size: int, responses: np.ndarr
         dxy -= strip[:, cols(0)]
         dxy += strip[:, cols(-lobe)]
 
-        # One fixed order of float steps: scale each D, then Dxx Dyy - (0.9 Dxy)^2,
-        # and the sign of the scaled Dxx + Dyy.
+        # One fixed order of float steps, which `_layer_cells` repeats: scale
+        # each D, then Dxx Dyy - (0.9 Dxy)^2.
         bxx, byy, bxy = fxx[:n], fyy[:n], fxy[:n]
         np.multiply(dxx, inv_area, out=bxx)
         np.multiply(dyy, inv_area, out=byy)
         np.multiply(dxy, inv_area, out=bxy)
-        cells = (slice(top, top + n), slice(first, first + nx))
-        out = responses[cells]
+        out = responses[top : top + n, first : first + nx]
         np.multiply(bxx, byy, out=out)
         bxy *= DXY_WEIGHT
         np.square(bxy, out=bxy)
         out -= bxy
-        bxx += byy
-        signs[cells][bxx < 0] = -1
 
 
-# The 26 (layer, row, column) steps to a cell's 3x3x3 neighbours, the 8 of
-# its own layer first: they reject most candidates.
-_NEIGHBOUR_STEPS = sorted(
-    ((dk, di, dj) for dk in (-1, 0, 1) for di in (-1, 0, 1) for dj in (-1, 0, 1) if dk or di or dj),
-    key=lambda step: step[0] != 0,
-)
+def _layer_cells(
+    table: np.ndarray, stride: int, size: int, i: np.ndarray, j: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Responses and Laplacian signs of the cells (i, j), any shape, of the
+    layer of filter `size` at `stride`, from the padded table or its int32
+    wrap.
+
+    Interior cells get the bits `_hessian_grid` fills there and the sign of
+    Dxx + Dyy (int8, +1 on exact zero); the rest, out-of-grid cells
+    included, get 0.0 and +1 (module docstring).
+    """
+    lobe = size // 3
+    border = (size - 1) // 2
+    half = (lobe - 1) // 2
+    height, width = table.shape[0] - 1, table.shape[1] - 1
+    # Table steps from P[y, x] to the 32 corners: the far ends of the v and
+    # u strips at the four offsets where Dxx and Dyy read them, their near
+    # ends, then the four rows of the S strip at Dxy's four columns.
+    ends = (border + 1, -border, half + 1, -half)
+    far = [(lobe, d) for d in ends] + [(d, lobe) for d in ends]
+    near = [(1 - lobe, d) for d in ends] + [(d, 1 - lobe) for d in ends]
+    s_strip = [(r, c) for r in (0, -lobe, lobe + 1, 1) for c in (lobe + 1, 1, 0, -lobe)]
+    steps = np.array([r * (width + 1) + c for r, c in far + near + s_strip])[:, None]
+    y = np.asarray(i, dtype=np.int64) * stride
+    x = np.asarray(j, dtype=np.int64) * stride
+    responses = np.zeros(y.shape)
+    signs = np.ones(y.shape, dtype=np.int8)
+    inside = np.flatnonzero((y >= border) & (y < height - border) & (x >= border) & (x < width - border))
+    base = (y * (width + 1) + x).ravel()[inside]
+    flat = table.ravel()
+    inv_area = 1.0 / (255.0 * size * size)
+    for lo in range(0, inside.size, CELL_BLOCK):
+        corners = flat[steps + base[lo : lo + CELL_BLOCK]]
+        strips = (corners[:8] - corners[8:16]).reshape(2, 4, -1)  # v then u, at Dxx's and Dyy's offsets
+        d = strips[:, 0] - strips[:, 1]
+        part = strips[:, 2] - strips[:, 3]
+        part *= 3
+        d -= part
+        s = corners[16:20] - corners[20:24]
+        s -= corners[24:28]
+        s += corners[28:32]
+        dxy = s[0] - s[1]
+        dxy -= s[2]
+        dxy += s[3]
+        # `_hessian_grid`'s float steps, in its order.
+        b = d * inv_area
+        bxy = dxy * inv_area
+        response = b[0] * b[1]
+        bxy *= DXY_WEIGHT
+        np.square(bxy, out=bxy)
+        response -= bxy
+        cells = inside[lo : lo + CELL_BLOCK]
+        responses.flat[cells] = response
+        signs.flat[cells[b[0] + b[1] < 0]] = -1
+    return responses, signs
+
+
+# The (row, column) steps to a cell's 3x3 neighbourhood, in row-major order,
+# and the positions of its 8 neighbours among them (the centre is 4).
+_WINDOW = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)]
+_RING = [n for n in range(9) if n != 4]
 
 
 def detect_interest_points(maps: list[ResponseMap], threshold: float) -> list[InterestPoint]:
     """Strict 3x3x3 maxima above threshold, refined by one quadratic step.
 
-    First/last layer of each octave serve only as comparison layers.
-    Points whose refinement offset exceeds 0.5 in any component (or whose
-    local Hessian is singular) are discarded.  Output sorted by descending
-    response, ties by (y, x, scale) ascending.
+    Maxima are taken in each octave's layers 1 and 2; layers 0 and 3 serve
+    only as comparison layers and are read at the cells the comparisons
+    and refinement need (module docstring).  Points whose refinement offset
+    exceeds 0.5 in any component (or whose local Hessian is singular) are
+    discarded.  Output sorted by descending response, ties by (y, x,
+    scale) ascending.
     """
     points: list[InterestPoint] = []
     for m in maps:
-        stack = m.responses
-        n, gh, gw = stack.shape
+        _, gh, gw = m.responses.shape
         if gh < 3 or gw < 3:
             continue
-        flat = stack.ravel()
-        for k in range(1, n - 1):
+        window = np.array([di * gw + dj for di, dj in _WINDOW])
+        for k in (1, 2):
+            layer, other = m.responses[k - 1].ravel(), m.responses[2 - k].ravel()
             # Only the cells above threshold are candidates; nonzero gives
             # them in row-major order, and each comparison keeps the
             # survivors in that order (module docstring).
-            ci, cj = np.nonzero(stack[k, 1:-1, 1:-1] > threshold)
-            at = (k * gh + ci + 1) * gw + cj + 1
-            v = flat[at]
-            for dk, di, dj in _NEIGHBOUR_STEPS:
-                keep = v > flat[at + ((dk * gh + di) * gw + dj)]
+            ci, cj = np.nonzero(m.responses[k - 1, 1:-1, 1:-1] > threshold)
+            at = (ci + 1) * gw + cj + 1
+            v = layer[at]
+            for step in window[_RING]:
+                keep = v > layer[at + step]
                 at, v = at[keep], v[keep]
-            i, j = np.divmod(at - k * gh * gw, gw)
-            points += _refine(m, k, i, j)
+            for step in window:
+                keep = v > other[at + step]
+                at, v = at[keep], v[keep]
+            outer = _outer_layer(m, 3 * (k - 1), at[:, None] + window)
+            keep = np.all(v[:, None] > outer, axis=1)
+            at, v, outer = at[keep], v[keep], outer[keep]
+            around = at[:, None] + window
+            below, above = (outer, other[around]) if k == 1 else (other[around], outer)
+            offset = _refine(np.stack([below, layer[around], above], axis=1).reshape(-1, 3, 3, 3))
+            ok = np.max(np.abs(offset), axis=1) <= 0.5
+            i, j = np.divmod(at[ok], gw)
+            step = m.filter_sizes[k + 1] - m.filter_sizes[k]
+            size = m.filter_sizes[k] + offset[ok, 2] * step
+            points += map(
+                InterestPoint,
+                ((j + offset[ok, 0]) * m.stride).tolist(),
+                ((i + offset[ok, 1]) * m.stride).tolist(),
+                (SIGMA_BASE * size / FILTER_BASE).tolist(),
+                v[ok].tolist(),
+                _layer_cells(m.table, m.stride, m.filter_sizes[k], i, j)[1].tolist(),
+            )
     points.sort(key=lambda p: (-p.response, p.y, p.x, p.scale))
     return points
 
 
-def _refine(m: ResponseMap, k, i, j) -> list[InterestPoint]:
-    """Refined points of the candidates (k, i[n], j[n]) of one octave's map,
-    by one stacked solve, or one solve each if any Hessian is singular."""
-    stack = m.responses
+def _outer_layer(m: ResponseMap, k: int, cells: np.ndarray) -> np.ndarray:
+    """Responses of layer k of map m at the flat grid cells `cells`: read
+    cell by cell, or from a dense fill of the layer when that is cheaper;
+    both give the same bits."""
+    _, gh, gw = m.responses.shape
+    if CELL_COST * cells.size > gh * gw:
+        dense = np.zeros((gh, gw))
+        _hessian_grid(m.table, m.stride, m.filter_sizes[k], dense)
+        return dense.ravel()[cells]
+    return _layer_cells(m.table, m.stride, m.filter_sizes[k], *np.divmod(cells, gw))[0]
+
+
+def _refine(cube: np.ndarray) -> np.ndarray:
+    """Offsets (x, y, scale) of one quadratic step from the centre of each
+    3x3x3 neighbourhood cube[n, layer, row, column], by one stacked solve,
+    or one solve each if any Hessian is singular; NaN where one is."""
 
     def at(dk, di, dj):
-        return stack[k + dk, i + di, j + dj]
+        return cube[:, 1 + dk, 1 + di, 1 + dj]
 
     v = at(0, 0, 0)
     dx = (at(0, 0, 1) - at(0, 0, -1)) / 2.0
@@ -422,7 +515,7 @@ def _refine(m: ResponseMap, k, i, j) -> list[InterestPoint]:
     hess = np.stack([dxx, dxy, dxs, dxy, dyy, dys, dxs, dys, dss], axis=-1).reshape(-1, 3, 3)
     grad = np.stack([dx, dy, ds], axis=-1)
     try:
-        offset = -np.linalg.solve(hess, grad[:, :, None])[:, :, 0]
+        return -np.linalg.solve(hess, grad[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
         offset = np.full(grad.shape, np.nan)  # no solution fails the offset test
         for n in range(len(grad)):
@@ -430,20 +523,7 @@ def _refine(m: ResponseMap, k, i, j) -> list[InterestPoint]:
                 offset[n] = -np.linalg.solve(hess[n], grad[n])
             except np.linalg.LinAlgError:
                 pass
-    ok = np.max(np.abs(offset), axis=1) <= 0.5
-    stride = m.stride
-    step = m.filter_sizes[k + 1] - m.filter_sizes[k]
-    size = m.filter_sizes[k] + offset[ok, 2] * step
-    return list(
-        map(
-            InterestPoint,
-            ((j[ok] + offset[ok, 0]) * stride).tolist(),
-            ((i[ok] + offset[ok, 1]) * stride).tolist(),
-            (SIGMA_BASE * size / FILTER_BASE).tolist(),
-            v[ok].tolist(),
-            m.laplacian_signs[k, i[ok], j[ok]].tolist(),
-        )
-    )
+        return offset
 
 
 def _haar(table: np.ndarray, xs, ys, size) -> tuple[np.ndarray, np.ndarray]:

@@ -82,11 +82,14 @@ def to_grayscale(img: RasterImage) -> np.ndarray:
 def build_integral(levels: np.ndarray) -> np.ndarray:
     """Padded prefix-sum table of the (h, w) 8-bit levels, accumulated in place.
 
-    Levels enter the extractor here, so this is where a non-2-D or empty
-    level array is refused, with ValueError.  Returns the (h + 1, w + 1)
-    int64 table P of the module docstring.
+    Levels enter the extractor here, so this is where a level array that
+    is not uint8, not 2-D or empty is refused, with ValueError: a cast
+    would silently wrap out-of-range levels and truncate fractional ones.
+    Returns the (h + 1, w + 1) int64 table P of the module docstring.
     """
-    levels = np.asarray(levels, dtype=np.uint8)
+    levels = np.asarray(levels)
+    if levels.dtype != np.uint8:
+        raise ValueError(f"expected uint8 levels, got {levels.dtype}")
     if levels.ndim != 2 or levels.size == 0:
         raise ValueError(f"expected (h, w) level array, got {levels.shape}")
     h, w = levels.shape

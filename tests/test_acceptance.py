@@ -14,7 +14,7 @@ import pytest
 import scipy.ndimage
 
 from arfex.cli import main
-from arfex.features import ExtractionConfig, build_response_maps, extract_features
+from arfex.features import ExtractionConfig, _layer_cells, build_response_maps, extract_features
 from arfex.geometry import Homography, ransac_verify
 from arfex.image import RasterImage, box_sums, build_integral, to_grayscale
 from arfex.image_io import write_ppm
@@ -72,12 +72,19 @@ def test_criterion_2_response_map_oracle_equivalence():
             levels = to_grayscale(img)
             ii = build_integral(levels)
             for m in build_response_maps(ii):
+                # Every cell of every layer: the dense layers 1 and 2, and
+                # each of the four layers read cell by cell.
+                _, gh, gw = m.responses.shape
+                i, j = np.indices((gh, gw))
                 for k, size in enumerate(m.filter_sizes):
-                    for i in range(m.responses.shape[1]):
-                        for j in range(m.responses.shape[2]):
-                            want, sign = hessian_response_at(levels, j * m.stride, i * m.stride, size)
-                            assert abs(m.responses[k, i, j] - want) <= 1e-9
-                            assert m.laplacian_signs[k, i, j] == sign
+                    cells, signs = _layer_cells(m.table, m.stride, size, i, j)
+                    dense = m.responses[k - 1] if k in (1, 2) else None
+                    for y, x in zip(i.ravel().tolist(), j.ravel().tolist()):
+                        want, sign = hessian_response_at(levels, x * m.stride, y * m.stride, size)
+                        assert abs(cells[y, x] - want) <= 1e-9
+                        assert signs[y, x] == sign
+                        if dense is not None:
+                            assert abs(dense[y, x] - want) <= 1e-9
         assert time.perf_counter() - start < 10.0
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,10 +12,12 @@ from arfex.errors import ImageTooSmall
 from arfex.features import (
     BAND_CELLS,
     BLOCK,
+    CELL_BLOCK,
     ExtractionConfig,
     InterestPoint,
     ResponseMap,
     _haar,
+    _layer_cells,
     _window_mask,
     assign_orientation,
     build_response_maps,
@@ -71,23 +74,36 @@ def test_image_too_small():
 
 
 def test_map_grid_dimensions_and_metadata():
-    maps = build_response_maps(integral_of(gray_raster(np.full((50, 70), 99))))
+    ii = integral_of(gray_raster(np.full((50, 70), 99)))
+    maps = build_response_maps(ii)
     assert len(maps) == 3
     for octave, m in enumerate(maps, start=1):
         gh = -(-50 // m.stride)
         gw = -(-70 // m.stride)
-        assert m.responses.shape == (4, gh, gw)
-        assert m.laplacian_signs.shape == (4, gh, gw)
+        assert m.responses.shape == (2, gh, gw)
+        assert m.table.shape == ii.shape and np.array_equal(m.table, ii)
         assert m.filter_sizes == tuple(filter_sizes(octave, 4))
         assert all(size % 2 == 1 for size in m.filter_sizes)
     assert [m.stride for m in maps] == [1, 2, 4]
+
+
+def map_stacks(m):
+    """(4, gh, gw) responses and signs of map m: its dense layers 1 and 2,
+    with layers 0 and 3 and every sign read by `_layer_cells` over the
+    whole grid."""
+    _, gh, gw = m.responses.shape
+    i, j = np.indices((gh, gw))
+    cells = [_layer_cells(m.table, m.stride, size, i, j) for size in m.filter_sizes]
+    return np.stack([cells[0][0], *m.responses, cells[3][0]]), np.stack([c[1] for c in cells])
 
 
 def test_constant_image_all_responses_zero():
     maps = build_response_maps(integral_of(gray_raster(np.full((48, 48), 123))))
     for m in maps:
         assert np.all(m.responses == 0.0)
-        assert np.all(m.laplacian_signs == 1)
+        responses, signs = map_stacks(m)
+        assert np.all(responses == 0.0)
+        assert np.all(signs == 1)
 
 
 def test_response_maps_equal_direct_box_filter_oracle(rng):
@@ -95,12 +111,17 @@ def test_response_maps_equal_direct_box_filter_oracle(rng):
     ii = integral_of(img)
     levels = to_grayscale(img)
     for m in build_response_maps(ii, ExtractionConfig(octaves=2)):
+        _, gh, gw = m.responses.shape
+        i, j = np.indices((gh, gw))
         for k, size in enumerate(m.filter_sizes):
-            for i in range(m.responses.shape[1]):
-                for j in range(m.responses.shape[2]):
-                    want, sign = hessian_response_at(levels, j * m.stride, i * m.stride, size)
-                    assert m.responses[k, i, j] == pytest.approx(want, abs=1e-9)
-                    assert m.laplacian_signs[k, i, j] == sign
+            cells, signs = _layer_cells(m.table, m.stride, size, i, j)
+            for y in range(gh):
+                for x in range(gw):
+                    want, sign = hessian_response_at(levels, x * m.stride, y * m.stride, size)
+                    assert cells[y, x] == pytest.approx(want, abs=1e-9)
+                    assert signs[y, x] == sign
+                    if k in (1, 2):
+                        assert m.responses[k - 1, y, x] == pytest.approx(want, abs=1e-9)
 
 
 def gather_hessian_grid(ii, stride, size):
@@ -140,6 +161,24 @@ def gather_hessian_grid(ii, stride, size):
     return responses, signs
 
 
+def assert_map_equals_gather(ii, m, want):
+    """Map m's dense layers, and all four layers read cell by cell from its
+    table and from the int64 table ii, bit for bit the clipped-gather
+    reference; `want` caches the reference by (stride, size)."""
+    _, gh, gw = m.responses.shape
+    i, j = np.indices((gh, gw))
+    for k, size in enumerate(m.filter_sizes):
+        if (m.stride, size) not in want:
+            want[m.stride, size] = gather_hessian_grid(ii, m.stride, size)
+        want_resp, want_signs = want[m.stride, size]
+        if k in (1, 2):
+            assert m.responses[k - 1].tobytes() == want_resp.tobytes(), (m.stride, size)
+        for table in (m.table, ii):
+            cells, signs = _layer_cells(table, m.stride, size, i, j)
+            assert cells.shape == want_resp.shape and cells.tobytes() == want_resp.tobytes(), (m.stride, size)
+            assert signs.dtype == np.int8 and signs.tobytes() == want_signs.tobytes(), (m.stride, size)
+
+
 @pytest.mark.parametrize(
     "levels",
     [
@@ -157,16 +196,13 @@ def test_response_maps_bit_identical_to_clipped_gather(levels):
     # than the interior, and odd sizes; octave-k maps must not depend on
     # how many octaves were requested.
     ii = integral_of(gray_raster(levels))
+    want = {}
     for octaves in range(1, 5):
         maps = build_response_maps(ii, ExtractionConfig(octaves=octaves))
         assert len(maps) == octaves
         for m in maps:
-            assert m.responses.dtype == np.float64 and m.laplacian_signs.dtype == np.int8
-            for k, size in enumerate(m.filter_sizes):
-                want_resp, want_signs = gather_hessian_grid(ii, m.stride, size)
-                assert m.responses[k].shape == want_resp.shape
-                assert m.responses[k].tobytes() == want_resp.tobytes()
-                assert m.laplacian_signs[k].tobytes() == want_signs.tobytes()
+            assert m.responses.dtype == np.float64 and m.table.dtype == np.int32
+            assert_map_equals_gather(ii, m, want)
 
 
 def test_octave_layers_repeat_the_previous_octaves_odd_layers():
@@ -182,23 +218,24 @@ def test_octave_layers_repeat_the_previous_octaves_odd_layers():
 def test_banded_layers_bit_identical_to_clipped_gather(monkeypatch, height, width):
     # 12x40000 has one-row bands at BAND_CELLS; 1000 cells gives 201x157
     # six-row bands with one row left over, and 1 cell one-row bands
-    # everywhere.  Reused layers must be the previous octave's, every other cell.
+    # everywhere.  Cell reads run in blocks of CELL_BLOCK, 7 and 61 cells,
+    # which end at uneven places in every layer.
     levels = np.random.default_rng(height * width).integers(0, 256, size=(height, width))
     ii = integral_of(gray_raster(levels))
     want = {}
-    for band_cells in (BAND_CELLS, 1000, 1):
+    for band_cells, cell_block in ((BAND_CELLS, CELL_BLOCK), (1000, 7), (1, 61)):
         monkeypatch.setattr(features, "BAND_CELLS", band_cells)
+        monkeypatch.setattr(features, "CELL_BLOCK", cell_block)
         maps = build_response_maps(ii, ExtractionConfig(octaves=4))
         for m in maps:
-            for k, size in enumerate(m.filter_sizes):
-                if (m.stride, size) not in want:
-                    want[m.stride, size] = gather_hessian_grid(ii, m.stride, size)
-                want_resp, want_signs = want[m.stride, size]
-                assert m.responses[k].tobytes() == want_resp.tobytes(), (band_cells, m.stride, size)
-                assert m.laplacian_signs[k].tobytes() == want_signs.tobytes(), (band_cells, m.stride, size)
+            assert_map_equals_gather(ii, m, want)
+        # Octave o+1's layer 1 sits on the even cells of octave o's layer 3,
+        # at the same filter size.
         for prev, m in zip(maps, maps[1:]):
-            assert m.responses[:2].tobytes() == prev.responses[1::2, ::2, ::2].tobytes()
-            assert m.laplacian_signs[:2].tobytes() == prev.laplacian_signs[1::2, ::2, ::2].tobytes()
+            _, gh, gw = m.responses.shape
+            i, j = np.indices((gh, gw))
+            cells, _ = _layer_cells(prev.table, prev.stride, prev.filter_sizes[3], 2 * i, 2 * j)
+            assert cells.tobytes() == m.responses[0].tobytes()
 
 
 def test_response_maps_exact_when_the_table_wraps_int32():
@@ -213,10 +250,15 @@ def test_response_maps_exact_when_the_table_wraps_int32():
     cols = rng.integers(-(2**45), 2**45, size=(1, w))
     shifted = ii + rows + cols + 2**60
     config = ExtractionConfig(octaves=4)
-    for m, s in zip(build_response_maps(ii, config), build_response_maps(shifted, config)):
+    plain_maps, shifted_maps = build_response_maps(ii, config), build_response_maps(shifted, config)
+    for m, s in zip(plain_maps, shifted_maps):
         assert np.any(m.responses[-1] != 0.0)
         assert s.responses.tobytes() == m.responses.tobytes()
-        assert s.laplacian_signs.tobytes() == m.laplacian_signs.tobytes()
+        want = map_stacks(m)
+        for table in (s.table, shifted):  # the int32 wrap, and int64 arithmetic that wraps mod 2**64
+            got = map_stacks(dataclasses.replace(s, table=table))
+            assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+    assert point_bits(detect_interest_points(shifted_maps, 0.0)) == point_bits(detect_interest_points(plain_maps, 0.0))
 
 
 def test_hessian_oracle_rejects_unit_floats(rng):
@@ -226,9 +268,10 @@ def test_hessian_oracle_rejects_unit_floats(rng):
 
 
 def test_matched_interval_map_peaks_at_blob_center():
-    # sigma 2.0 corresponds to filter size 15 = octave 1, interval 2
+    # sigma 2.0 corresponds to filter size 15 = octave 1, interval 2, the
+    # first dense layer
     img = blob_image(64, 64, [(32, 32)], 2.0)
-    layer = build_response_maps(integral_of(img))[0].responses[1]
+    layer = build_response_maps(integral_of(img))[0].responses[0]
     i, j = np.unravel_index(np.argmax(layer), layer.shape)
     assert abs(j - 32) <= 1 and abs(i - 32) <= 1
 
@@ -237,8 +280,9 @@ def test_checkerboard_saddle_negative_response():
     f = np.full((64, 64), 40, dtype=np.uint8)
     f[:32, :32] = 200
     f[32:, 32:] = 200
-    maps = build_response_maps(integral_of(gray_raster(f)))
-    assert maps[0].responses[0, 32, 32] < 0.0
+    m = build_response_maps(integral_of(gray_raster(f)))[0]
+    responses, _ = map_stacks(m)
+    assert np.all(responses[:, 32, 32] < 0.0)
 
 
 def test_laplacian_sign_tracks_blob_polarity():
@@ -271,27 +315,33 @@ def test_detect_two_blobs_80px_apart():
     assert math.hypot(found[1][0] - 120, found[1][1] - 80) <= 2.0
 
 
-def test_detection_requires_three_intervals():
+def test_response_map_needs_four_filter_sizes():
     img = blob_image(64, 64, [(32, 32)], 3.0)
     m = build_response_maps(integral_of(img))[0]
-    with pytest.raises(ValueError, match="3 intervals"):
-        ResponseMap(m.stride, m.filter_sizes[:2], m.responses[:2], m.laplacian_signs[:2])
+    for sizes in (m.filter_sizes[:3], m.filter_sizes + (33,)):
+        with pytest.raises(ValueError, match="4 filter sizes"):
+            ResponseMap(m.stride, sizes, m.responses, m.table)
 
 
-def test_response_map_layers_must_match_filter_sizes():
+def test_response_map_layers_must_fit_the_table():
     m = build_response_maps(integral_of(blob_image(64, 64, [(32, 32)], 3.0)))[0]
-    for responses, signs in [
-        (m.responses[:3], m.laplacian_signs[:3]),
-        (m.responses, m.laplacian_signs[:, 1:]),
-        (m.responses[0], m.laplacian_signs[0]),
+    for stride, responses, table in [
+        (m.stride, m.responses[:1], m.table),
+        (m.stride, np.zeros((3, 64, 64)), m.table),
+        (m.stride, m.responses[:, 1:], m.table),
+        (m.stride, m.responses[0], m.table),
+        (m.stride, m.responses, m.table[1:]),
+        (2, m.responses, m.table),
     ]:
         with pytest.raises(ValueError, match="shape"):
-            ResponseMap(m.stride, m.filter_sizes, responses, signs)
+            ResponseMap(stride, m.filter_sizes, responses, table)
+    with pytest.raises(ValueError, match="2-D"):
+        ResponseMap(m.stride, m.filter_sizes, m.responses, m.table.ravel())
 
 
 def test_nms_soundness_by_reinspection():
-    """Every returned point maps to a stored-map cell that strictly exceeds
-    its 26 neighbors and the threshold."""
+    """Every returned point maps to a cell of the four-layer stack that
+    strictly exceeds its 26 neighbors and the threshold."""
     img = blob_texture(128, 128, 10, seed=3)
     ii = integral_of(img)
     cfg = ExtractionConfig()
@@ -301,7 +351,7 @@ def test_nms_soundness_by_reinspection():
     for p in pts:
         hits = 0
         for m in maps:
-            stack = m.responses
+            stack, signs = map_stacks(m)
             stride = m.stride
             n, gh, gw = stack.shape
             for k in range(1, n - 1):
@@ -317,13 +367,16 @@ def test_nms_soundness_by_reinspection():
                 others = np.delete(neighborhood.ravel(), 13)
                 assert np.all(p.response > others)
                 assert p.response > cfg.threshold
+                assert p.laplacian_sign == signs[k, i, j]
                 hits += 1
         assert hits >= 1
 
 
-def reference_refine(m, k, i, j):
-    """Per-candidate reference: one quadratic step, one 3x3 solve."""
-    c = m.responses[k - 1 : k + 2, i - 1 : i + 2, j - 1 : j + 2]
+def reference_refine(stacks, m, k, i, j):
+    """Per-candidate reference: one quadratic step, one 3x3 solve, on the
+    four-layer `stacks` of map m."""
+    responses, signs = stacks
+    c = responses[k - 1 : k + 2, i - 1 : i + 2, j - 1 : j + 2]
     dx = (c[1, 1, 2] - c[1, 1, 0]) / 2.0
     dy = (c[1, 2, 1] - c[1, 0, 1]) / 2.0
     ds = (c[2, 1, 1] - c[0, 1, 1]) / 2.0
@@ -349,16 +402,18 @@ def reference_refine(m, k, i, j):
         y=float((i + offset[1]) * m.stride),
         scale=float(1.2 * size / 9),
         response=float(v),
-        laplacian_sign=int(m.laplacian_signs[k, i, j]),
+        laplacian_sign=int(signs[k, i, j]),
     )
 
 
-def dense_nms_reference(maps, threshold):
-    """Dense reference: every middle-layer cell compared with its 26
-    neighbours, then a per-candidate refinement and the library's order."""
+def dense_nms_reference(maps, threshold, beats=np.greater):
+    """Dense reference: every middle-layer cell of each map's four-layer
+    stack compared with its 26 neighbours (`beats`, strictly greater in
+    the library), then a per-candidate refinement and the library's order."""
     points = []
     for m in maps:
-        stack = m.responses
+        stacks = map_stacks(m)
+        stack = stacks[0]
         n, gh, gw = stack.shape
         if gh < 3 or gw < 3:
             continue
@@ -369,38 +424,48 @@ def dense_nms_reference(maps, threshold):
                 for di in (-1, 0, 1):
                     for dj in (-1, 0, 1):
                         if dk or di or dj:
-                            mask &= core > stack[k + dk, 1 + di : gh - 1 + di, 1 + dj : gw - 1 + dj]
+                            mask &= beats(core, stack[k + dk, 1 + di : gh - 1 + di, 1 + dj : gw - 1 + dj])
             for i, j in np.argwhere(mask) + 1:
-                pt = reference_refine(m, k, int(i), int(j))
+                pt = reference_refine(stacks, m, k, int(i), int(j))
                 if pt is not None:
                     points.append(pt)
     points.sort(key=lambda p: (-p.response, p.y, p.x, p.scale))
     return points
 
 
-def tied_maps(rng, octaves, h, w):
-    """Response maps of small integers, so equal neighbours are common."""
+def tied_maps(seed, octaves, h, w):
+    """Maps over the table of an h x w noise image whose dense layers are
+    made by hand: each cell copies a random cell of its 3x3x3 neighbourhood
+    in the four-layer stack, or lies one ulp above or below it, so a tie
+    decides many of the 26 comparisons, outer layers included."""
+    rng = np.random.default_rng(seed)
+    table = build_integral(rng.integers(0, 256, size=(h, w), dtype=np.uint8))
     maps = []
     for octave in range(1, octaves + 1):
         stride = 1 << (octave - 1)
-        shape = (-(-h // stride), -(-w // stride))
-        layers = [
-            (
-                rng.integers(0, 6, size=shape).astype(np.float64),
-                np.where(rng.random(shape) < 0.5, -1, 1).astype(np.int8),
-            )
-            for _ in range(4)
-        ]
-        responses, signs = (np.stack(a) for a in zip(*layers))
-        maps.append(ResponseMap(stride, tuple(filter_sizes(octave, 4)), responses, signs))
+        sizes = tuple(filter_sizes(octave, 4))
+        m = ResponseMap(stride, sizes, np.zeros((2, -(-h // stride), -(-w // stride))), table)
+        stack, _ = map_stacks(m)
+        _, gh, gw = stack.shape
+        i, j = np.indices((gh, gw))
+        for k in (1, 2):
+            dk, di, dj = rng.integers(-1, 2, size=(3, gh, gw))
+            copied = stack[k + dk, np.clip(i + di, 0, gh - 1), np.clip(j + dj, 0, gw - 1)]
+            nudge = rng.integers(-1, 2, size=(gh, gw))  # one ulp down, none or one up
+            stack[k] = np.where(nudge == 0, copied, np.nextafter(copied, np.where(nudge < 0, -np.inf, np.inf)))
+        m.responses[:] = stack[1:3]
+        maps.append(m)
     return maps
 
 
-def test_sparse_nms_equals_dense_reference(rng):
+def test_sparse_nms_equals_dense_reference():
     for octaves, (h, w) in [(1, (3, 3)), (2, (5, 40)), (3, (33, 31)), (4, (64, 48))]:
-        for threshold in (0.0, 2.0, 4.0, 5.0):
-            maps = tied_maps(rng, octaves, h, w)
+        maps = tied_maps(octaves, octaves, h, w)
+        for threshold in (0.0, 1e-3, 4e-3):
             assert detect_interest_points(maps, threshold) == dense_nms_reference(maps, threshold)
+    # Ties decide some of these points: `>=` in place of `>` finds others.
+    maps = tied_maps(4, 4, 64, 48)
+    assert dense_nms_reference(maps, 0.0) != dense_nms_reference(maps, 0.0, beats=np.greater_equal)
     for img in (noise_frame(seed=9, side=112), blob_texture(128, 96, 9)):
         maps = build_response_maps(integral_of(img), ExtractionConfig(octaves=4))
         want = dense_nms_reference(maps, 4e-4)
@@ -408,15 +473,17 @@ def test_sparse_nms_equals_dense_reference(rng):
 
 
 def gather_nms_reference(maps, threshold):
-    """The NMS the compacting pass replaced: every cell above threshold
-    compared with all 26 neighbours by three-array gathers, then the
-    library's refinement and order."""
+    """The NMS the compacting pass replaced: every cell above threshold of
+    each map's four-layer stack compared with all 26 neighbours by
+    three-array gathers, then the library's refinement of the gathered
+    3x3x3 neighbourhoods, and the library's order."""
     points = []
     for m in maps:
-        stack = m.responses
+        stack, signs = map_stacks(m)
         n, gh, gw = stack.shape
         if gh < 3 or gw < 3:
             continue
+        d = np.array([-1, 0, 1])
         for k in range(1, n - 1):
             ci, cj = np.nonzero(stack[k, 1:-1, 1:-1] > threshold)
             ci += 1
@@ -428,7 +495,19 @@ def gather_nms_reference(maps, threshold):
                     for dj in (-1, 0, 1):
                         if dk or di or dj:
                             keep &= v > stack[k + dk, ci + di, cj + dj]
-            points += features._refine(m, k, ci[keep], cj[keep])
+            i, j, v = ci[keep], cj[keep], v[keep]
+            cube = stack[k + d[:, None, None], i[:, None, None, None] + d[:, None], j[:, None, None, None] + d]
+            offset = features._refine(cube)
+            ok = np.max(np.abs(offset), axis=1) <= 0.5
+            size = m.filter_sizes[k] + offset[ok, 2] * (m.filter_sizes[k + 1] - m.filter_sizes[k])
+            points += map(
+                InterestPoint,
+                ((j[ok] + offset[ok, 0]) * m.stride).tolist(),
+                ((i[ok] + offset[ok, 1]) * m.stride).tolist(),
+                (1.2 * size / 9).tolist(),
+                v[ok].tolist(),
+                signs[k, i[ok], j[ok]].tolist(),
+            )
     points.sort(key=lambda p: (-p.response, p.y, p.x, p.scale))
     return points
 
@@ -441,41 +520,79 @@ def point_bits(points):
     ]
 
 
+COMPACTING_IMAGES = [
+    blob_image(64, 64, [(32, 32)], 3.0),
+    blob_image(120, 100, [(30, 30), (80, 40), (60, 75)], 4.0),
+    blob_texture(160, 128, 12, seed=4),
+    warp_similarity(blob_texture(160, 128, 12, seed=4), 20.0, 0.9),
+    noise_frame(seed=9, side=112),
+    noise_frame(seed=3, side=256),
+    random_raster(np.random.default_rng(6), 97, 61),
+]
+
+
 @pytest.mark.parametrize("threshold", [0.0, 1e-4, ExtractionConfig().threshold])
 def test_compacting_nms_bit_identical_to_gather_reference(threshold):
-    texture = blob_texture(160, 128, 12, seed=4)
-    images = [
-        blob_image(64, 64, [(32, 32)], 3.0),
-        blob_image(120, 100, [(30, 30), (80, 40), (60, 75)], 4.0),
-        texture,
-        warp_similarity(texture, 20.0, 0.9),
-        noise_frame(seed=9, side=112),
-        noise_frame(seed=3, side=256),
-        random_raster(np.random.default_rng(6), 97, 61),
-    ]
-    for img in images:
+    for img in COMPACTING_IMAGES:
         maps = build_response_maps(integral_of(img), ExtractionConfig(octaves=4))
         want = gather_nms_reference(maps, threshold)
         assert want
         assert point_bits(detect_interest_points(maps, threshold)) == point_bits(want)
     for octaves, (h, w) in [(1, (3, 3)), (3, (33, 31)), (4, (64, 48))]:
-        maps = tied_maps(np.random.default_rng(octaves), octaves, h, w)
+        maps = tied_maps(octaves, octaves, h, w)
         assert point_bits(detect_interest_points(maps, threshold)) == point_bits(gather_nms_reference(maps, threshold))
 
 
+def test_outer_layer_read_by_cell_or_dense_fill_gives_the_same_bits(monkeypatch):
+    """CELL_COST 0 reads every outer layer cell by cell; a huge one fills
+    every outer layer that has survivors to compare."""
+    fills = []
+    dense_fill = features._hessian_grid
+    monkeypatch.setattr(features, "_hessian_grid", lambda *args: fills.append(args[2]) or dense_fill(*args))
+    for img in COMPACTING_IMAGES[2:]:
+        for octaves in (1, 4):
+            maps = build_response_maps(integral_of(img), ExtractionConfig(octaves=octaves))
+            got = []
+            for cost in (0, 10**12):
+                monkeypatch.setattr(features, "CELL_COST", cost)
+                fills.clear()
+                got.append(point_bits(detect_interest_points(maps, 0.0)))
+                assert bool(fills) == (cost > 0)
+            assert got[0] and got[0] == got[1]
+
+
+def test_refine_drops_only_the_singular_neighbourhood():
+    """One singular Hessian in a stack falls back to one solve per
+    neighbourhood: the regular one keeps its offset, the singular one gets
+    NaN, whatever else shares the stack."""
+    regular = np.zeros((3, 3, 3))
+    regular[1] = 9.0 * np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+    regular[1, 1, 1] = 10.0
+    regular[2, 1, 1] = 9.0
+    singular = regular.copy()
+    # Corners 9/5/5/9 give dxx = dyy = -2 and dxy = 2, so the Hessian's
+    # first two rows are dependent.
+    singular[1, [0, 0, 2, 2], [0, 2, 0, 2]] = [9.0, 5.0, 5.0, 9.0]
+    alone = features._refine(regular[None])
+    assert np.array_equal(alone, [[0.0, 0.0, 4.5 / 11.0]])
+    assert np.isnan(features._refine(singular[None])).all()
+    for cube, row in ((np.stack([singular, regular]), 1), (np.stack([regular, singular, regular]), 0)):
+        got = features._refine(cube)
+        assert got[row].tobytes() == alone[0].tobytes()
+        assert np.isnan(got[1 - row]).all() and (row == 1 or got[2].tobytes() == alone[0].tobytes())
+
+
 def test_singular_candidate_beside_regular_one():
-    """A singular Hessian in a layer's stack falls back to one solve per
-    candidate: the regular point survives, the singular one is dropped."""
-    layers = np.zeros((4, 9, 9))
+    """Through detection: of two candidates of one layer, the singular one
+    is dropped and the regular one kept."""
+    layers = np.zeros((2, 9, 9))  # layers 1 and 2; the zero table gives 0.0 in layers 0 and 3
     for j in (2, 6):  # a candidate at (i, j) = (2, j) of layer 1
-        layers[1, 2, j] = 10.0
-        layers[1, [1, 3, 2, 2], [j, j, j - 1, j + 1]] = 9.0
-        layers[[0, 2], 2, j] = 9.0
-    # At j = 2 the xy corners 9/5/5/9 give dxx = dyy = -2 and dxy = 2, so the
-    # Hessian's first two rows are dependent.
-    layers[1, [1, 1, 3, 3], [1, 3, 1, 3]] = [9.0, 5.0, 5.0, 9.0]
-    maps = [ResponseMap(1, tuple(filter_sizes(1, 4)), layers, np.ones((4, 9, 9), dtype=np.int8))]
-    assert reference_refine(maps[0], 1, 2, 2) is None
+        layers[0, 2, j] = 10.0
+        layers[0, [1, 3, 2, 2], [j, j, j - 1, j + 1]] = 9.0
+        layers[1, 2, j] = 9.0
+    layers[0, [1, 1, 3, 3], [1, 3, 1, 3]] = [9.0, 5.0, 5.0, 9.0]
+    maps = [ResponseMap(1, tuple(filter_sizes(1, 4)), layers, np.zeros((10, 10), dtype=np.int32))]
+    assert reference_refine(map_stacks(maps[0]), maps[0], 1, 2, 2) is None
     got = detect_interest_points(maps, 1.0)
     assert [(p.x, p.y, p.response) for p in got] == [(6.0, 2.0, 10.0)]
     assert got == dense_nms_reference(maps, 1.0)
@@ -848,6 +965,24 @@ def test_extract_features_texture_has_enough_points():
 def test_extract_features_propagates_too_small():
     with pytest.raises(ImageTooSmall):
         extract_features(gray_raster(np.full((4, 4), 10)))
+
+
+def test_extraction_memory_is_bounded():
+    # RGB noise at 1024x1024, dense with points.  Octave 1's two dense
+    # float64 layers (16 bytes per pixel), the int64 table and its int32
+    # wrap (12), the higher octaves, a dense-filled outer layer (8) and the
+    # gray levels stay under 52 bytes per pixel; four dense layers of
+    # octave 1 and a sign stack per layer would need about 62.
+    side = 1024
+    img = RasterImage(np.random.default_rng(0).integers(0, 256, (side, side, 3), dtype=np.uint8))
+    tracemalloc.start()
+    try:
+        pts, _ = extract_features(img)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(pts) > 1000
+    assert peak < 52 * side * side
 
 
 def test_pipeline_equals_manual_stage_composition(rng):

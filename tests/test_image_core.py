@@ -177,3 +177,14 @@ def test_raster_rejects_bad_shapes():
     for levels in (np.zeros((0, 4), dtype=np.uint8), np.zeros((4, 4, 3), dtype=np.uint8)):
         with pytest.raises(ValueError):
             build_integral(levels)
+
+
+@pytest.mark.parametrize(
+    "levels",
+    [np.array([[300, -1]]), np.array([[0.9, 255.7]]), np.array([[True, False]]), np.array([[1, 2]], dtype=np.int8)],
+    ids=["out-of-range", "fractional", "bool", "int8"],
+)
+def test_integral_refuses_levels_that_are_not_uint8(levels):
+    # A cast would give the table of [[44, 255]], [[0, 255]] and [[1, 0]].
+    with pytest.raises(ValueError, match="uint8"):
+        build_integral(levels)
