@@ -12,23 +12,45 @@ and second-nearest, ties broken by the lowest target index.
 
 Screen.  For each block of block_rows(M) query rows against the M target
 rows, one GEMM gives the approximate squared distances
-a = |q|^2 + |t|^2 - 2 q.t; opposite-sign entries are set to inf.  Per (row, record), m2 is the second-smallest a.
-The exact distance is recomputed only for the same-sign targets with
-a <= m2 + 2*delta, where delta = SCREEN_REL * (|q| + max |t|)^2 + SCREEN_ABS.
+a = |q|^2 + |t|^2 - 2 q.t; opposite-sign entries are set to inf.  Per
+(row, record), a1 and a2 are the smallest and second-smallest a, counting
+repeats, and delta = SCREEN_REL * (|q| + max |t|)^2 + SCREEN_ABS.  Most
+groups have their ratio test decided on the screen (below); only the others
+get exact distances, for the same-sign targets with a <= a2 + 2*delta.
 
 Why the result is exact.  Both a and the exact squared distance e are
 within about gamma_64 * (|q| + |t|)^2 ~ 7.2e-15 * (|q| + |t|)^2 of the true
 squared distance (the dot-product error bound, whatever the BLAS summation
 order), plus an absolute error far below SCREEN_ABS where products
 underflow; so |a - e| <= delta with more than two orders of magnitude to
-spare.  The exact second-smallest e of a record is at most m2 + delta, since
-the two targets with the smallest a both have e <= m2 + delta.  So every
+spare.  The exact second-smallest e of a record is at most a2 + delta, since
+the two targets with the smallest a both have e <= a2 + delta.  So every
 target whose exact distance is at most the record's second-nearest distance
-(ties and the rounding of sqrt included) has a <= m2 + 2*delta, and the
+(ties and the rounding of sqrt included) has a <= a2 + 2*delta, and the
 decision runs on exact values of a superset of the top two.  A row with a
 non-finite a (norms near 1e154 overflow the GEMM) is recomputed in full.
 The exact distances are the same bits as a per-row loop gives: `einsum`
 reduces each contiguous 64-vector alone, whichever rows sit beside it.
+
+Decided on the screen.  Every exact squared distance e of a row is within
+delta of its a, so the k-th smallest e of a group is within delta of the
+k-th smallest a: the exact squared first and second lie in
+[a1 - delta, a1 + delta] and [a2 - delta, a2 + delta].  `_settled` runs the
+exact test's own float steps, sqrt and then d1 < ratio * d2 (or
+d1 < LONE_CANDIDATE_MAX_DISTANCE for a lone candidate, a2 = inf), on the
+bounds: the group is taken when the test passes with d1 from a1 + delta and
+d2 from a2 - delta (clipped at 0), and dropped when it fails with d1 from
+a1 - delta and d2 from a2 + delta.  Rounded sqrt and rounded multiplication
+never decrease as their argument grows, so the exact test, run on values
+between the bounds, gives the same verdict; no relative margin is needed for
+those steps.  The sums a -+ delta round by at most 2^-53 of a, and |a| is at
+most about (|q| + max |t|)^2, so that rounding is below 3e-5 delta, inside
+the spare that delta holds over the true error.  A taken group has
+a1 + delta < a2 - delta (ratio <= 1), so every other target's e exceeds the
+nearest's: the one target at a1 is the unique exact nearest, the only row
+whose exact distance is computed.  A record with no same-sign target has
+a1 = inf and is dropped.  A row with a non-finite a (the `full` rows) is
+left undecided, as is any group the bounds do not settle.
 
 The group pick needs no sort.  `np.nonzero` lists the candidates in
 row-major order and `segment` does not decrease along target rows, so each
@@ -55,9 +77,11 @@ LONE_CANDIDATE_MAX_DISTANCE = 0.5
 
 # Query-row x target-row elements per GEMM screen.  A block has
 # SCREEN_ELEMENTS // M query rows against M target rows, so its temporaries
-# (about 80 bytes per element, 3.8 MB a block) do not grow with the database.
-# 64 rows against the benchmark's 724-row database stay below the memory peak
-# of extracting a 730-point query's features; 128 rows exceed it.
+# do not grow with the database: about 20 bytes per element (0.94 MB a block
+# at 64 x 724, tracemalloc), the screen's float64 arrays and bool masks plus
+# 512 bytes per exact row, of which the screen leaves about one per query row
+# at ratio 0.7.  That is a fifth of the 4.6 MB peak of extracting a 762-point
+# 256x256 query's features.
 SCREEN_ELEMENTS = 64 * 724
 SCREEN_REL = 4e-12  # delta per (|q| + max |t|)^2; about 280x the worst-case error
 SCREEN_ABS = 1e-300  # delta floor, above the error of underflowed products
@@ -144,7 +168,11 @@ def _match_block(q, qsigns, base, t: TargetSet, ratio):
         full = ~np.isfinite(approx).all(axis=1)
         approx[~same] = np.inf
         delta = SCREEN_REL * (np.sqrt(qq) + t.max_norm) ** 2 + SCREEN_ABS
-        limit = _second_smallest(approx, t) + 2.0 * delta[:, None]
+        a1, a2 = _two_smallest(approx, t)
+        take, drop = _settled(a1, a2, delta[:, None], ratio)
+        take[full] = drop[full] = False
+        # A taken group's limit admits its unique nearest only, a dropped one's nothing.
+        limit = np.where(take, a1, np.where(drop, -np.inf, a2 + 2.0 * delta[:, None]))
         cand = (approx <= limit[:, t.segment]) | full[:, None]
         cand &= same
         qi, tj = np.nonzero(cand)
@@ -152,7 +180,8 @@ def _match_block(q, qsigns, base, t: TargetSet, ratio):
         diff -= q[qi]  # inf - inf is NaN, and NaN distances order last below
         dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
     # One group per (row, record), its candidates contiguous (module docstring).
-    group = qi * len(t.starts) + t.segment[tj]
+    segment = t.segment[tj]
+    group = qi * len(t.starts) + segment
     first = np.flatnonzero(np.diff(group, prepend=-1))
     size = np.diff(np.append(first, len(group)))
     d1 = np.fmin.reduceat(dist, first)  # NaN orders last: NaN only if the whole group is
@@ -160,16 +189,32 @@ def _match_block(q, qsigns, base, t: TargetSet, ratio):
     ties = np.add.reduceat(at_d1, first, dtype=np.intp)
     d2 = np.where(ties > 1, d1, np.fmin.reduceat(np.where(at_d1, np.nan, dist), first))  # read where not lone
     accept = np.where(size == 1, d1 < LONE_CANDIDATE_MAX_DISTANCE, d1 < ratio * d2)
+    accept |= take[qi[first], segment[first]]
     keep = np.flatnonzero(at_d1 & np.repeat(accept, size))  # one row per accepted group
     return t.record[tj[keep]], qi[keep] + base, tj[keep], dist[keep]
 
 
-def _second_smallest(approx: np.ndarray, t: TargetSet) -> np.ndarray:
-    """Second-smallest entry (counting repeats) of each row in each non-empty
-    record, as a (rows, len(t.starts)) array; inf for a one-row record."""
+def _two_smallest(approx: np.ndarray, t: TargetSet) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest and second-smallest entry (counting repeats) of each row in
+    each non-empty record, as two (rows, len(t.starts)) arrays; the second is
+    inf for a one-row record."""
     m1 = np.minimum.reduceat(approx, t.starts, axis=1)
     at_min = approx == m1[:, t.segment]
     ties = np.add.reduceat(at_min, t.starts, axis=1, dtype=np.intp)
     above = np.minimum.reduceat(np.where(at_min, np.inf, approx), t.starts, axis=1)
-    return np.where(ties > 1, m1, above)
+    return m1, np.where(ties > 1, m1, above)
 
+
+def _settled(a1, a2, delta, ratio):
+    """(take, drop): the (row, record) groups whose ratio test the screen
+    decides, from the two smallest screen values a1 <= a2 of each group
+    (module docstring).  The exact squared first and second lie in
+    [a - delta, a + delta]; the test runs the exact test's own float steps
+    on those bounds.  Rows where a screen value is not finite are for the
+    caller to leave undecided."""
+    lo1, lo2 = (np.sqrt(np.maximum(a - delta, 0.0)) for a in (a1, a2))
+    hi1, hi2 = np.sqrt(a1 + delta), np.sqrt(a2 + delta)
+    lone = a2 == np.inf
+    take = np.where(lone, hi1 < LONE_CANDIDATE_MAX_DISTANCE, hi1 < ratio * lo2)
+    drop = np.where(lone, lo1 >= LONE_CANDIDATE_MAX_DISTANCE, lo1 >= ratio * hi2)
+    return take, drop

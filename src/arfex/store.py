@@ -17,6 +17,12 @@ by one validator.  A query concatenates the records' `desc` and `sign`
 into one `matching.TargetSet`, and their `xy` into one (M, 2) array, in
 record order.  These live only for that query, so a snapshot holds no state
 besides its records.  Building them takes O(M) against the O(N * M) screen.
+
+Verification floor.  A record verifies only with at least
+`geometry.default_min_inliers(n)` inliers among its n matches, so a record
+with fewer than that many matches (n < 8) cannot verify, and `query_image`
+runs no RANSAC on it: it reports no model, no inliers and an infinite mean
+error, as a record with fewer than 4 distinct matched points does.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ import numpy as np
 
 from .errors import DuplicateId, InsufficientMatches, NoFeatures, ParseError, VersionMismatch
 from .features import DESCRIPTOR_LENGTH, ExtractionConfig, Features, InterestPoint, extract_features
-from .geometry import VerificationResult, ransac_verify
+from .geometry import VerificationResult, default_min_inliers, ransac_verify
 from .image import RasterImage
 from .matching import TargetSet, match_sets
 
@@ -108,11 +114,17 @@ def query_image(
 ) -> tuple[QueryResult, list[InterestPoint]]:
     """Match the query against every record and rank verified candidates.
 
-    `ratio` is the matcher's ratio test and `seed` seeds each record's
-    RANSAC.  Query extraction is forced to the database's extraction_config.
+    `ratio` is the matcher's ratio test and `seed`, an int >= 0, seeds each
+    record's RANSAC; any other seed raises ValueError before extraction.
+    Query extraction is forced to the database's extraction_config.
+    A record with fewer matches than `default_min_inliers` of its match
+    count (fewer than 8) gets no RANSAC, since it cannot verify; it reports
+    no model, no inliers and an infinite mean error.
     Ranking: verified desc, inlier count desc, match count desc, id asc.
     Returns the result plus the query's interest points (for overlay drawing).
     """
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     points, descriptors = extract_features(img, db.extraction_config)
     if not points:
         raise NoFeatures("query image produced no interest points")
@@ -124,10 +136,12 @@ def query_image(
     ranked: list[RankedCandidate] = []
     for r, rec in enumerate(db.records):
         qi, tj = qrow[bounds[r] : bounds[r + 1]], trow[bounds[r] : bounds[r + 1]]
-        try:
-            verification = ransac_verify(keypoint_xy[tj], query.xy[qi], seed)
-        except InsufficientMatches:
-            verification = VerificationResult(None, [], math.inf, False)
+        verification = VerificationResult(None, [], math.inf, False)
+        if len(qi) >= default_min_inliers(len(qi)):  # below the floor no consensus can verify
+            try:
+                verification = ransac_verify(keypoint_xy[tj], query.xy[qi], seed)
+            except InsufficientMatches:
+                pass
         ranked.append(RankedCandidate(rec.object_id, len(qi), verification, np.stack([qi, tj - targets.offsets[r]], 1)))
     ranked.sort(
         key=lambda c: (

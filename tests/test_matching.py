@@ -358,7 +358,7 @@ def lexsort_match_block(q, qsigns, base, t, ratio):
         full = ~np.isfinite(approx).all(axis=1)
         approx[~same] = np.inf
         delta = matching.SCREEN_REL * (np.sqrt(qq) + t.max_norm) ** 2 + matching.SCREEN_ABS
-        limit = matching._second_smallest(approx, t) + 2.0 * delta[:, None]
+        limit = matching._two_smallest(approx, t)[1] + 2.0 * delta[:, None]
         cand = (approx <= limit[:, t.segment]) | full[:, None]
     cand &= same
 
@@ -471,3 +471,121 @@ def test_same_sign_infinities_match_without_a_warning():
     with np.errstate(invalid="ignore"), patch.object(matching, "_match_block", lexsort_match_block):
         want = match_sets(q, signs, targets)
     assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+# --- the ratio test settled on the screen -------------------------------------
+
+
+def lexsort_match_sets(q, signs, targets, ratio):
+    with np.errstate(invalid="ignore"), patch.object(matching, "_match_block", lexsort_match_block):
+        return match_sets(q, signs, targets, ratio)
+
+
+def assert_same_bits_as_lexsort(q, signs, records, ratio):
+    """match_sets against the lexsort reference, bit for bit; returns the kept
+    (query row, target row) pairs."""
+    targets = TargetSet.build([table_of(r, s) for r, s in records])
+    got = match_sets(q, signs, targets, ratio)
+    want = lexsort_match_sets(q, signs, targets, ratio)
+    assert all(g.dtype == w.dtype and g.tobytes() == w.tobytes() for g, w in zip(got, want))
+    return list(zip(got[1].tolist(), got[2].tolist()))
+
+
+def offset_rows(rng, n, cells):
+    """n copies of one random unit row, each with its own (component, value)
+    cells set; the base is zero in those components, so each copy differs
+    from the base by exactly its cells."""
+    base = unit_rows(rng, 1)[0]
+    base[[k for k, _ in cells]] = 0.0
+    rows = np.repeat(base[None], n, axis=0)
+    for i, (k, v) in enumerate(cells[:n]):
+        rows[i, k] = v
+    return base, rows
+
+
+def at_and_off_the_origin(base, rows):
+    """(query, targets, SCREEN_REL) cases: the query at the origin, where the
+    screen of rows with one dyadic component each is exact, so SCREEN_REL
+    0 leaves delta at SCREEN_ABS and the screen decides at the very edge;
+    and the query at `base`, under the default SCREEN_REL."""
+    origin = (np.zeros((1, 64)), rows - base)
+    return [(*origin, matching.SCREEN_REL), (*origin, 0.0), (base[None], rows, matching.SCREEN_REL)]
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0**-300, 2.0**300])
+def test_ratio_exactly_at_and_within_1e_12_of_d1_over_d2(scale):
+    # The two nearest sit at exactly 0.75 and 1 (times scale) from the query,
+    # so d1 < ratio * d2 turns at ratio 0.75, where it is false.
+    rng = np.random.default_rng(5)
+    base, rows = offset_rows(rng, 3, [(0, 0.75 * scale), (1, 1.0 * scale), (2, 3.0 * scale)])
+    for q, targets, rel in at_and_off_the_origin(base, rows):
+        outcomes = []
+        for ratio in (0.75, 0.75 * (1 - 1e-12), 0.75 * (1 + 1e-12), np.nextafter(0.75, 0), np.nextafter(0.75, 1)):
+            with patch.object(matching, "SCREEN_REL", rel):
+                outcomes.append(assert_same_bits_as_lexsort(q, np.ones(1, np.int8), [(targets, np.ones(3))], float(ratio)))
+        assert outcomes == [[], [], [(0, 0)], [], [(0, 0)]]
+
+
+def test_lone_candidate_at_half_and_one_ulp_either_side():
+    rng = np.random.default_rng(6)
+    kept = []
+    for x in (np.nextafter(0.5, 0), 0.5, np.nextafter(0.5, 1)):
+        base, rows = offset_rows(rng, 2, [(0, x), (1, 0.01)])  # row 1 has the other sign
+        for q, targets, rel in at_and_off_the_origin(base, rows):
+            with patch.object(matching, "SCREEN_REL", rel):
+                kept.append(assert_same_bits_as_lexsort(q, np.ones(1, np.int8), [(targets, np.array([1, -1]))], 0.7))
+    assert kept == [[(0, 0)]] * 3 + [[]] * 6
+
+
+def test_duplicated_nearest_and_overflowing_rows_on_the_screen():
+    rng = np.random.default_rng(7)
+    near = unit_rows(rng, 1)[0]
+    far = unit_rows(rng, 2)
+    q = np.stack([near + 1e-3, near, near + 1e-9])
+    # the nearest duplicated: a tie at d1; then the second duplicated: d1 stands alone
+    tie = np.stack([near, near, *far])
+    second = np.stack([near, far[0], far[0], far[1]])
+    huge = np.zeros((3, 64))
+    huge[:, 0] = 1e160
+    huge[1, 1], huge[2, 1] = 1e150, 1e154  # |row|^2 overflows the GEMM
+    qh = np.zeros((1, 64))
+    qh[0, 0] = 1e160
+    for ratio in (0.5, 0.7, 1.0):
+        assert assert_same_bits_as_lexsort(q, np.ones(3, np.int8), [(tie, np.ones(4))], ratio) == []
+        kept = assert_same_bits_as_lexsort(q, np.ones(3, np.int8), [(second, np.ones(4))], ratio)
+        assert kept == [(1, 0), (2, 0), (0, 0)]
+        both = [(tie, np.ones(4)), (second, np.ones(4)), (huge, np.ones(3))]
+        assert_same_bits_as_lexsort(np.concatenate([q, qh]), np.ones(4, np.int8), both, ratio)
+    assert assert_same_bits_as_lexsort(qh, np.ones(1, np.int8), [(huge, np.ones(3))], 0.7) == [(0, 0)]
+
+
+def test_seeded_run_takes_drops_and_leaves_groups_undecided(monkeypatch):
+    seen = []
+    settled = matching._settled
+
+    def recording(*args):
+        take, drop = settled(*args)
+        seen.append((take.copy(), drop.copy()))  # the caller clears full rows in place
+        return take, drop
+
+    monkeypatch.setattr(matching, "_settled", recording)
+    rng = np.random.default_rng(8)
+    records = []
+    for _ in range(5):
+        rows = unit_rows(rng, 12)
+        rows[1] = rows[0]  # a tie: a copy of it is undecided on the screen
+        signs = rng.choice([1, -1], 12)
+        signs[1] = signs[0]
+        records.append((rows, signs))
+    flat = np.concatenate([r for r, _ in records])
+    signs = np.concatenate([s for _, s in records]).astype(np.int8)
+    pick = rng.integers(len(flat), size=40)
+    q = np.concatenate([flat[pick] + rng.normal(size=(40, 64)) * 1e-3, unit_rows(rng, 20)])
+    qsigns = np.concatenate([signs[pick], rng.choice([1, -1], 20)]).astype(np.int8)
+    for ratio in (0.5, 0.7, 0.9):
+        assert_same_bits_as_lexsort(q, qsigns, records, ratio)
+        assert_same_bits_as_lexsort(flat[:3], signs[:3], records, ratio)
+    take = np.concatenate([t.ravel() for t, _ in seen])
+    drop = np.concatenate([d.ravel() for _, d in seen])
+    assert not (take & drop).any()
+    assert take.any() and drop.any() and (~take & ~drop).any()

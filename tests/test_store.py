@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from hypothesis import HealthCheck, event, example, given, settings, strategies 
 from arfex import draw, store
 from arfex.errors import ArfexError, DuplicateId, InsufficientMatches, NoFeatures, ParseError, VersionMismatch
 from arfex.features import ExtractionConfig, Features, extract_features
-from arfex.geometry import ransac_verify
+from arfex.image import RasterImage
+from arfex.geometry import default_min_inliers, ransac_verify
 from arfex.store import (
     Database,
     MAX_IMAGE_SIDE,
@@ -466,11 +468,20 @@ def test_non_ascii_db_file_raises_parse_error(tmp_path):
 # --- querying many records at once -------------------------------------------
 
 
+def two_views():
+    """A view of obj0 beside a view of obj1 turned 30 degrees, which gets
+    7 matches, all at distinct obj1 points."""
+    left = warp_similarity(blob_texture(192, 192, 16, seed=50), 10.0, 1.0).pixels
+    right = warp_similarity(blob_texture(192, 192, 16, seed=51), 30.0, 0.7).pixels
+    return add_noise(RasterImage(np.concatenate([left, right], axis=1)), 3.0, seed=6)
+
+
 def test_query_equals_per_record_reference(small_db):
-    img = add_noise(warp_similarity(blob_texture(192, 192, 16, seed=52), 15.0, 0.8), 3.0, seed=6)
+    img = two_views()
     result, points = query_image(small_db, img, seed=3)
     _, descriptors = extract_features(img, small_db.extraction_config)
     by_id = {c.object_id: c for c in result.ranked}
+    assert by_id["obj0"].match_count >= 8 and 4 <= by_id["obj1"].match_count < 8
     for rec in small_db.records:
         got = by_id[rec.object_id]
         want = reference_match(descriptors, descriptors_of(rec.features))
@@ -483,6 +494,9 @@ def test_query_equals_per_record_reference(small_db):
         assert got.match_count == len(want)
         src = np.array([rec.features.xy[m.target_index] for m in want]).reshape(-1, 2)
         dst = np.array([[points[m.query_index].x, points[m.query_index].y] for m in want])
+        if len(want) < default_min_inliers(len(want)):
+            assert_below_the_floor(got)
+            continue
         try:
             verification = ransac_verify(src, dst, 3)
         except InsufficientMatches:
@@ -494,6 +508,64 @@ def test_query_equals_per_record_reference(small_db):
         if verification.model is not None:
             assert got.verification.model.h.tobytes() == verification.model.h.tobytes()
     assert sum(c.match_count for c in result.ranked) > 10
+
+
+def assert_below_the_floor(candidate):
+    v = candidate.verification
+    assert (v.model, v.inlier_indices, v.mean_reprojection_error, v.verified) == (None, [], math.inf, False)
+
+
+def counting_ransac(monkeypatch):
+    """Patch store.ransac_verify to record the match count of every call."""
+    counts = []
+
+    def ransac(src, dst, seed=0):
+        counts.append(len(src))
+        return ransac_verify(src, dst, seed)
+
+    monkeypatch.setattr(store, "ransac_verify", ransac)
+    return counts
+
+
+def test_record_below_the_verification_floor_skips_ransac(small_db, monkeypatch):
+    counts = counting_ransac(monkeypatch)
+    result, _ = query_image(small_db, two_views(), seed=3)
+    by_id = {c.object_id: c for c in result.ranked}
+    assert 4 <= by_id["obj1"].match_count < 8
+    # 4 distinct points or more, so ransac_verify would not refuse them
+    assert len(np.unique(small_db.records[1].features.xy[by_id["obj1"].matches[:, 1]], axis=0)) >= 4
+    assert_below_the_floor(by_id["obj1"])
+    assert counts == [by_id["obj0"].match_count] and result.best == "obj0"
+
+
+def test_record_at_the_verification_floor_goes_through_ransac(monkeypatch):
+    # Each record is some rows of the query's own features, so exactly those
+    # rows match it, at distance 0; 8 rows reach the floor and 7 do not.
+    img = blob_texture(192, 192, 16, seed=50)
+    config = ExtractionConfig()
+    query = Features.from_points(*extract_features(img, config))
+    rows = np.linspace(0, len(query.xy) - 1, 8).astype(np.intp)
+
+    def record(object_id, take):
+        fields = {k: getattr(query, k)[take] for k in FIELDS}
+        return store.ObjectRecord(object_id, object_id, "", (192, 192), Features(**fields))
+
+    db = Database(config, [record("eight", rows), record("seven", rows[:7])])
+    counts = counting_ransac(monkeypatch)
+    result, _ = query_image(db, img, ratio=0.1)
+    by_id = {c.object_id: c for c in result.ranked}
+    assert [by_id[k].match_count for k in ("eight", "seven")] == [8, 7]
+    assert counts == [8]
+    assert by_id["eight"].verification.verified and result.best == "eight"
+    assert by_id["eight"].verification.inlier_indices == list(range(8))
+    assert_below_the_floor(by_id["seven"])
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "1", None])
+def test_query_refuses_a_seed_that_is_not_an_int_of_at_least_zero(small_db, seed, monkeypatch):
+    monkeypatch.setattr(store, "extract_features", None)  # refused before extraction
+    with pytest.raises(ValueError, match="seed"):
+        query_image(small_db, noise_image(192, 192, seed=77), seed=seed)
 
 
 def test_record_indexed_after_a_query_is_seen_by_the_new_snapshot_only(small_db):
