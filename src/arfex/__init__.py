@@ -13,7 +13,6 @@ from .errors import (
     DegenerateConfiguration,
     DuplicateId,
     ImageTooSmall,
-    InsufficientMatches,
     NoFeatures,
     ParseError,
     PointAtInfinity,
@@ -25,7 +24,6 @@ from .features import (
     ExtractionConfig,
     Features,
     InterestPoint,
-    ResponseMap,
     assign_orientation,
     build_response_maps,
     detect_interest_points,
@@ -70,7 +68,6 @@ __all__ = [
     "Features",
     "Homography",
     "ImageTooSmall",
-    "InsufficientMatches",
     "InterestPoint",
     "NoFeatures",
     "ObjectRecord",
@@ -79,7 +76,6 @@ __all__ = [
     "QueryResult",
     "RankedCandidate",
     "RasterImage",
-    "ResponseMap",
     "SingularSystem",
     "UNRECOGNIZED",
     "VerificationResult",

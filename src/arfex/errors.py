@@ -25,10 +25,6 @@ class SingularSystem(ArfexError):
     """Linear system for the model estimate is singular or rank deficient."""
 
 
-class InsufficientMatches(ArfexError):
-    """Fewer distinct matched points than the minimal sample size for verification."""
-
-
 class DuplicateId(ArfexError):
     """Object id already present in the database."""
 

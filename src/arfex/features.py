@@ -7,18 +7,24 @@ descriptors.  All stages are pure functions; identical input and
 configuration give byte-identical output.
 
 The stages that read the image take the integral image as the plain
-(h + 1, w + 1) int64 padded table P of `image.build_integral`, and read the
-image's width and height from its shape.
+(h + 1, w + 1) int64 padded table P of `image.build_integral` or its int32
+wrap, read the image's width and height from its shape, and give the same
+bits from either (below).  `extract_features` wraps P to int32 once and
+hands that one table to every stage.
 
-The scale space is one `ResponseMap` per octave.  Octave o (1-based)
-samples every 2^(o-1) pixels and has INTERVALS = 4 layers, filtered at
-filter_sizes(o, 4).  Detection keeps only maxima of the middle layers 1
-and 2, so only they are filled densely, into one (2, gh, gw) array.  The
-outer layers 0 and 3 are only compared against, and a Laplacian sign is
-read only at a kept point, so both are evaluated by `_layer_cells` at just
-the cells detection reads.  Octaves share no layer: octave o's first two
-filter sizes are octave o-1's second and fourth (SURF's octave overlap),
-but octave o fills its own layers 1 and 2 and reads the others by cell.
+The scale space is one (2, gh, gw) float64 array per octave, in octave
+order.  Octave o (1-based) samples every 2^(o-1) pixels: grid cell (i, j)
+sits at pixel (j 2^(o-1), i 2^(o-1)), and the grid is ceil(h / 2^(o-1)) x
+ceil(w / 2^(o-1)).  It has INTERVALS = 4 layers, filtered at
+filter_sizes(o, 4).  Stride and sizes follow from the octave's place in the
+list, so the array holds nothing else.  Detection keeps only maxima of the
+middle layers 1 and 2, so only they are filled densely, into the array.
+The outer layers 0 and 3 are only compared against, and a Laplacian sign is
+read only at a kept point, so both are evaluated from the table by
+`_layer_cells` at just the cells detection reads.  Octaves share no layer:
+octave o's first two filter sizes are octave o-1's second and fourth
+(SURF's octave overlap), but octave o fills its own layers 1 and 2 and
+reads the others by cell.
 
 Box-filter layout (center (x, y), odd filter size L, lobe l = L//3,
 border b = (L-1)//2, half-lobe m = (l-1)//2; rectangles inclusive):
@@ -44,12 +50,18 @@ boxes would take about 31.  Each dense layer is filled in row bands of
 about BAND_CELLS grid cells, so every temporary stays cache-sized whatever
 the image size.
 
-The integer passes run on an int32 copy of P, which wraps each entry mod
-2^32.  Adding, subtracting and multiplying by 3 are ring operations mod
-2^32, so each D comes out congruent to its true value, and equal to it
-because the true value fits in int32: the largest filter (195, octave 4)
-gives |Dxx| <= 3 * 195 * 129 * 255 < 2^26, and |Dyy| and |Dxy| are no
-larger, for any image size.  Only the exact D are converted to float.
+The int32 wrap of P holds each entry mod 2^32.  Adding, subtracting and
+multiplying by an integer are ring operations mod 2^32, so each D comes out
+congruent to its true value, and equal to it because the true value fits
+in int32: the largest filter (195, octave 4) gives |Dxx| <= 3 * 195 * 129 *
+255 < 2^26, and |Dyy| and |Dxy| are no larger, for any image size.  Only
+the exact D are converted to float.  The same holds for `_haar`: a Haar
+response is the difference of two half-boxes of h x 2h pixels (h half the
+Haar size), so |g| <= 2 h^2 255.  Detection's largest scale sets h: octave 4's layer 2 refined by
+at most half a step gives size <= 147 + 48/2 = 171, so s <= 1.2 * 171 / 9 =
+22.8, the orientation Haar (~4s) is at most 92 pixels, h = 46, and |g| <=
+46 * 92 * 255 < 2^21, whatever the image size.  The descriptor's Haar
+(~2s) is smaller.
 
 A cell read gives the bits of a dense fill.  `_layer_cells` gathers each
 cell's 32 corners of the same strips (v and u at four columns or rows
@@ -82,21 +94,21 @@ Each kept point's Laplacian sign is one more `_layer_cells` read.
 `assign_orientation` and `extract_descriptor` take arrays of points and run
 as array passes over blocks of BLOCK points.  Each point gets the same bits
 whatever block it shares, or alone, which constrains the batched form: Haar
-sums are exact int64 combinations of padded-table corners with a per-point
-box size, window sums are one matrix-vector product per point, the final
-`atan2` is a scalar `math` call per point (`np.arctan2` differs in the last
-bit on some inputs), the descriptor frame's `cos`/`sin` are `math` calls
-too, subregion sums reduce the same axes in the same order, and each
-descriptor is normalised by its own `np.linalg.norm` (a batched norm rounds
-differently).
+sums are exact integer combinations of padded-table corners with a
+per-point box size, window sums are one matrix-vector product per point,
+the final `atan2` is a scalar `math` call per point (`np.arctan2` differs
+in the last bit on some inputs), the descriptor frame's `cos`/`sin` are
+`math` calls too, subregion sums reduce the same axes in the same order,
+and each descriptor is normalised by its own `np.linalg.norm` (a batched
+norm rounds differently).
 
 Haar corners are clamped, not clipped.  A sample's two responses need the
 padded-table entries at columns x-h, x, x+h and rows y-h, y, y+h (all pairs
 but (y, x)); each column index is clamped into [0, width] and each row index
 into [0, height].  A box that overlaps the image keeps exactly its clipped
 corners, and a box wholly outside gets two equal clamped columns or rows,
-so its four-corner sum is exactly 0: the sums equal clipped box sums in
-exact int64.
+so its four-corner sum is exactly 0: the sums equal clipped box sums,
+exactly.
 
 The orientation window mask tests (a - start) mod 2 pi < pi/3 for sample
 angles a in [0, 2 pi] and window starts in [0, 2 pi), so d = a - start lies
@@ -192,35 +204,6 @@ class ExtractionConfig:
         return cls(**{k: v for k, v in d.items() if k in known})
 
 
-@dataclass(eq=False)
-class ResponseMap:
-    """One octave's scale space: its two dense detection layers and the
-    table its other cells are read from.
-
-    The octave's INTERVALS layers are filtered at `filter_sizes`; grid cell
-    (i, j) sits at pixel (j*stride, i*stride), and the grid is
-    ceil(height/stride) x ceil(width/stride).  `responses` (2, gh, gw)
-    holds layers 1 and 2.  `table` is the padded table, int64 or its int32
-    wrap (module docstring), that `_layer_cells` reads the outer layers
-    0 and 3 and every Laplacian sign from.
-    """
-
-    stride: int
-    filter_sizes: tuple[int, ...]
-    responses: np.ndarray
-    table: np.ndarray
-
-    def __post_init__(self):
-        if len(self.filter_sizes) != INTERVALS:
-            raise ValueError(f"need {INTERVALS} filter sizes per octave, got {len(self.filter_sizes)}")
-        if self.table.ndim != 2:
-            raise ValueError(f"table must be a 2-D padded table, got shape {self.table.shape}")
-        height, width = self.table.shape[0] - 1, self.table.shape[1] - 1
-        grid = (2, -(-height // self.stride), -(-width // self.stride))
-        if self.responses.shape != grid:
-            raise ValueError(f"responses must have shape {grid} for this table and stride, got {self.responses.shape}")
-
-
 @dataclass(frozen=True)
 class InterestPoint:
     """Scale-space extremum: sub-pixel position, sigma, strength, sign, angle."""
@@ -278,24 +261,23 @@ class Features:
         return cls(table[:, :2], *table[:, 2:].T, desc)
 
 
-def build_response_maps(table: np.ndarray, config: Optional[ExtractionConfig] = None) -> list[ResponseMap]:
-    """One response map per octave, in octave order, from the padded table:
-    each octave's layers 1 and 2, filled densely."""
+def build_response_maps(table: np.ndarray, config: Optional[ExtractionConfig] = None) -> list[np.ndarray]:
+    """The scale space, from the padded table or its int32 wrap: one (2, gh,
+    gw) array per octave, octave 1's first, holding that octave's layers 1
+    and 2, filled densely (module docstring)."""
     config = config or ExtractionConfig()
     height, width = table.shape[0] - 1, table.shape[1] - 1
     if width < FILTER_BASE or height < FILTER_BASE:
         raise ImageTooSmall(
             f"image {width}x{height} below {FILTER_BASE}x{FILTER_BASE} minimum"
         )
-    wrapped = table.astype(np.int32)  # wraps mod 2**32; exact, see the module docstring
     maps = []
     for octave in range(1, config.octaves + 1):
         stride = 1 << (octave - 1)
-        sizes = tuple(filter_sizes(octave, INTERVALS))
         responses = np.zeros((2, -(-height // stride), -(-width // stride)))
-        for layer, size in zip(responses, sizes[1:3]):
-            _hessian_grid(wrapped, stride, size, layer)
-        maps.append(ResponseMap(stride, sizes, responses, wrapped))
+        for layer, size in zip(responses, filter_sizes(octave, INTERVALS)[1:3]):
+            _hessian_grid(table, stride, size, layer)
+        maps.append(responses)
     return maps
 
 
@@ -430,28 +412,40 @@ _WINDOW = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)]
 _RING = [n for n in range(9) if n != 4]
 
 
-def detect_interest_points(maps: list[ResponseMap], threshold: float) -> list[InterestPoint]:
+def detect_interest_points(table: np.ndarray, maps: list[np.ndarray], threshold: float) -> list[InterestPoint]:
     """Strict 3x3x3 maxima above threshold, refined by one quadratic step.
 
-    Maxima are taken in each octave's layers 1 and 2; layers 0 and 3 serve
-    only as comparison layers and are read at the cells the comparisons
-    and refinement need (module docstring).  Points whose refinement offset
+    `maps` is `build_response_maps`' list and `table` the padded table or
+    int32 wrap it was filled from.  Octave o, at place o in `maps`, has
+    stride 2^(o-1) and sizes filter_sizes(o, 4); maxima are taken in its
+    layers 1 and 2, and layers 0 and 3 and the Laplacian signs are read
+    from `table` at the cells the comparisons and refinement need (module
+    docstring).  An array that does not fit its octave's grid, or a table
+    that is not 2-D, raises ValueError.  Points whose refinement offset
     exceeds 0.5 in any component (or whose local Hessian is singular) are
     discarded.  Output sorted by descending response, ties by (y, x,
     scale) ascending.
     """
+    if table.ndim != 2:
+        raise ValueError(f"table must be a 2-D padded table, got shape {table.shape}")
+    height, width = table.shape[0] - 1, table.shape[1] - 1
     points: list[InterestPoint] = []
-    for m in maps:
-        _, gh, gw = m.responses.shape
+    for octave, responses in enumerate(maps, start=1):
+        stride = 1 << (octave - 1)
+        sizes = filter_sizes(octave, INTERVALS)
+        grid = (2, -(-height // stride), -(-width // stride))
+        if responses.shape != grid:
+            raise ValueError(f"octave {octave} must have shape {grid} for this table, got {responses.shape}")
+        _, gh, gw = grid
         if gh < 3 or gw < 3:
             continue
         window = np.array([di * gw + dj for di, dj in _WINDOW])
         for k in (1, 2):
-            layer, other = m.responses[k - 1].ravel(), m.responses[2 - k].ravel()
+            layer, other = responses[k - 1].ravel(), responses[2 - k].ravel()
             # Only the cells above threshold are candidates; nonzero gives
             # them in row-major order, and each comparison keeps the
             # survivors in that order (module docstring).
-            ci, cj = np.nonzero(m.responses[k - 1, 1:-1, 1:-1] > threshold)
+            ci, cj = np.nonzero(responses[k - 1, 1:-1, 1:-1] > threshold)
             at = (ci + 1) * gw + cj + 1
             v = layer[at]
             for step in window[_RING]:
@@ -460,7 +454,7 @@ def detect_interest_points(maps: list[ResponseMap], threshold: float) -> list[In
             for step in window:
                 keep = v > other[at + step]
                 at, v = at[keep], v[keep]
-            outer = _outer_layer(m, 3 * (k - 1), at[:, None] + window)
+            outer = _outer_layer(table, stride, sizes[3 * (k - 1)], grid[1:], at[:, None] + window)
             keep = np.all(v[:, None] > outer, axis=1)
             at, v, outer = at[keep], v[keep], outer[keep]
             around = at[:, None] + window
@@ -468,30 +462,29 @@ def detect_interest_points(maps: list[ResponseMap], threshold: float) -> list[In
             offset = _refine(np.stack([below, layer[around], above], axis=1).reshape(-1, 3, 3, 3))
             ok = np.max(np.abs(offset), axis=1) <= 0.5
             i, j = np.divmod(at[ok], gw)
-            step = m.filter_sizes[k + 1] - m.filter_sizes[k]
-            size = m.filter_sizes[k] + offset[ok, 2] * step
+            size = sizes[k] + offset[ok, 2] * (sizes[k + 1] - sizes[k])
             points += map(
                 InterestPoint,
-                ((j + offset[ok, 0]) * m.stride).tolist(),
-                ((i + offset[ok, 1]) * m.stride).tolist(),
+                ((j + offset[ok, 0]) * stride).tolist(),
+                ((i + offset[ok, 1]) * stride).tolist(),
                 (SIGMA_BASE * size / FILTER_BASE).tolist(),
                 v[ok].tolist(),
-                _layer_cells(m.table, m.stride, m.filter_sizes[k], i, j)[1].tolist(),
+                _layer_cells(table, stride, sizes[k], i, j)[1].tolist(),
             )
     points.sort(key=lambda p: (-p.response, p.y, p.x, p.scale))
     return points
 
 
-def _outer_layer(m: ResponseMap, k: int, cells: np.ndarray) -> np.ndarray:
-    """Responses of layer k of map m at the flat grid cells `cells`: read
-    cell by cell, or from a dense fill of the layer when that is cheaper;
-    both give the same bits."""
-    _, gh, gw = m.responses.shape
+def _outer_layer(table: np.ndarray, stride: int, size: int, grid: tuple[int, int], cells: np.ndarray) -> np.ndarray:
+    """Responses of the layer of filter `size` at `stride`, whose grid is
+    (gh, gw), at its flat cells `cells`: read cell by cell, or from a dense
+    fill of the layer when that is cheaper; both give the same bits."""
+    gh, gw = grid
     if CELL_COST * cells.size > gh * gw:
-        dense = np.zeros((gh, gw))
-        _hessian_grid(m.table, m.stride, m.filter_sizes[k], dense)
+        dense = np.zeros(grid)
+        _hessian_grid(table, stride, size, dense)
         return dense.ravel()[cells]
-    return _layer_cells(m.table, m.stride, m.filter_sizes[k], *np.divmod(cells, gw))[0]
+    return _layer_cells(table, stride, size, *np.divmod(cells, gw))[0]
 
 
 def _refine(cube: np.ndarray) -> np.ndarray:
@@ -632,7 +625,10 @@ def _window_mask(angles: np.ndarray) -> np.ndarray:
 
 def assign_orientation(table: np.ndarray, x: np.ndarray, y: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """Dominant Haar-gradient direction of each point (x[i], y[i], scale[i]),
-    from the padded table.
+    from the padded table or its int32 wrap.
+
+    The wrap is exact for the scales detection gives, s <= 22.8 (module
+    docstring); a caller with larger scales passes the int64 table.
 
     Haar responses (size ~4s) are sampled on a radius-6s disc at step s and
     Gaussian-weighted (sigma 2.5s); a pi/3 window slides by pi/32 and the
@@ -662,8 +658,11 @@ def assign_orientation(table: np.ndarray, x: np.ndarray, y: np.ndarray, scale: n
 def extract_descriptor(
     table: np.ndarray, x: np.ndarray, y: np.ndarray, scale: np.ndarray, theta: np.ndarray
 ) -> np.ndarray:
-    """64-d descriptor of each point, from the padded table: per-subregion
-    (sum dx, sum dy, sum |dx|, sum |dy|).
+    """64-d descriptor of each point, from the padded table or its int32
+    wrap: per-subregion (sum dx, sum dy, sum |dx|, sum |dy|).
+
+    The wrap is exact for the scales detection gives, s <= 22.8 (module
+    docstring); a caller with larger scales passes the int64 table.
 
     A 20s x 20s window rotated by theta[i] (0 for upright) is sampled on a
     20x20 grid (4x4 subregions of 5x5 samples) with Haar size ~2s and
@@ -709,11 +708,12 @@ def extract_features(
     """Full chain: grayscale, integral, response maps, detection, orientation, descriptors.
 
     descriptors[i] corresponds to points[i].  With upright configuration the
-    orientation stage is skipped (orientation stays 0).
+    orientation stage is skipped (orientation stays 0).  Every stage reads
+    one table, the int32 wrap of the padded table (module docstring).
     """
     config = config or ExtractionConfig()
-    table = build_integral(to_grayscale(img))
-    points = detect_interest_points(build_response_maps(table, config), config.threshold)
+    table = build_integral(to_grayscale(img)).astype(np.int32)
+    points = detect_interest_points(table, build_response_maps(table, config), config.threshold)
     x, y, scale = np.array([(p.x, p.y, p.scale) for p in points], dtype=np.float64).reshape(-1, 3).T
     if config.upright:
         theta = np.zeros(len(points))

@@ -31,12 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    DegenerateConfiguration,
-    InsufficientMatches,
-    PointAtInfinity,
-    SingularSystem,
-)
+from .errors import DegenerateConfiguration, PointAtInfinity, SingularSystem
 
 _COLLINEAR_TOL = 1e-9
 _DENOM_TOL = 1e-12
@@ -209,20 +204,20 @@ def ransac_verify(src, dst, seed: int = 0) -> VerificationResult:
     src/dst are matched (n, 2) coordinate arrays.  Deterministic for a fixed
     seed.  Inlier = reprojection error <= INLIER_THRESHOLD; verified iff the
     final consensus reaches default_min_inliers(n) and the final model passes
-    the degeneracy rule (module docstring).  Fewer than 4 distinct
-    source points raise InsufficientMatches: every sample would be degenerate.
-    Otherwise a NaN or infinite coordinate raises ValueError.
+    the degeneracy rule (module docstring).  A NaN or infinite coordinate
+    raises ValueError.  Fewer than 4 distinct source points draw no sample,
+    since every sample would be degenerate, and give the result of no model:
+    no inliers, an infinite mean error, unverified.
     """
     src = _as_points(src)
     dst = _as_points(dst)
     n = len(src)
     if n != len(dst):
         raise ValueError(f"mismatched correspondence arrays: {n} vs {len(dst)}")
-    distinct = _distinct_rows(src)
-    if distinct < SAMPLE_SIZE:
-        raise InsufficientMatches(f"need >= {SAMPLE_SIZE} distinct source points, got {distinct}")
     if not (np.isfinite(src).all() and np.isfinite(dst).all()):
         raise ValueError("correspondence coordinates must be finite")
+    if _distinct_rows(src) < SAMPLE_SIZE:
+        return VerificationResult(None, [], math.inf, False)
     min_inliers = default_min_inliers(n)
     rng = np.random.default_rng(seed)
 

@@ -22,7 +22,7 @@ Verification floor.  A record verifies only with at least
 `geometry.default_min_inliers(n)` inliers among its n matches, so a record
 with fewer than that many matches (n < 8) cannot verify, and `query_image`
 runs no RANSAC on it: it reports no model, no inliers and an infinite mean
-error, as a record with fewer than 4 distinct matched points does.
+error, the result `ransac_verify` gives when no sample yields a model.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DuplicateId, InsufficientMatches, NoFeatures, ParseError, VersionMismatch
+from .errors import DuplicateId, NoFeatures, ParseError, VersionMismatch
 from .features import DESCRIPTOR_LENGTH, ExtractionConfig, Features, InterestPoint, extract_features
 from .geometry import VerificationResult, default_min_inliers, ransac_verify
 from .image import RasterImage
@@ -138,10 +138,7 @@ def query_image(
         qi, tj = qrow[bounds[r] : bounds[r + 1]], trow[bounds[r] : bounds[r + 1]]
         verification = VerificationResult(None, [], math.inf, False)
         if len(qi) >= default_min_inliers(len(qi)):  # below the floor no consensus can verify
-            try:
-                verification = ransac_verify(keypoint_xy[tj], query.xy[qi], seed)
-            except InsufficientMatches:
-                pass
+            verification = ransac_verify(keypoint_xy[tj], query.xy[qi], seed)
         ranked.append(RankedCandidate(rec.object_id, len(qi), verification, np.stack([qi, tj - targets.offsets[r]], 1)))
     ranked.sort(
         key=lambda c: (

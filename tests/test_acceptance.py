@@ -14,7 +14,7 @@ import pytest
 import scipy.ndimage
 
 from arfex.cli import main
-from arfex.features import ExtractionConfig, _layer_cells, build_response_maps, extract_features
+from arfex.features import ExtractionConfig, _layer_cells, build_response_maps, extract_features, filter_sizes
 from arfex.geometry import Homography, ransac_verify
 from arfex.image import RasterImage, box_sums, build_integral, to_grayscale
 from arfex.image_io import write_ppm
@@ -70,17 +70,18 @@ def test_criterion_2_response_map_oracle_equivalence():
         for _ in range(10):
             img = RasterImage(rng.integers(0, 256, size=(64, 64, 3), dtype=np.uint8))
             levels = to_grayscale(img)
-            ii = build_integral(levels)
-            for m in build_response_maps(ii):
+            table = build_integral(levels).astype(np.int32)  # the one table extraction reads
+            for octave, responses in enumerate(build_response_maps(table), start=1):
                 # Every cell of every layer: the dense layers 1 and 2, and
                 # each of the four layers read cell by cell.
-                _, gh, gw = m.responses.shape
+                stride = 1 << (octave - 1)
+                _, gh, gw = responses.shape
                 i, j = np.indices((gh, gw))
-                for k, size in enumerate(m.filter_sizes):
-                    cells, signs = _layer_cells(m.table, m.stride, size, i, j)
-                    dense = m.responses[k - 1] if k in (1, 2) else None
+                for k, size in enumerate(filter_sizes(octave, 4)):
+                    cells, signs = _layer_cells(table, stride, size, i, j)
+                    dense = responses[k - 1] if k in (1, 2) else None
                     for y, x in zip(i.ravel().tolist(), j.ravel().tolist()):
-                        want, sign = hessian_response_at(levels, x * m.stride, y * m.stride, size)
+                        want, sign = hessian_response_at(levels, x * stride, y * stride, size)
                         assert abs(cells[y, x] - want) <= 1e-9
                         assert signs[y, x] == sign
                         if dense is not None:

@@ -15,7 +15,6 @@ from arfex.features import (
     CELL_BLOCK,
     ExtractionConfig,
     InterestPoint,
-    ResponseMap,
     _haar,
     _layer_cells,
     _window_mask,
@@ -42,6 +41,18 @@ def blob_image(w, h, centers, sigma, amp=120, bg=40):
 
 def integral_of(img):
     return build_integral(to_grayscale(img))
+
+
+def wrap_of(img):
+    """The int32 wrap of the padded table: the one table `extract_features`
+    hands to every stage."""
+    return integral_of(img).astype(np.int32)
+
+
+def octaves(maps):
+    """Each octave of `build_response_maps`' list as (stride, filter sizes,
+    responses), the stride and sizes following from its place in the list."""
+    return [(1 << o, filter_sizes(o + 1, 4), responses) for o, responses in enumerate(maps)]
 
 
 def noise_frame(seed=1, side=256):
@@ -77,51 +88,52 @@ def test_map_grid_dimensions_and_metadata():
     ii = integral_of(gray_raster(np.full((50, 70), 99)))
     maps = build_response_maps(ii)
     assert len(maps) == 3
-    for octave, m in enumerate(maps, start=1):
-        gh = -(-50 // m.stride)
-        gw = -(-70 // m.stride)
-        assert m.responses.shape == (2, gh, gw)
-        assert m.table.shape == ii.shape and np.array_equal(m.table, ii)
-        assert m.filter_sizes == tuple(filter_sizes(octave, 4))
-        assert all(size % 2 == 1 for size in m.filter_sizes)
-    assert [m.stride for m in maps] == [1, 2, 4]
+    for stride, sizes, responses in octaves(maps):
+        gh = -(-50 // stride)
+        gw = -(-70 // stride)
+        assert responses.shape == (2, gh, gw) and responses.dtype == np.float64
+        assert all(size % 2 == 1 for size in sizes)
+    assert [r.shape for r in maps] == [(2, 50, 70), (2, 25, 35), (2, 13, 18)]
+    wrap = ii.astype(np.int32)
+    assert np.array_equal(wrap, ii)
+    assert [r.tobytes() for r in build_response_maps(wrap)] == [r.tobytes() for r in maps]
 
 
-def map_stacks(m):
-    """(4, gh, gw) responses and signs of map m: its dense layers 1 and 2,
-    with layers 0 and 3 and every sign read by `_layer_cells` over the
-    whole grid."""
-    _, gh, gw = m.responses.shape
+def map_stacks(table, stride, sizes, responses):
+    """(4, gh, gw) responses and signs of one octave: its dense layers 1 and
+    2, with layers 0 and 3 and every sign read from `table` by
+    `_layer_cells` over the whole grid."""
+    _, gh, gw = responses.shape
     i, j = np.indices((gh, gw))
-    cells = [_layer_cells(m.table, m.stride, size, i, j) for size in m.filter_sizes]
-    return np.stack([cells[0][0], *m.responses, cells[3][0]]), np.stack([c[1] for c in cells])
+    cells = [_layer_cells(table, stride, size, i, j) for size in sizes]
+    return np.stack([cells[0][0], *responses, cells[3][0]]), np.stack([c[1] for c in cells])
 
 
 def test_constant_image_all_responses_zero():
-    maps = build_response_maps(integral_of(gray_raster(np.full((48, 48), 123))))
-    for m in maps:
-        assert np.all(m.responses == 0.0)
-        responses, signs = map_stacks(m)
+    table = wrap_of(gray_raster(np.full((48, 48), 123)))
+    for stride, sizes, responses in octaves(build_response_maps(table)):
         assert np.all(responses == 0.0)
+        stack, signs = map_stacks(table, stride, sizes, responses)
+        assert np.all(stack == 0.0)
         assert np.all(signs == 1)
 
 
 def test_response_maps_equal_direct_box_filter_oracle(rng):
     img = random_raster(rng, 40, 36)
-    ii = integral_of(img)
+    table = wrap_of(img)
     levels = to_grayscale(img)
-    for m in build_response_maps(ii, ExtractionConfig(octaves=2)):
-        _, gh, gw = m.responses.shape
+    for stride, sizes, responses in octaves(build_response_maps(table, ExtractionConfig(octaves=2))):
+        _, gh, gw = responses.shape
         i, j = np.indices((gh, gw))
-        for k, size in enumerate(m.filter_sizes):
-            cells, signs = _layer_cells(m.table, m.stride, size, i, j)
+        for k, size in enumerate(sizes):
+            cells, signs = _layer_cells(table, stride, size, i, j)
             for y in range(gh):
                 for x in range(gw):
-                    want, sign = hessian_response_at(levels, x * m.stride, y * m.stride, size)
+                    want, sign = hessian_response_at(levels, x * stride, y * stride, size)
                     assert cells[y, x] == pytest.approx(want, abs=1e-9)
                     assert signs[y, x] == sign
                     if k in (1, 2):
-                        assert m.responses[k - 1, y, x] == pytest.approx(want, abs=1e-9)
+                        assert responses[k - 1, y, x] == pytest.approx(want, abs=1e-9)
 
 
 def gather_hessian_grid(ii, stride, size):
@@ -161,22 +173,23 @@ def gather_hessian_grid(ii, stride, size):
     return responses, signs
 
 
-def assert_map_equals_gather(ii, m, want):
-    """Map m's dense layers, and all four layers read cell by cell from its
-    table and from the int64 table ii, bit for bit the clipped-gather
-    reference; `want` caches the reference by (stride, size)."""
-    _, gh, gw = m.responses.shape
+def assert_map_equals_gather(ii, stride, sizes, responses, want):
+    """One octave's dense layers, and all four layers read cell by cell from
+    the int32 wrap of the int64 table ii and from ii itself, bit for bit the
+    clipped-gather reference; `want` caches the reference by (stride,
+    size)."""
+    _, gh, gw = responses.shape
     i, j = np.indices((gh, gw))
-    for k, size in enumerate(m.filter_sizes):
-        if (m.stride, size) not in want:
-            want[m.stride, size] = gather_hessian_grid(ii, m.stride, size)
-        want_resp, want_signs = want[m.stride, size]
+    for k, size in enumerate(sizes):
+        if (stride, size) not in want:
+            want[stride, size] = gather_hessian_grid(ii, stride, size)
+        want_resp, want_signs = want[stride, size]
         if k in (1, 2):
-            assert m.responses[k - 1].tobytes() == want_resp.tobytes(), (m.stride, size)
-        for table in (m.table, ii):
-            cells, signs = _layer_cells(table, m.stride, size, i, j)
-            assert cells.shape == want_resp.shape and cells.tobytes() == want_resp.tobytes(), (m.stride, size)
-            assert signs.dtype == np.int8 and signs.tobytes() == want_signs.tobytes(), (m.stride, size)
+            assert responses[k - 1].tobytes() == want_resp.tobytes(), (stride, size)
+        for table in (ii.astype(np.int32), ii):
+            cells, signs = _layer_cells(table, stride, size, i, j)
+            assert cells.shape == want_resp.shape and cells.tobytes() == want_resp.tobytes(), (stride, size)
+            assert signs.dtype == np.int8 and signs.tobytes() == want_signs.tobytes(), (stride, size)
 
 
 @pytest.mark.parametrize(
@@ -196,13 +209,16 @@ def test_response_maps_bit_identical_to_clipped_gather(levels):
     # than the interior, and odd sizes; octave-k maps must not depend on
     # how many octaves were requested.
     ii = integral_of(gray_raster(levels))
+    wrap = ii.astype(np.int32)
     want = {}
-    for octaves in range(1, 5):
-        maps = build_response_maps(ii, ExtractionConfig(octaves=octaves))
-        assert len(maps) == octaves
-        for m in maps:
-            assert m.responses.dtype == np.float64 and m.table.dtype == np.int32
-            assert_map_equals_gather(ii, m, want)
+    for count in range(1, 5):
+        maps = build_response_maps(wrap, ExtractionConfig(octaves=count))
+        assert len(maps) == count
+        from_int64 = build_response_maps(ii, ExtractionConfig(octaves=count))
+        assert [r.tobytes() for r in from_int64] == [r.tobytes() for r in maps]
+        for stride, sizes, responses in octaves(maps):
+            assert responses.dtype == np.float64
+            assert_map_equals_gather(ii, stride, sizes, responses, want)
 
 
 def test_octave_layers_repeat_the_previous_octaves_odd_layers():
@@ -222,20 +238,21 @@ def test_banded_layers_bit_identical_to_clipped_gather(monkeypatch, height, widt
     # which end at uneven places in every layer.
     levels = np.random.default_rng(height * width).integers(0, 256, size=(height, width))
     ii = integral_of(gray_raster(levels))
+    wrap = ii.astype(np.int32)
     want = {}
     for band_cells, cell_block in ((BAND_CELLS, CELL_BLOCK), (1000, 7), (1, 61)):
         monkeypatch.setattr(features, "BAND_CELLS", band_cells)
         monkeypatch.setattr(features, "CELL_BLOCK", cell_block)
-        maps = build_response_maps(ii, ExtractionConfig(octaves=4))
-        for m in maps:
-            assert_map_equals_gather(ii, m, want)
+        maps = octaves(build_response_maps(wrap, ExtractionConfig(octaves=4)))
+        for stride, sizes, responses in maps:
+            assert_map_equals_gather(ii, stride, sizes, responses, want)
         # Octave o+1's layer 1 sits on the even cells of octave o's layer 3,
         # at the same filter size.
-        for prev, m in zip(maps, maps[1:]):
-            _, gh, gw = m.responses.shape
+        for (stride, sizes, _), (_, _, responses) in zip(maps, maps[1:]):
+            _, gh, gw = responses.shape
             i, j = np.indices((gh, gw))
-            cells, _ = _layer_cells(prev.table, prev.stride, prev.filter_sizes[3], 2 * i, 2 * j)
-            assert cells.tobytes() == m.responses[0].tobytes()
+            cells, _ = _layer_cells(wrap, stride, sizes[3], 2 * i, 2 * j)
+            assert cells.tobytes() == responses[0].tobytes()
 
 
 def test_response_maps_exact_when_the_table_wraps_int32():
@@ -249,16 +266,18 @@ def test_response_maps_exact_when_the_table_wraps_int32():
     rows = rng.integers(-(2**45), 2**45, size=(h, 1))
     cols = rng.integers(-(2**45), 2**45, size=(1, w))
     shifted = ii + rows + cols + 2**60
+    plain, wrapped = ii.astype(np.int32), shifted.astype(np.int32)
     config = ExtractionConfig(octaves=4)
-    plain_maps, shifted_maps = build_response_maps(ii, config), build_response_maps(shifted, config)
-    for m, s in zip(plain_maps, shifted_maps):
-        assert np.any(m.responses[-1] != 0.0)
-        assert s.responses.tobytes() == m.responses.tobytes()
-        want = map_stacks(m)
-        for table in (s.table, shifted):  # the int32 wrap, and int64 arithmetic that wraps mod 2**64
-            got = map_stacks(dataclasses.replace(s, table=table))
+    plain_maps, shifted_maps = build_response_maps(plain, config), build_response_maps(wrapped, config)
+    for (stride, sizes, m), s in zip(octaves(plain_maps), shifted_maps):
+        assert np.any(m[-1] != 0.0)
+        assert s.tobytes() == m.tobytes()
+        want = map_stacks(plain, stride, sizes, m)
+        for table in (wrapped, shifted):  # the int32 wrap, and int64 arithmetic that wraps mod 2**64
+            got = map_stacks(table, stride, sizes, s)
             assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
-    assert point_bits(detect_interest_points(shifted_maps, 0.0)) == point_bits(detect_interest_points(plain_maps, 0.0))
+    got = detect_interest_points(wrapped, shifted_maps, 0.0)
+    assert point_bits(got) == point_bits(detect_interest_points(plain, plain_maps, 0.0))
 
 
 def test_hessian_oracle_rejects_unit_floats(rng):
@@ -271,7 +290,7 @@ def test_matched_interval_map_peaks_at_blob_center():
     # sigma 2.0 corresponds to filter size 15 = octave 1, interval 2, the
     # first dense layer
     img = blob_image(64, 64, [(32, 32)], 2.0)
-    layer = build_response_maps(integral_of(img))[0].responses[0]
+    layer = build_response_maps(wrap_of(img))[0][0]
     i, j = np.unravel_index(np.argmax(layer), layer.shape)
     assert abs(j - 32) <= 1 and abs(i - 32) <= 1
 
@@ -280,9 +299,10 @@ def test_checkerboard_saddle_negative_response():
     f = np.full((64, 64), 40, dtype=np.uint8)
     f[:32, :32] = 200
     f[32:, 32:] = 200
-    m = build_response_maps(integral_of(gray_raster(f)))[0]
-    responses, _ = map_stacks(m)
-    assert np.all(responses[:, 32, 32] < 0.0)
+    table = wrap_of(gray_raster(f))
+    stride, sizes, responses = octaves(build_response_maps(table))[0]
+    stack, _ = map_stacks(table, stride, sizes, responses)
+    assert np.all(stack[:, 32, 32] < 0.0)
 
 
 def test_laplacian_sign_tracks_blob_polarity():
@@ -294,9 +314,8 @@ def test_laplacian_sign_tracks_blob_polarity():
 
 
 def test_detect_constant_image_empty():
-    img = gray_raster(np.full((64, 64), 99))
-    maps = build_response_maps(integral_of(img))
-    assert detect_interest_points(maps, 4e-4) == []
+    table = wrap_of(gray_raster(np.full((64, 64), 99)))
+    assert detect_interest_points(table, build_response_maps(table), 4e-4) == []
 
 
 def test_detect_single_blob():
@@ -315,44 +334,57 @@ def test_detect_two_blobs_80px_apart():
     assert math.hypot(found[1][0] - 120, found[1][1] - 80) <= 2.0
 
 
-def test_response_map_needs_four_filter_sizes():
-    img = blob_image(64, 64, [(32, 32)], 3.0)
-    m = build_response_maps(integral_of(img))[0]
-    for sizes in (m.filter_sizes[:3], m.filter_sizes + (33,)):
-        with pytest.raises(ValueError, match="4 filter sizes"):
-            ResponseMap(m.stride, sizes, m.responses, m.table)
+def test_response_map_needs_four_filter_sizes(monkeypatch):
+    """Each octave's scale space is filtered at its four filter sizes, and
+    only those: layers 1 and 2 filled densely, layers 0 and 3 and the signs
+    read by cell."""
+    read = []
+    fill, cells = features._hessian_grid, features._layer_cells
+    monkeypatch.setattr(features, "_hessian_grid", lambda *args: read.append(args[1:3]) or fill(*args))
+    monkeypatch.setattr(features, "_layer_cells", lambda *args: read.append(args[1:3]) or cells(*args))
+    monkeypatch.setattr(features, "CELL_COST", 0)  # every outer layer read cell by cell
+    table = wrap_of(blob_texture(128, 128, 10, seed=3))
+    maps = build_response_maps(table, ExtractionConfig(octaves=4))
+    for octave in range(1, 5):
+        sizes = filter_sizes(octave, 4)
+        assert len(sizes) == 4 and read[2 * octave - 2 : 2 * octave] == [(1 << (octave - 1), s) for s in sizes[1:3]]
+    read.clear()
+    assert detect_interest_points(table, maps, 0.0)
+    want = {(1 << (octave - 1), size) for octave in range(1, 5) for size in filter_sizes(octave, 4)}
+    assert set(read) == want
 
 
 def test_response_map_layers_must_fit_the_table():
-    m = build_response_maps(integral_of(blob_image(64, 64, [(32, 32)], 3.0)))[0]
-    for stride, responses, table in [
-        (m.stride, m.responses[:1], m.table),
-        (m.stride, np.zeros((3, 64, 64)), m.table),
-        (m.stride, m.responses[:, 1:], m.table),
-        (m.stride, m.responses[0], m.table),
-        (m.stride, m.responses, m.table[1:]),
-        (2, m.responses, m.table),
+    table = wrap_of(blob_image(64, 64, [(32, 32)], 3.0))
+    first, second = build_response_maps(table, ExtractionConfig(octaves=2))
+    for t, maps in [
+        (table, [first[:1]]),
+        (table, [np.zeros((3, 64, 64))]),
+        (table, [first[:, 1:]]),
+        (table, [first[0]]),
+        (table[1:], [first]),
+        (table, [first, first]),  # octave 1's layers in octave 2's place, at stride 2
     ]:
         with pytest.raises(ValueError, match="shape"):
-            ResponseMap(stride, m.filter_sizes, responses, table)
+            detect_interest_points(t, maps, 0.0)
+    assert detect_interest_points(table, [first, second], 0.0)
     with pytest.raises(ValueError, match="2-D"):
-        ResponseMap(m.stride, m.filter_sizes, m.responses, m.table.ravel())
+        detect_interest_points(table.ravel(), [first], 0.0)
 
 
 def test_nms_soundness_by_reinspection():
     """Every returned point maps to a cell of the four-layer stack that
     strictly exceeds its 26 neighbors and the threshold."""
     img = blob_texture(128, 128, 10, seed=3)
-    ii = integral_of(img)
+    table = wrap_of(img)
     cfg = ExtractionConfig()
-    maps = build_response_maps(ii, cfg)
-    pts = detect_interest_points(maps, cfg.threshold)
+    maps = build_response_maps(table, cfg)
+    pts = detect_interest_points(table, maps, cfg.threshold)
     assert pts
     for p in pts:
         hits = 0
-        for m in maps:
-            stack, signs = map_stacks(m)
-            stride = m.stride
+        for stride, sizes, responses in octaves(maps):
+            stack, signs = map_stacks(table, stride, sizes, responses)
             n, gh, gw = stack.shape
             for k in range(1, n - 1):
                 i = round(p.y / stride)
@@ -372,9 +404,9 @@ def test_nms_soundness_by_reinspection():
         assert hits >= 1
 
 
-def reference_refine(stacks, m, k, i, j):
+def reference_refine(stacks, stride, sizes, k, i, j):
     """Per-candidate reference: one quadratic step, one 3x3 solve, on the
-    four-layer `stacks` of map m."""
+    four-layer `stacks` of the octave of `stride` and filter `sizes`."""
     responses, signs = stacks
     c = responses[k - 1 : k + 2, i - 1 : i + 2, j - 1 : j + 2]
     dx = (c[1, 1, 2] - c[1, 1, 0]) / 2.0
@@ -395,24 +427,24 @@ def reference_refine(stacks, m, k, i, j):
         return None
     if np.max(np.abs(offset)) > 0.5:
         return None
-    step = m.filter_sizes[k + 1] - m.filter_sizes[k]
-    size = m.filter_sizes[k] + offset[2] * step
+    step = sizes[k + 1] - sizes[k]
+    size = sizes[k] + offset[2] * step
     return InterestPoint(
-        x=float((j + offset[0]) * m.stride),
-        y=float((i + offset[1]) * m.stride),
+        x=float((j + offset[0]) * stride),
+        y=float((i + offset[1]) * stride),
         scale=float(1.2 * size / 9),
         response=float(v),
         laplacian_sign=int(signs[k, i, j]),
     )
 
 
-def dense_nms_reference(maps, threshold, beats=np.greater):
-    """Dense reference: every middle-layer cell of each map's four-layer
+def dense_nms_reference(table, maps, threshold, beats=np.greater):
+    """Dense reference: every middle-layer cell of each octave's four-layer
     stack compared with its 26 neighbours (`beats`, strictly greater in
     the library), then a per-candidate refinement and the library's order."""
     points = []
-    for m in maps:
-        stacks = map_stacks(m)
+    for stride, sizes, responses in octaves(maps):
+        stacks = map_stacks(table, stride, sizes, responses)
         stack = stacks[0]
         n, gh, gw = stack.shape
         if gh < 3 or gw < 3:
@@ -426,26 +458,26 @@ def dense_nms_reference(maps, threshold, beats=np.greater):
                         if dk or di or dj:
                             mask &= beats(core, stack[k + dk, 1 + di : gh - 1 + di, 1 + dj : gw - 1 + dj])
             for i, j in np.argwhere(mask) + 1:
-                pt = reference_refine(stacks, m, k, int(i), int(j))
+                pt = reference_refine(stacks, stride, sizes, k, int(i), int(j))
                 if pt is not None:
                     points.append(pt)
     points.sort(key=lambda p: (-p.response, p.y, p.x, p.scale))
     return points
 
 
-def tied_maps(seed, octaves, h, w):
-    """Maps over the table of an h x w noise image whose dense layers are
-    made by hand: each cell copies a random cell of its 3x3x3 neighbourhood
-    in the four-layer stack, or lies one ulp above or below it, so a tie
-    decides many of the 26 comparisons, outer layers included."""
+def tied_maps(seed, count, h, w):
+    """The table of an h x w noise image, and `count` octaves over it whose
+    dense layers are made by hand: each cell copies a random cell of its
+    3x3x3 neighbourhood in the four-layer stack, or lies one ulp above or
+    below it, so a tie decides many of the 26 comparisons, outer layers
+    included."""
     rng = np.random.default_rng(seed)
     table = build_integral(rng.integers(0, 256, size=(h, w), dtype=np.uint8))
     maps = []
-    for octave in range(1, octaves + 1):
+    for octave in range(1, count + 1):
         stride = 1 << (octave - 1)
-        sizes = tuple(filter_sizes(octave, 4))
-        m = ResponseMap(stride, sizes, np.zeros((2, -(-h // stride), -(-w // stride))), table)
-        stack, _ = map_stacks(m)
+        responses = np.zeros((2, -(-h // stride), -(-w // stride)))
+        stack, _ = map_stacks(table, stride, filter_sizes(octave, 4), responses)
         _, gh, gw = stack.shape
         i, j = np.indices((gh, gw))
         for k in (1, 2):
@@ -453,33 +485,34 @@ def tied_maps(seed, octaves, h, w):
             copied = stack[k + dk, np.clip(i + di, 0, gh - 1), np.clip(j + dj, 0, gw - 1)]
             nudge = rng.integers(-1, 2, size=(gh, gw))  # one ulp down, none or one up
             stack[k] = np.where(nudge == 0, copied, np.nextafter(copied, np.where(nudge < 0, -np.inf, np.inf)))
-        m.responses[:] = stack[1:3]
-        maps.append(m)
-    return maps
+        responses[:] = stack[1:3]
+        maps.append(responses)
+    return table, maps
 
 
 def test_sparse_nms_equals_dense_reference():
-    for octaves, (h, w) in [(1, (3, 3)), (2, (5, 40)), (3, (33, 31)), (4, (64, 48))]:
-        maps = tied_maps(octaves, octaves, h, w)
+    for count, (h, w) in [(1, (3, 3)), (2, (5, 40)), (3, (33, 31)), (4, (64, 48))]:
+        table, maps = tied_maps(count, count, h, w)
         for threshold in (0.0, 1e-3, 4e-3):
-            assert detect_interest_points(maps, threshold) == dense_nms_reference(maps, threshold)
+            assert detect_interest_points(table, maps, threshold) == dense_nms_reference(table, maps, threshold)
     # Ties decide some of these points: `>=` in place of `>` finds others.
-    maps = tied_maps(4, 4, 64, 48)
-    assert dense_nms_reference(maps, 0.0) != dense_nms_reference(maps, 0.0, beats=np.greater_equal)
+    table, maps = tied_maps(4, 4, 64, 48)
+    assert dense_nms_reference(table, maps, 0.0) != dense_nms_reference(table, maps, 0.0, beats=np.greater_equal)
     for img in (noise_frame(seed=9, side=112), blob_texture(128, 96, 9)):
-        maps = build_response_maps(integral_of(img), ExtractionConfig(octaves=4))
-        want = dense_nms_reference(maps, 4e-4)
-        assert want and detect_interest_points(maps, 4e-4) == want
+        table = wrap_of(img)
+        maps = build_response_maps(table, ExtractionConfig(octaves=4))
+        want = dense_nms_reference(table, maps, 4e-4)
+        assert want and detect_interest_points(table, maps, 4e-4) == want
 
 
-def gather_nms_reference(maps, threshold):
+def gather_nms_reference(table, maps, threshold):
     """The NMS the compacting pass replaced: every cell above threshold of
-    each map's four-layer stack compared with all 26 neighbours by
+    each octave's four-layer stack compared with all 26 neighbours by
     three-array gathers, then the library's refinement of the gathered
     3x3x3 neighbourhoods, and the library's order."""
     points = []
-    for m in maps:
-        stack, signs = map_stacks(m)
+    for stride, sizes, responses in octaves(maps):
+        stack, signs = map_stacks(table, stride, sizes, responses)
         n, gh, gw = stack.shape
         if gh < 3 or gw < 3:
             continue
@@ -499,11 +532,11 @@ def gather_nms_reference(maps, threshold):
             cube = stack[k + d[:, None, None], i[:, None, None, None] + d[:, None], j[:, None, None, None] + d]
             offset = features._refine(cube)
             ok = np.max(np.abs(offset), axis=1) <= 0.5
-            size = m.filter_sizes[k] + offset[ok, 2] * (m.filter_sizes[k + 1] - m.filter_sizes[k])
+            size = sizes[k] + offset[ok, 2] * (sizes[k + 1] - sizes[k])
             points += map(
                 InterestPoint,
-                ((j[ok] + offset[ok, 0]) * m.stride).tolist(),
-                ((i[ok] + offset[ok, 1]) * m.stride).tolist(),
+                ((j[ok] + offset[ok, 0]) * stride).tolist(),
+                ((i[ok] + offset[ok, 1]) * stride).tolist(),
                 (1.2 * size / 9).tolist(),
                 v[ok].tolist(),
                 signs[k, i[ok], j[ok]].tolist(),
@@ -534,13 +567,15 @@ COMPACTING_IMAGES = [
 @pytest.mark.parametrize("threshold", [0.0, 1e-4, ExtractionConfig().threshold])
 def test_compacting_nms_bit_identical_to_gather_reference(threshold):
     for img in COMPACTING_IMAGES:
-        maps = build_response_maps(integral_of(img), ExtractionConfig(octaves=4))
-        want = gather_nms_reference(maps, threshold)
+        table = wrap_of(img)
+        maps = build_response_maps(table, ExtractionConfig(octaves=4))
+        want = gather_nms_reference(table, maps, threshold)
         assert want
-        assert point_bits(detect_interest_points(maps, threshold)) == point_bits(want)
-    for octaves, (h, w) in [(1, (3, 3)), (3, (33, 31)), (4, (64, 48))]:
-        maps = tied_maps(octaves, octaves, h, w)
-        assert point_bits(detect_interest_points(maps, threshold)) == point_bits(gather_nms_reference(maps, threshold))
+        assert point_bits(detect_interest_points(table, maps, threshold)) == point_bits(want)
+    for count, (h, w) in [(1, (3, 3)), (3, (33, 31)), (4, (64, 48))]:
+        table, maps = tied_maps(count, count, h, w)
+        want = gather_nms_reference(table, maps, threshold)
+        assert point_bits(detect_interest_points(table, maps, threshold)) == point_bits(want)
 
 
 def test_outer_layer_read_by_cell_or_dense_fill_gives_the_same_bits(monkeypatch):
@@ -550,13 +585,14 @@ def test_outer_layer_read_by_cell_or_dense_fill_gives_the_same_bits(monkeypatch)
     dense_fill = features._hessian_grid
     monkeypatch.setattr(features, "_hessian_grid", lambda *args: fills.append(args[2]) or dense_fill(*args))
     for img in COMPACTING_IMAGES[2:]:
-        for octaves in (1, 4):
-            maps = build_response_maps(integral_of(img), ExtractionConfig(octaves=octaves))
+        for count in (1, 4):
+            table = wrap_of(img)
+            maps = build_response_maps(table, ExtractionConfig(octaves=count))
             got = []
             for cost in (0, 10**12):
                 monkeypatch.setattr(features, "CELL_COST", cost)
                 fills.clear()
-                got.append(point_bits(detect_interest_points(maps, 0.0)))
+                got.append(point_bits(detect_interest_points(table, maps, 0.0)))
                 assert bool(fills) == (cost > 0)
             assert got[0] and got[0] == got[1]
 
@@ -591,11 +627,11 @@ def test_singular_candidate_beside_regular_one():
         layers[0, [1, 3, 2, 2], [j, j, j - 1, j + 1]] = 9.0
         layers[1, 2, j] = 9.0
     layers[0, [1, 1, 3, 3], [1, 3, 1, 3]] = [9.0, 5.0, 5.0, 9.0]
-    maps = [ResponseMap(1, tuple(filter_sizes(1, 4)), layers, np.zeros((10, 10), dtype=np.int32))]
-    assert reference_refine(map_stacks(maps[0]), maps[0], 1, 2, 2) is None
-    got = detect_interest_points(maps, 1.0)
+    table, sizes = np.zeros((10, 10), dtype=np.int32), filter_sizes(1, 4)
+    assert reference_refine(map_stacks(table, 1, sizes, layers), 1, sizes, 1, 2, 2) is None
+    got = detect_interest_points(table, [layers], 1.0)
     assert [(p.x, p.y, p.response) for p in got] == [(6.0, 2.0, 10.0)]
-    assert got == dense_nms_reference(maps, 1.0)
+    assert got == dense_nms_reference(table, [layers], 1.0)
 
 
 def test_points_sorted_by_response_then_position():
@@ -918,7 +954,7 @@ def test_extraction_bit_identical_to_per_point_reference(img, octaves, min_point
         cfg = ExtractionConfig(octaves=octaves, upright=upright)
         pts, descs = extract_features(img, cfg)
         assert len(pts) >= min_points
-        detected = detect_interest_points(build_response_maps(ii, cfg), cfg.threshold)
+        detected = detect_interest_points(ii, build_response_maps(ii, cfg), cfg.threshold)
         assert [dataclasses.replace(p, orientation=0.0) for p in pts] == detected
         want_theta = [0.0 if upright else reference_orientation(ii, p) for p in detected]
         got_theta = np.array([p.orientation for p in pts], dtype=np.float64)
@@ -969,10 +1005,11 @@ def test_extract_features_propagates_too_small():
 
 def test_extraction_memory_is_bounded():
     # RGB noise at 1024x1024, dense with points.  Octave 1's two dense
-    # float64 layers (16 bytes per pixel), the int64 table and its int32
-    # wrap (12), the higher octaves, a dense-filled outer layer (8) and the
-    # gray levels stay under 52 bytes per pixel; four dense layers of
-    # octave 1 and a sign stack per layer would need about 62.
+    # float64 layers (16 bytes per pixel), one int32 table (4, where the
+    # int64 table and its int32 wrap took 12), the higher octaves, a
+    # dense-filled outer layer (8) and the gray levels stay under 40 bytes
+    # per pixel; four dense layers of octave 1 and a sign stack per layer
+    # would need about 62.
     side = 1024
     img = RasterImage(np.random.default_rng(0).integers(0, 256, (side, side, 3), dtype=np.uint8))
     tracemalloc.start()
@@ -982,7 +1019,7 @@ def test_extraction_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert len(pts) > 1000
-    assert peak < 52 * side * side
+    assert peak < 40 * side * side
 
 
 def test_pipeline_equals_manual_stage_composition(rng):
@@ -991,8 +1028,7 @@ def test_pipeline_equals_manual_stage_composition(rng):
         img = blob_texture(64, 64, 5, seed=100 + seed, margin=0.12)
         got_pts, got_descs = extract_features(img, cfg)
         ii = build_integral(to_grayscale(img))
-        maps = build_response_maps(ii, cfg)
-        pts = detect_interest_points(maps, cfg.threshold)
+        pts = detect_interest_points(ii, build_response_maps(ii, cfg), cfg.threshold)
         x, y, s, _ = point_arrays(pts)
         theta = assign_orientation(ii, x, y, s)
         descs = extract_descriptor(ii, x, y, s, theta)
