@@ -92,15 +92,18 @@ each candidate is solved on its own and the singular ones are dropped.
 Each kept point's Laplacian sign is one more `_layer_cells` read.
 
 `assign_orientation` and `extract_descriptor` take arrays of points and run
-as array passes over blocks of BLOCK points.  Each point gets the same bits
-whatever block it shares, or alone, which constrains the batched form: Haar
-sums are exact integer combinations of padded-table corners with a
-per-point box size, window sums are one matrix-vector product per point,
-the final `atan2` is a scalar `math` call per point (`np.arctan2` differs
-in the last bit on some inputs), the descriptor frame's `cos`/`sin` are
-`math` calls too, subregion sums reduce the same axes in the same order,
-and each descriptor is normalised by its own `np.linalg.norm` (a batched
-norm rounds differently).
+as array passes over blocks of ORIENTATION_BLOCK and BLOCK points, about
+7,000 samples each.  Each point gets the same bits whatever block it
+shares, or alone, which constrains the batched form: each step is
+elementwise or reduces one point's own values in a fixed order.
+Haar sums are exact integer combinations of padded-table corners with a
+per-point box size.  The Gaussian weights are products of committed 1-D
+factors exp(-u^2 / 2 sigma^2), so no `np.exp` sets their bits.  The final
+`atan2` is a scalar `math` call per point (`np.arctan2` differs in the
+last bit on some inputs), and the descriptor frame's `cos`/`sin` are `math`
+calls too.  Nothing is a BLAS matvec or a per-row `np.linalg.norm`: a
+descriptor's subregion sums reduce each subregion's 25 samples, laid out
+contiguously, and its norm is the root of its own `einsum` dot product.
 
 Haar corners are clamped, not clipped.  A sample's two responses need the
 padded-table entries at columns x-h, x, x+h and rows y-h, y, y+h (all pairs
@@ -110,25 +113,16 @@ corners, and a box wholly outside gets two equal clamped columns or rows,
 so its four-corner sum is exactly 0: the sums equal clipped box sums,
 exactly.
 
-The orientation window mask tests (a - start) mod 2 pi < pi/3 for sample
-angles a in [0, 2 pi] and window starts in [0, 2 pi), so d = a - start lies
-in (-2 pi, 2 pi].  There numpy's float `mod` returns d itself when d >= 0
-and d + 2 pi, rounded once, when d < 0; `_in_window` computes that.  (A
-sample angle is np.mod(atan2, 2 pi), which reaches 2 pi only for an atan2
-within half an ulp below 0; the ratio of two nonzero Haar responses,
-integer sums over boxes of bounded size, is never that small.)
-
-The mask comes from an angle table.  Rounding is monotone, so on each side
-of its branch d < 0 the predicate is monotone in a.  Over [0, 2 pi], window
-w's bit therefore changes only at start_w itself (w >= 1), at one float near
-start_w + pi/3 (windows 0-53) and at one float near start_w + pi/3 - 2 pi
-(windows 54-63): 63 + 54 + 10 = 127 bounds that cut [0, 2 pi] into 128
-cells, in each of which every window's bit is constant.  At import, a
-bisection over float64 bit patterns that evaluates `_in_window` itself
-finds each bound, so the bounds are the predicate's own floats, not
-real-number edges, and the table holds each window's bit at each cell's
-lowest float.  A sample's cell is one `searchsorted`, and its mask column
-is the table's column for that cell.
+Orientation windows are sums of sectors.  pi/3 = 32 pi/96 and pi/32 = 3
+pi/96, so window w, which starts at w pi/32, covers exactly the sectors
+3w .. 3w+31 (mod 192) of width pi/96.  A sample's sector is its angle
+np.mod(atan2, 2 pi) times 96/pi, truncated and clamped to 191 (the mod can
+round up to 2 pi itself).  One `np.bincount` per block sums every point's
+weighted gx and gy by sector.  It adds in input order, so each sector sum is
+the same sequential sum of one point's samples in any block.  A window sum
+is then a fixed tree of additions over its 32 sectors: append the first 31
+sectors, add to each column the one k further for k = 1, 2, 4, 8, 16, and
+keep every third column.
 """
 
 from __future__ import annotations
@@ -161,7 +155,9 @@ DESCRIPTOR_SAMPLES = 5  # samples per subregion side, spaced s apart
 DESCRIPTOR_HAAR = 2.0  # Haar wavelet size
 DESCRIPTOR_SIGMA = 3.3  # Gaussian weight
 DESCRIPTOR_LENGTH = 4 * DESCRIPTOR_GRID * DESCRIPTOR_GRID  # four sums per subregion
-BLOCK = 16  # points per array pass of orientation and descriptors; bounds peak memory
+BLOCK = 16  # points per array pass of descriptors, 400 grid samples each; 32-128 gained under 3 %
+ORIENTATION_BLOCK = 64  # points per pass of orientation, 113 disc samples each; 16 and 32 ran slower
+SECTORS = 192  # orientation sectors of pi/96: ORIENTATION_WINDOW is 32 of them, ORIENTATION_STEP 3
 BAND_CELLS = 32768  # grid cells per row band of a response layer; keeps its temporaries in L2
 CELL_BLOCK = 2048  # cells per block of `_layer_cells`; keeps its temporaries near 1 MB
 CELL_COST = 16  # dense-fill cells that one `_layer_cells` cell costs, about
@@ -519,9 +515,9 @@ def _refine(cube: np.ndarray) -> np.ndarray:
         return offset
 
 
-def _haar(table: np.ndarray, xs, ys, size) -> tuple[np.ndarray, np.ndarray]:
-    """Right-minus-left and bottom-minus-top box differences: positive for
-    luminance increasing in +x and in +y.
+def _haar(table: np.ndarray, xs, ys, size) -> np.ndarray:
+    """Right-minus-left and bottom-minus-top box differences, stacked along a
+    new first axis: positive for luminance increasing in +x and in +y.
 
     The four half-boxes of side `size` have their corners at columns x-h, x,
     x+h and rows y-h, y, y+h (h = size/2), all nine pairs but (y, x), so
@@ -530,16 +526,16 @@ def _haar(table: np.ndarray, xs, ys, size) -> tuple[np.ndarray, np.ndarray]:
     half = size // 2
     h, w = table.shape[0] - 1, table.shape[1] - 1
     flat = table.ravel()
-    a = np.clip(xs - half, 0, w)
-    b = np.clip(xs, 0, w)
-    c = np.clip(xs + half, 0, w)
-    r = np.clip(ys - half, 0, h) * (w + 1)
-    s = np.clip(ys, 0, h) * (w + 1)
-    t = np.clip(ys + half, 0, h) * (w + 1)
+    a = np.minimum(np.maximum(xs - half, 0), w)
+    b = np.minimum(np.maximum(xs, 0), w)
+    c = np.minimum(np.maximum(xs + half, 0), w)
+    r = np.minimum(np.maximum(ys - half, 0), h) * (w + 1)
+    s = np.minimum(np.maximum(ys, 0), h) * (w + 1)
+    t = np.minimum(np.maximum(ys + half, 0), h) * (w + 1)
     tc, rc, ta, ra = flat[t + c], flat[r + c], flat[t + a], flat[r + a]
     gx = tc - rc - 2 * (flat[t + b] - flat[r + b]) + ta - ra
     gy = tc - 2 * (flat[s + c] - flat[s + a]) + rc - ta - ra
-    return gx / 255.0, gy / 255.0
+    return np.stack([gx, gy]) / 255.0
 
 
 def _even_size(target: np.ndarray) -> np.ndarray:
@@ -547,80 +543,55 @@ def _even_size(target: np.ndarray) -> np.ndarray:
     return 2 * np.maximum(1, np.floor(target / 2.0 + 0.5).astype(np.int64))
 
 
-def _blocks(n: int):
-    """Slices of at most BLOCK points covering range(n)."""
-    return (slice(lo, lo + BLOCK) for lo in range(0, n, BLOCK))
+def _blocks(n: int, size: int):
+    """Slices of at most `size` points covering range(n)."""
+    return (slice(lo, lo + size) for lo in range(0, n, size))
 
 
 # Sample offsets (units of s) of the orientation disc and the descriptor
-# grid, with their Gaussian weights; u runs along x, v along y.
+# grid, with their Gaussian weights; u runs along x, v along y.  A weight is
+# the product of two committed factors, exp(-u^2 / 2 sigma^2) correctly
+# rounded, for |u| = 0 .. 6 at sigma 2.5 and |u| = 0.5 .. 9.5 at sigma 3.3.
+_DISC_FACTORS = np.array(
+    [1.0, 0.9231163463866358, 0.7261490370736909, 0.4867522559599716,
+     0.27803730045319414, 0.1353352832366127, 0.05613476283413372]
+)
+_GRID_FACTORS = np.array(
+    [0.9885872051667915, 0.9018511586452826, 0.7505413639532211, 0.5698155267038088,
+     0.39465154573342703, 0.2493522087772962, 0.14372506485679326, 0.07557387471306082,
+     0.036251897851191636, 0.015863889939703762]
+)
 _DISC_AXIS = np.arange(-ORIENTATION_RADIUS, ORIENTATION_RADIUS + 1)
 _DISC_U, _DISC_V = np.meshgrid(_DISC_AXIS, _DISC_AXIS)
 _IN_DISC = _DISC_U * _DISC_U + _DISC_V * _DISC_V <= ORIENTATION_RADIUS * ORIENTATION_RADIUS
 _DISC_U, _DISC_V = _DISC_U[_IN_DISC], _DISC_V[_IN_DISC]
-_DISC_WEIGHT = np.exp(-(_DISC_U * _DISC_U + _DISC_V * _DISC_V) / (2.0 * ORIENTATION_SIGMA**2))
-_WINDOW_STARTS = np.arange(0.0, 2.0 * math.pi, ORIENTATION_STEP)
+_DISC_WEIGHT = _DISC_FACTORS[np.abs(_DISC_U)] * _DISC_FACTORS[np.abs(_DISC_V)]
 _GRID_SIDE = DESCRIPTOR_GRID * DESCRIPTOR_SAMPLES
 _GRID_AXIS = np.arange(_GRID_SIDE) - (_GRID_SIDE - 1) / 2.0  # -9.5 .. 9.5
 _GRID_U, _GRID_V = np.meshgrid(_GRID_AXIS, _GRID_AXIS)
-_GRID_WEIGHT = np.exp(-(_GRID_U * _GRID_U + _GRID_V * _GRID_V) / (2.0 * DESCRIPTOR_SIGMA**2))
+_GRID_FACTOR = _GRID_FACTORS[np.abs(_GRID_AXIS).astype(np.intp)]  # factor k is |u| = k + 0.5
+_GRID_WEIGHT = _GRID_FACTOR[:, None] * _GRID_FACTOR
 
 
-def _in_window(angles: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Whether (angle - start) mod 2 pi < pi/3, elementwise, for angle in
-    [0, 2 pi] and start in [0, 2 pi), with numpy's float `mod` bits (module
-    docstring): the predicate the angle table is cut from."""
-    d = angles - starts
-    np.add(d, 2.0 * math.pi, out=d, where=d < 0)
-    return d < ORIENTATION_WINDOW
+def _sectors(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
+    """The sector k, of [k pi/96, (k+1) pi/96), of each sample's angle
+    np.mod(atan2(gy, gx), 2 pi) in [0, 2 pi]; 2 pi itself goes to the last.
 
-
-def _angle_table() -> tuple[np.ndarray, np.ndarray]:
-    """The 127 cell bounds of [0, 2 pi] and the (windows, 128) 0/1 table of
-    each window's bit in each cell (module docstring).
-
-    Each bound is the first float at which one window's `_in_window` bit
-    changes, found by bisection over float64 bit patterns (monotone in the
-    value for floats >= 0) inside a bracket of +-1e-12 around the
-    real-number edge: far wider than the few ulps of 2 pi by which rounding
-    moves an edge, far narrower than the gaps between edges.
+    For an angle in [-pi, pi] numpy's float mod adds 2 pi to a negative one
+    and keeps the rest, so that is what this does, at half the cost.
     """
-    two_pi = 2.0 * math.pi
-    starts = _WINDOW_STARTS
-    edges = np.concatenate([starts, starts + ORIENTATION_WINDOW, starts + ORIENTATION_WINDOW - two_pi])
-    inside = (edges > 0.0) & (edges < two_pi)
-    edges, starts_of = edges[inside], np.tile(starts, 3)[inside]
-    lo = (edges - 1e-12).view(np.int64)
-    hi = (edges + 1e-12).view(np.int64)
-    below = _in_window(lo.view(np.float64), starts_of)
-    while np.any(hi - lo > 1):
-        mid = lo + (hi - lo) // 2
-        same = _in_window(mid.view(np.float64), starts_of) == below
-        lo = np.where(same, mid, lo)
-        hi = np.where(same, hi, mid)
-    bounds = np.sort(hi.view(np.float64))
-    table = _in_window(np.concatenate([[0.0], bounds]), starts[:, None]).astype(np.float64)
-    return bounds, table
+    angle = np.arctan2(gy, gx)
+    np.add(angle, 2.0 * math.pi, out=angle, where=angle < 0.0)
+    return np.minimum((angle * (SECTORS / (2.0 * math.pi))).astype(np.intp), SECTORS - 1)
 
 
-_ANGLE_BOUNDS, _ANGLE_TABLE = _angle_table()
-
-
-def _window_mask(angles: np.ndarray) -> np.ndarray:
-    """(points, windows, samples): 1.0 where sample angle angles[p, m] in
-    [0, 2 pi] lies in window w, i.e. `_in_window(angles[p, m], start_w)`.
-
-    The domain is closed: np.mod(atan2, 2 pi) can return 2 pi itself.  Each
-    sample's cell is one `searchsorted`, and each point's (windows, samples)
-    slice is one gather of the angle table's columns.  The gather writes
-    into a contiguous slice: `np.take` into a strided `out` goes through a
-    temporary copy that costs more than the gather.
-    """
-    cells = np.searchsorted(_ANGLE_BOUNDS, angles, side="right")
-    mask = np.empty((len(angles), len(_WINDOW_STARTS), angles.shape[1]))
-    for p, row in enumerate(cells):
-        np.take(_ANGLE_TABLE, row, axis=1, out=mask[p], mode="clip")
-    return mask
+def _window_sums(sums: np.ndarray) -> np.ndarray:
+    """The 64 window sums of sector sums (..., SECTORS): window w sums sectors
+    3w .. 3w+31 (mod SECTORS) by a fixed tree of pairwise additions."""
+    e = np.concatenate([sums, sums[..., :31]], axis=-1)
+    for k in (1, 2, 4, 8, 16):
+        e = e[..., :-k] + e[..., k:]
+    return e[..., ::3]
 
 
 def assign_orientation(table: np.ndarray, x: np.ndarray, y: np.ndarray, scale: np.ndarray) -> np.ndarray:
@@ -636,20 +607,20 @@ def assign_orientation(table: np.ndarray, x: np.ndarray, y: np.ndarray, scale: n
     vector.  Zero total response gives orientation 0.  Returns shape (N,).
     """
     theta = np.zeros(len(x))
-    for b in _blocks(len(x)):
+    for b in _blocks(len(x), ORIENTATION_BLOCK):
         s = scale[b, None]
+        n = len(s)
         size = _even_size(ORIENTATION_HAAR * s)
         px = np.floor(x[b, None] + _DISC_U * s + 0.5).astype(np.int64)
         py = np.floor(y[b, None] + _DISC_V * s + 0.5).astype(np.int64)
-        gx, gy = _haar(table, px, py, size)
-        gx *= _DISC_WEIGHT
-        gy *= _DISC_WEIGHT
-        window = _window_mask(np.mod(np.arctan2(gy, gx), 2.0 * math.pi))
-        # One matrix-vector product per point, as for a single point.
-        sum_x = np.matmul(window, gx[:, :, None])[:, :, 0]
-        sum_y = np.matmul(window, gy[:, :, None])[:, :, 0]
+        g = _haar(table, px, py, size)
+        g *= _DISC_WEIGHT
+        # Bin (c, p, k) sums component c (gx, gy) of point p's samples in sector k.
+        bins = _sectors(g[0], g[1]) + np.arange(2 * n).reshape(2, n, 1) * SECTORS
+        sums = np.bincount(bins.ravel(), weights=g.ravel(), minlength=2 * n * SECTORS)
+        sum_x, sum_y = _window_sums(sums.reshape(2, n, SECTORS))
         mag2 = sum_x * sum_x + sum_y * sum_y
-        best = (np.arange(len(mag2)), np.argmax(mag2, axis=1))
+        best = (np.arange(n), np.argmax(mag2, axis=1))
         picked = zip(mag2[best].tolist(), sum_x[best].tolist(), sum_y[best].tolist())
         theta[b] = [0.0 if m == 0.0 else math.atan2(sy, sx) % (2.0 * math.pi) for m, sx, sy in picked]
     return theta
@@ -672,7 +643,7 @@ def extract_descriptor(
     """
     out = np.zeros((len(x), DESCRIPTOR_LENGTH))
     g, m = DESCRIPTOR_GRID, DESCRIPTOR_SAMPLES
-    for b in _blocks(len(x)):
+    for b in _blocks(len(x), BLOCK):
         s = scale[b, None, None]
         angle = theta[b].tolist()
         cos_t = np.array([math.cos(t) for t in angle])[:, None, None]
@@ -683,21 +654,14 @@ def extract_descriptor(
         px = np.floor(x[b, None, None] + rx + 0.5).astype(np.int64)
         py = np.floor(y[b, None, None] + ry + 0.5).astype(np.int64)
         dx0, dy0 = _haar(table, px, py, size)
-        blocks_dx = (_GRID_WEIGHT * (dx0 * cos_t + dy0 * sin_t)).reshape(-1, g, m, g, m)
-        blocks_dy = (_GRID_WEIGHT * (-dx0 * sin_t + dy0 * cos_t)).reshape(-1, g, m, g, m)
-        vec = np.stack(
-            [
-                blocks_dx.sum(axis=(2, 4)),
-                blocks_dy.sum(axis=(2, 4)),
-                np.abs(blocks_dx).sum(axis=(2, 4)),
-                np.abs(blocks_dy).sum(axis=(2, 4)),
-            ],
-            axis=-1,
-        ).reshape(-1, DESCRIPTOR_LENGTH)
-        for row in vec:
-            norm = float(np.linalg.norm(row))  # per row: a batched norm rounds differently
-            if norm > 0.0:
-                row /= norm
+        d = np.empty((2, len(s), _GRID_SIDE, _GRID_SIDE))
+        np.multiply(_GRID_WEIGHT, dx0 * cos_t + dy0 * sin_t, out=d[0])
+        np.multiply(_GRID_WEIGHT, -dx0 * sin_t + dy0 * cos_t, out=d[1])
+        # (point, subregion row, subregion column, dx or dy, its 25 samples), contiguous.
+        sub = d.reshape(2, -1, g, m, g, m).transpose(1, 2, 4, 0, 3, 5).reshape(-1, g, g, 2, m * m)
+        vec = np.concatenate([sub.sum(-1), np.abs(sub).sum(-1)], axis=-1).reshape(-1, DESCRIPTOR_LENGTH)
+        norm = np.sqrt(np.einsum("ij,ij->i", vec, vec))[:, None]
+        np.divide(vec, norm, out=vec, where=norm > 0.0)
         out[b] = vec
     return out
 

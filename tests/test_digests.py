@@ -12,10 +12,17 @@ that moved; print the table of the current code with
 The bits rest on numpy and LAPACK (the stacked `solve` in refinement, the
 `lstsq` of homography estimation).  The table was made with NUMPY_VERSION;
 on another numpy, a mismatch is a finding about cross-platform
-determinism, reported in the failure message.
+determinism, reported in the failure message.  On x86-64 the table also
+holds when numpy dispatches only its baseline kernels
+(`test_digests_hold_under_numpy_baseline_kernels`).
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -30,18 +37,18 @@ from synthetic import add_noise, blob_texture, noise_image, warp_similarity
 NUMPY_VERSION = "2.4.6"
 
 DIGESTS = {
-    "extract/texture/default": "2b3862f8b6b51f16a5df9c53a70bccdaf80d6f9160c1e0e4a6908a120e18ac65",
-    "extract/texture/upright": "f2cf43e3ba630324823408e25bf19307dee99bbc91eda645920e753c38639bfc",
-    "extract/texture/octaves1": "1aa7e1f05551ba7ec36959ce56dc7ba60c53f3612886eec176cf7eadf535711a",
-    "extract/texture/octaves4": "13fe36f55df76d7fe0d9925d8df41600ca088a77a6810d3b301861ae805d1cef",
-    "extract/view/default": "273fab1f1813d0a7c017168a097acb12f1be095828e4fdb955381aaadcb51825",
-    "extract/view/upright": "b3b17f6e8dba92d1fc5233119f89e32baf0c0447579c1326c1597cf083f5967f",
-    "extract/view/octaves1": "cbc1de1cb76b5eb6131ed82d9ab10ef85e472a23607f7ccab0f2a1804b04384f",
-    "extract/view/octaves4": "d7c388e2588db751da8db4c5395bef2f13871e3062853945069e6203ab89bb84",
-    "extract/noise/default": "8a4270449d4df1c16be1f80759076a9efd8bea4cc4935d7a2d89c43e6e8c910b",
-    "extract/noise/upright": "ee090ee95c930215d9362fbdc490994a2c1561b5d261a9c0abd670d08dcced39",
-    "extract/noise/octaves1": "2a40d9541f852a7f036806b60cfbe708975ca9b6cc76dc34d96526ba3efbcbe4",
-    "extract/noise/octaves4": "bed1c7e4ac5188e989b125bbccfb924ffce45a4ef2164dda2034178e1d0fcd85",
+    "extract/texture/default": "9b54e83bccc793075c704badb10e09dfb3165df12b074918d5b63ea33668ba0f",
+    "extract/texture/upright": "803133469758bb251ad86f2d240bb8d848e811a39cac439a9f8b7055036413fd",
+    "extract/texture/octaves1": "2198dd7a8c9ae90ef6447cf1193c39b4f8adba9590dc24720c2ce5f552c2eda1",
+    "extract/texture/octaves4": "ecca0fb104595bb82ebbac8ff67d6e1586523eb4ce50874ce1b75becfe2b0eb4",
+    "extract/view/default": "50f05b25869946e86f5fbe6aac40828454397582e3a70061d41214bf89738427",
+    "extract/view/upright": "10d1d263706b6261e5b86abe82edcc2c6914e9a316dac949006f6458619d8962",
+    "extract/view/octaves1": "159f555c961b72383a413b0a40e466d72f7e17e4d86493ee9a2dfcbe990f34e8",
+    "extract/view/octaves4": "e158e95810130faeb641cdf6a936744a13c7b3426be407b02541f78573698c07",
+    "extract/noise/default": "d58b42288e925c6d98111b8ca9f3b0cce9d718892722678de4c5d549ac04c878",
+    "extract/noise/upright": "98badd675c43320bafa07147d88c0058b27bcb314fc7a663273890a8744f55bd",
+    "extract/noise/octaves1": "cff8ca3c1c4d76fad6689f73aa01316b02e12495606651203a39165b263ae623",
+    "extract/noise/octaves4": "74d5e8b98916c881b31412bfb476410cf1c996566f3d7a09d3c0c49385b59236",
     "blobs/texture/min1": "5a75cd1c48747d06809a7c2462a1922be0aea9b639489ea514a80ae6b90572b0",
     "blobs/texture/min60": "f5b464a1ab19ed8253cf6b2cb7775ab37ef53e811c9d74a0ab7182a80573dd05",
     "blobs/texture-black/min1": "812fe848375aeffb1e474519055012b7cb1e91a499c3ad5a486e4b4d267bbc30",
@@ -51,11 +58,11 @@ DIGESTS = {
     "query/view": "b6bcba511fb30628e6b7ff7f3a77dbfee0802c16428a72c32ee2b4a1ba9892f6",
     "query/pair": "70f439e21b1d2a00e5e5450ab57857e884268733eafcaf0c79e1c74a5648afdb",
     "query/noise": "db27a631745b1b9c4bba74250172086ffac24c43644a0f22fbaff982252c2996",
-    "cli/extract": "0c662a7c00eff0bc8ad2ec0b0b4808ae5e308fd24bba529b687c9da5d3a89546",
-    "cli/extract-octaves4-upright": "5f0b13ecc433ebae54f38f1874d6ac2e2e7a1d53f48b5d3a590c929024b283ae",
+    "cli/extract": "8107e3a5c71807732b88435cbc77f1fbd3b010c1076c8c2168b1368a76bef68b",
+    "cli/extract-octaves4-upright": "1b11fb8f2e15dbacfefb2253600d2f0d79fc1829636fc76806be6c99d2c44e75",
     "cli/blobs": "de7ed74ab00cbd14929d04307425c5d6ce67a5adc19bb73897d5df63fe4f10ae",
-    "cli/index-1": "a341894f41a602c7f1865cf2755f9e0368018e75dd00f5f6ed85f9d06e7284ef",
-    "cli/index-2": "3f520f6f3f9315f2f9325e08d6ec454bc9055a89a7a602ad307cd018ef4a534d",
+    "cli/index-1": "3257cfcac30d4a18b0c86bfb449d28fb9cdd01693eafba24a975519eee51d5fd",
+    "cli/index-2": "806828fcac4c7571fa2d0047b7e0c813529e7c0eb6ed4fccb4ff4b67872840b9",
     "cli/query-annotate": "86dc3df2830d827249233acd4b7f40e2b49be85f651cdb7b5913fee2a4b9a407",
     "cli/annotate": "c496718a5617daffbf70ac176bf9574b23f74150c40fd01ce7aa4ceecc9c622e",
 }
@@ -197,9 +204,45 @@ def test_cli_digests(tmp_path):
     assert_table(cli_digests(tmp_path), "cli/")
 
 
+# numpy's dispatch groups above the x86-64 baseline: AVX2 (v3) and AVX-512.
+SIMD_GROUPS = ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+CHILD = f"""
+import json, sys, tempfile
+from pathlib import Path
+from numpy._core._multiarray_umath import __cpu_features__
+from test_digests import cli_digests, extraction_digests, query_digests
+with tempfile.TemporaryDirectory() as tmp:
+    table = extraction_digests() | query_digests() | cli_digests(Path(tmp))
+on = [name for name in {SIMD_GROUPS!r} if __cpu_features__.get(name)]
+json.dump({{"on": on, "table": table}}, sys.stdout)
+"""
+
+
+def test_digests_hold_under_numpy_baseline_kernels(tmp_path):
+    """A child process with numpy's AVX2 and AVX-512 kernels switched off
+    (NPY_DISABLE_CPU_FEATURES) reproduces the extraction, query and CLI
+    digests.
+
+    numpy accepts a name it does not know without complaint, so the child
+    also reports that each of those groups is off.  Off x86-64 the names
+    match no feature and the setting does nothing: the child then
+    recomputes the table under numpy's usual kernels, like the tests above.
+    """
+    here = Path(__file__).parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path, NPY_DISABLE_CPU_FEATURES=" ".join(SIMD_GROUPS))
+    run = subprocess.run([sys.executable, "-c", CHILD], cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    child = json.loads(run.stdout)
+    assert child["on"] == [], f"NPY_DISABLE_CPU_FEATURES left these on: {child['on']}"
+    want = {k: v for k, v in DIGESTS.items() if not k.startswith("blobs/")}
+    moved = sorted(k for k in child["table"].keys() | want.keys() if child["table"].get(k) != want.get(k))
+    assert not moved, f"digests moved under numpy {np.__version__}'s baseline kernels: {moved}"
+
+
 if __name__ == "__main__":
     import tempfile
-    from pathlib import Path
 
     with tempfile.TemporaryDirectory() as tmp:
         table = extraction_digests() | blob_digests() | query_digests() | cli_digests(Path(tmp))

@@ -1,6 +1,8 @@
 """Response maps, detection, orientation, and descriptors against direct oracles."""
 
 import dataclasses
+import decimal
+import functools
 import math
 import tracemalloc
 
@@ -13,11 +15,13 @@ from arfex.features import (
     BAND_CELLS,
     BLOCK,
     CELL_BLOCK,
+    ORIENTATION_BLOCK,
     ExtractionConfig,
     InterestPoint,
     _haar,
     _layer_cells,
-    _window_mask,
+    _sectors,
+    _window_sums,
     assign_orientation,
     build_response_maps,
     detect_interest_points,
@@ -730,55 +734,55 @@ def test_orientation_matches_independent_accumulation(rng):
         assert got == pytest.approx(want, abs=1e-8)
 
 
-def test_window_mask_equals_mod_form(rng):
-    two_pi = 2.0 * math.pi
-    starts = np.arange(0.0, two_pi, math.pi / 32)
-    edges = np.concatenate([starts, starts + math.pi / 3, starts + math.pi / 3 - two_pi])
-    # Each edge and up to 8 ulps either side, where the mod's rounding decides.
-    near = (edges[:, None] + np.arange(-8, 9) * np.spacing(edges)[:, None]).ravel()
-    near = np.concatenate([near, [0.0, np.nextafter(two_pi, 0.0)]])
-    near = near[(near >= 0.0) & (near < two_pi)]  # sample angles lie in [0, 2 pi)
-    drawn = np.mod(np.arctan2(rng.normal(size=4000), rng.normal(size=4000)), two_pi)
-    haar = np.mod(np.arctan2(rng.integers(-9, 10, 4000) / 255.0, rng.integers(-9, 10, 4000) / 255.0), two_pi)
-    for angles in (near, drawn, haar):
-        angles = angles.reshape(1, -1)
-        want = np.mod(angles[:, None, :] - starts[:, None], two_pi) < math.pi / 3
-        got = _window_mask(angles)
-        assert got.dtype == np.float64
-        assert np.array_equal(got, want.astype(np.float64))
+def test_axis_and_diagonal_samples_land_in_the_sector_their_angle_starts():
+    """A sample exactly on an axis or a diagonal has true angle k pi/4, the
+    lower edge of sector 24k, and lands there at any magnitude."""
+    steps = [(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1)]
+    for magnitude in (1 / 255, 3 / 255, 0.02, 1.0, 7.5, 8191.0):
+        gx = np.array([u for u, _ in steps]) * magnitude
+        gy = np.array([v for _, v in steps]) * magnitude
+        assert _sectors(gx, gy).tolist() == [0, 24, 48, 72, 96, 120, 144, 168]
 
 
-def reference_window_mask(angles):
-    """The three-pass mask the angle table replaced: subtract every window
-    start, add 2 pi where the difference is negative, compare with pi/3."""
-    window = angles[:, None, :] - features._WINDOW_STARTS[:, None]
-    np.add(window, 2.0 * math.pi, out=window, where=window < 0)
-    return np.less(window, features.ORIENTATION_WINDOW, out=window)
+def test_sectors_cover_the_circle_without_running_past_the_last():
+    # Just below the +x axis the angle rounds up to 2 pi, which is the last
+    # sector's, as is a sample clearly below the axis; above it is sector 0.
+    gx = np.array([1.0, 1.0, 1.0, -1.0, -1.0])
+    gy = np.array([-1e-300, -1e-3, 1e-300, 1e-3, -1e-3])
+    assert _sectors(gx, gy).tolist() == [191, 191, 0, 95, 96]
+    # The mod form of the definition, on signed zeros, tiny and Haar-like ratios.
+    rng = np.random.default_rng(11)
+    gx = np.concatenate([[0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300], rng.integers(-40, 41, 20000) / 255.0])
+    gy = np.concatenate([[0.0, 0.0, -0.0, -0.0, -1.0, 1.0], rng.integers(-40, 41, 20000) / 255.0])
+    want = np.minimum((np.mod(np.arctan2(gy, gx), 2.0 * math.pi) * (96 / math.pi)).astype(np.int64), 191)
+    assert np.array_equal(_sectors(gx, gy), want)
+    # Samples drawn over the circle land in the sector of their true angle,
+    # away from its edges by more than rounding.
+    angle = np.random.default_rng(12).uniform(0.0, 2.0 * math.pi, 20000)
+    sector = np.floor(angle / (math.pi / 96))
+    away = np.abs(angle / (math.pi / 96) - np.round(angle / (math.pi / 96))) > 1e-9
+    got = _sectors(np.cos(angle) * 3.0, np.sin(angle) * 3.0)
+    assert got.min() >= 0 and got.max() <= 191
+    assert np.array_equal(got[away], sector[away])
 
 
-def test_angle_table_equals_three_pass_reference():
-    two_pi = 2.0 * math.pi
-    special = np.array([0.0, -0.0, np.nextafter(two_pi, 0.0), two_pi])
-    # Every bound and the 64 floats either side of it (bit patterns of floats
-    # > 0 step one ulp at a time).
-    near = (features._ANGLE_BOUNDS.view(np.int64)[:, None] + np.arange(-64, 65)).ravel().view(np.float64)
-    drawn = np.random.default_rng(31).uniform(0.0, two_pi, 10**6)
-    for angles in (special, near, *np.split(drawn, 100)):
-        angles = angles.reshape(1, -1)
-        got = _window_mask(angles)
-        assert got.dtype == np.float64 and got.flags.c_contiguous
-        assert np.array_equal(got, reference_window_mask(angles))
-    block = drawn[: BLOCK * 113].reshape(BLOCK, 113)  # a full block of disc samples
-    assert np.array_equal(_window_mask(block), reference_window_mask(block))
+def test_window_tree_equals_the_direct_sum_of_32_sectors():
+    rng = np.random.default_rng(13)
+    sums = rng.normal(size=(3, 5, features.SECTORS)) * rng.uniform(0.0, 4.0, (3, 5, 1))
+    got = _window_sums(sums)
+    assert got.shape == (3, 5, 64)
+    sectors = (3 * np.arange(64)[:, None] + np.arange(32)) % features.SECTORS  # window w: 3w .. 3w+31
+    want = sums[..., sectors].sum(axis=-1)
+    scale = np.abs(sums)[..., sectors].sum(axis=-1)
+    assert np.all(np.abs(got - want) <= 1e-15 * scale)
 
 
-def test_angle_table_bounds_are_transitions():
-    bounds = features._ANGLE_BOUNDS
-    assert bounds.shape == (127,) and features._ANGLE_TABLE.shape == (64, 128)
-    assert np.all(np.diff(bounds) > 0.0) and 0.0 < bounds[0] and bounds[-1] < 2.0 * math.pi
-    at = reference_window_mask(bounds.reshape(1, -1))[0]
-    below = reference_window_mask(np.nextafter(bounds, 0.0).reshape(1, -1))[0]
-    assert np.all((at != below).any(axis=0))  # some window's bit changes at each bound
+@functools.lru_cache(maxsize=None)
+def gaussian_factor(u, sigma):
+    """exp(-u^2 / 2 sigma^2) correctly rounded, from 50-digit decimal arithmetic."""
+    with decimal.localcontext(decimal.Context(prec=50)):
+        u, sigma = decimal.Decimal(str(u)), decimal.Decimal(str(sigma))
+        return float((-(u * u) / (2 * sigma * sigma)).exp())
 
 
 def test_haar_equals_four_clipped_boxes():
@@ -862,8 +866,16 @@ def reference_even_size(target):
     return 2 * max(1, int(math.floor(target / 2.0 + 0.5)))
 
 
+def pairwise_sum(values):
+    """Adjacent pairs added level by level, for a power-of-two count."""
+    while len(values) > 1:
+        values = [values[i] + values[i + 1] for i in range(0, len(values), 2)]
+    return values[0]
+
+
 def reference_orientation(ii, ip):
-    """Per-point reference: the one-point-at-a-time orientation loop body."""
+    """Per-point reference: each sample added to its pi/96 sector in sample
+    order, then each pi/3 window's 32 sectors summed pairwise."""
     s = ip.scale
     size = reference_even_size(4.0 * s)
     grid = np.arange(-6, 7)
@@ -873,24 +885,31 @@ def reference_orientation(ii, ip):
     vi = vi[disc]
     px = np.floor(ip.x + ui * s + 0.5).astype(np.int64)
     py = np.floor(ip.y + vi * s + 0.5).astype(np.int64)
-    weight = np.exp(-(ui * ui + vi * vi) / (2.0 * 2.5**2))
+    weight = np.array([gaussian_factor(u, 2.5) * gaussian_factor(v, 2.5) for u, v in zip(ui.tolist(), vi.tolist())])
     hx, hy = reference_haar(ii, px, py, size)
     gx = weight * hx
     gy = weight * hy
     angles = np.mod(np.arctan2(gy, gx), 2.0 * math.pi)
-    starts = np.arange(0.0, 2.0 * math.pi, math.pi / 32)
-    in_window = np.mod(angles[None, :] - starts[:, None], 2.0 * math.pi) < math.pi / 3
-    sum_x = in_window @ gx
-    sum_y = in_window @ gy
-    mag2 = sum_x * sum_x + sum_y * sum_y
-    best = int(np.argmax(mag2))
-    if mag2[best] == 0.0:
+    sum_x, sum_y = [0.0] * 192, [0.0] * 192
+    for a, sx, sy in zip(angles.tolist(), gx.tolist(), gy.tolist()):
+        k = min(int(a * (96 / math.pi)), 191)
+        sum_x[k] += sx
+        sum_y[k] += sy
+    best = (-1.0, 0.0, 0.0)
+    for w in range(64):
+        sectors = [(3 * w + i) % 192 for i in range(32)]
+        sx = pairwise_sum([sum_x[k] for k in sectors])
+        sy = pairwise_sum([sum_y[k] for k in sectors])
+        if sx * sx + sy * sy > best[0]:
+            best = (sx * sx + sy * sy, sx, sy)
+    if best[0] == 0.0:
         return 0.0
-    return math.atan2(sum_y[best], sum_x[best]) % (2.0 * math.pi)
+    return math.atan2(best[2], best[1]) % (2.0 * math.pi)
 
 
 def reference_descriptor(ii, ip, upright):
-    """Per-point reference: the one-point-at-a-time descriptor loop body."""
+    """Per-point reference: each subregion's 25 samples summed on their own,
+    the vector divided by the root of its dot product with itself."""
     s = ip.scale
     theta = 0.0 if upright else ip.orientation
     cos_t = math.cos(theta)
@@ -903,21 +922,16 @@ def reference_descriptor(ii, ip, upright):
     px = np.floor(ip.x + rx + 0.5).astype(np.int64)
     py = np.floor(ip.y + ry + 0.5).astype(np.int64)
     dx0, dy0 = reference_haar(ii, px, py, size)
-    weight = np.exp(-(u * u + v * v) / (2.0 * 3.3**2))
+    weight = np.array([[gaussian_factor(a, 3.3) * gaussian_factor(b, 3.3) for a in idx] for b in idx])
     dx = weight * (dx0 * cos_t + dy0 * sin_t)
     dy = weight * (-dx0 * sin_t + dy0 * cos_t)
-    blocks_dx = dx.reshape(4, 5, 4, 5)
-    blocks_dy = dy.reshape(4, 5, 4, 5)
-    vec = np.stack(
-        [
-            blocks_dx.sum(axis=(1, 3)),
-            blocks_dy.sum(axis=(1, 3)),
-            np.abs(blocks_dx).sum(axis=(1, 3)),
-            np.abs(blocks_dy).sum(axis=(1, 3)),
-        ],
-        axis=-1,
-    ).ravel()
-    norm = float(np.linalg.norm(vec))
+    vec = []
+    for i in range(4):
+        for j in range(4):
+            bx, by = (d[5 * i : 5 * i + 5, 5 * j : 5 * j + 5].ravel() for d in (dx, dy))
+            vec += [bx.sum(), by.sum(), np.abs(bx).sum(), np.abs(by).sum()]
+    vec = np.array(vec)
+    norm = np.sqrt(np.einsum("j,j->", vec, vec))
     if norm > 0.0:
         vec = vec / norm
     return vec
@@ -978,7 +992,11 @@ def test_border_clipped_points_bit_identical_to_reference():
     assert_batched_equals_reference(ii, pts)
 
 
-@pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+@pytest.mark.parametrize(
+    "n",
+    [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]
+    + [ORIENTATION_BLOCK - 1, ORIENTATION_BLOCK, ORIENTATION_BLOCK + 1, 2 * ORIENTATION_BLOCK + 1],
+)
 def test_block_boundaries_bit_identical_to_reference(n):
     img = noise_frame(seed=2, side=128)
     ii = integral_of(img)
