@@ -23,7 +23,7 @@ from .errors import (
     ParseError,
     VersionMismatch,
 )
-from .features import ExtractionConfig, Features, extract_features
+from .features import ExtractionConfig, _extract
 from .image import to_grayscale
 from .store import (
     UNRECOGNIZED,
@@ -125,12 +125,12 @@ def _write_json(path, doc) -> None:
 def cmd_extract(args) -> int:
     img = image_io.read_image(args.input)
     cfg = _extraction_config(args)
-    points, descriptors = extract_features(img, cfg)
-    features = features_to_json(Features.from_points(points, descriptors))
+    f = _extract(img, cfg)
+    features = features_to_json(f)
     doc = {"config": cfg.to_dict(), "points": features["keypoints"], "descriptors": features["descriptors"]}
     _write_json(args.output, doc)
     if args.overlay:
-        image_io.write_ppm(draw.keypoint_overlay(img, points), args.overlay)
+        image_io.write_ppm(draw.keypoint_overlay(img, f.xy, f.scale, f.orientation), args.overlay)
     return EXIT_OK
 
 
@@ -182,7 +182,7 @@ def cmd_query(args) -> int:
     seed = _seed(args)
     db = load_db(args.db)
     img = image_io.read_image(args.input)
-    result, query_points = query_image(db, img, args.ratio, seed)
+    result, query = query_image(db, img, args.ratio, seed)
     doc = {
         "best": result.best,
         "ranked": [
@@ -211,17 +211,17 @@ def cmd_query(args) -> int:
         if result.recognized:
             best = result.ranked[0]
             record = next(r for r in db.records if r.object_id == best.object_id)
-            inliers = [query_points[q] for q in best.matches[best.verification.inlier_indices, 0].tolist()]
-            overlay = draw.recognition_overlay(img, inliers, best.verification.model, record.image_size)
+            rows = best.matches[best.verification.inlier_indices, 0]
+            model = best.verification.model
+            overlay = draw.recognition_overlay(img, query.xy[rows], query.scale[rows], model, record.image_size)
         image_io.write_ppm(overlay, args.annotate)
     return EXIT_OK if result.recognized else EXIT_UNRECOGNIZED
 
 
 def cmd_annotate(args) -> int:
     img = image_io.read_image(args.input)
-    cfg = _extraction_config(args)
-    points, _ = extract_features(img, cfg)
-    image_io.write_ppm(draw.keypoint_overlay(img, points), args.output)
+    f = _extract(img, _extraction_config(args))
+    image_io.write_ppm(draw.keypoint_overlay(img, f.xy, f.scale, f.orientation), args.output)
     return EXIT_OK
 
 

@@ -6,7 +6,6 @@ import math
 
 import numpy as np
 
-from .features import InterestPoint
 from .geometry import Homography, project_point
 from .image import RasterImage, iround
 
@@ -57,31 +56,32 @@ def draw_line(pixels: np.ndarray, x0: int, y0: int, x1: int, y1: int, color=RED)
         _plot(pixels, x0 + sx * i, y0 + sy * ((2 * i * dy + dx) // max(2 * dx, 1)), color)
 
 
-def keypoint_overlay(img: RasterImage, points: list[InterestPoint]) -> RasterImage:
+def keypoint_overlay(img: RasterImage, xy: np.ndarray, scale: np.ndarray, orientation: np.ndarray) -> RasterImage:
     """Copy of the image with a red circle (radius 2.5 x scale) and an
-    orientation tick at every keypoint."""
+    orientation tick at every keypoint: row i of the (N, 2) `xy` and
+    element i of `scale` and `orientation`."""
     pixels = img.pixels.copy()
-    for p in points:
-        cx, cy = iround(p.x), iround(p.y)
-        r = max(1, iround(2.5 * p.scale))
+    for (x, y), s, t in zip(xy.tolist(), scale.tolist(), orientation.tolist()):
+        cx, cy = iround(x), iround(y)
+        r = max(1, iround(2.5 * s))
         draw_circle(pixels, cx, cy, r)
-        tx = iround(p.x + r * math.cos(p.orientation))
-        ty = iround(p.y + r * math.sin(p.orientation))
-        draw_line(pixels, cx, cy, tx, ty)
+        draw_line(pixels, cx, cy, iround(x + r * math.cos(t)), iround(y + r * math.sin(t)))
     return RasterImage(pixels)
 
 
 def recognition_overlay(
     img: RasterImage,
-    inlier_points: list[InterestPoint],
+    xy: np.ndarray,
+    scale: np.ndarray,
     hom: Homography,
     object_size: tuple[int, int],
 ) -> RasterImage:
-    """Inlier keypoints plus the indexed object's frame: its corners
-    projected through the homography, drawn as a quadrilateral."""
+    """The inlier keypoints, at the (N, 2) `xy` and `scale`, plus the indexed
+    object's frame: its corners projected through the homography, drawn as
+    a quadrilateral."""
     pixels = img.pixels.copy()
-    for p in inlier_points:
-        draw_circle(pixels, iround(p.x), iround(p.y), max(1, iround(2.5 * p.scale)))
+    for (x, y), s in zip(xy.tolist(), scale.tolist()):
+        draw_circle(pixels, iround(x), iround(y), max(1, iround(2.5 * s)))
     w, h = object_size
     corners = [(0.0, 0.0), (w - 1.0, 0.0), (w - 1.0, h - 1.0), (0.0, h - 1.0)]
     projected = [project_point(hom, c) for c in corners]

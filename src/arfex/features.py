@@ -246,16 +246,6 @@ class Features:
             a.flags.writeable = False
             object.__setattr__(self, f.name, a)
 
-    @classmethod
-    def from_points(cls, points: list[InterestPoint], descriptors: list[Descriptor]) -> "Features":
-        """The table of `extract_features`' lists, the sign read from the points:
-        the one place they become arrays, gone once `extract_features`
-        returns a `Features` itself."""
-        rows = [(p.x, p.y, p.scale, p.response, p.orientation, p.laplacian_sign) for p in points]
-        table = np.array(rows, dtype=np.float64).reshape(-1, 6)
-        desc = np.array([d.components for d in descriptors], dtype=np.float64).reshape(-1, DESCRIPTOR_LENGTH)
-        return cls(table[:, :2], *table[:, 2:].T, desc)
-
 
 def build_response_maps(table: np.ndarray, config: Optional[ExtractionConfig] = None) -> list[np.ndarray]:
     """The scale space, from the padded table or its int32 wrap: one (2, gh,
@@ -408,7 +398,7 @@ _WINDOW = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)]
 _RING = [n for n in range(9) if n != 4]
 
 
-def detect_interest_points(table: np.ndarray, maps: list[np.ndarray], threshold: float) -> list[InterestPoint]:
+def detect_interest_points(table: np.ndarray, maps: list[np.ndarray], threshold: float) -> np.ndarray:
     """Strict 3x3x3 maxima above threshold, refined by one quadratic step.
 
     `maps` is `build_response_maps`' list and `table` the padded table or
@@ -419,13 +409,14 @@ def detect_interest_points(table: np.ndarray, maps: list[np.ndarray], threshold:
     docstring).  An array that does not fit its octave's grid, or a table
     that is not 2-D, raises ValueError.  Points whose refinement offset
     exceeds 0.5 in any component (or whose local Hessian is singular) are
-    discarded.  Output sorted by descending response, ties by (y, x,
-    scale) ascending.
+    discarded.  Returns one (N, 5) float64 row per point: x, y, scale,
+    response and Laplacian sign (+1.0 or -1.0), sorted by descending
+    response, ties by (y, x, scale) ascending.
     """
     if table.ndim != 2:
         raise ValueError(f"table must be a 2-D padded table, got shape {table.shape}")
     height, width = table.shape[0] - 1, table.shape[1] - 1
-    points: list[InterestPoint] = []
+    rows = [np.zeros((0, 5))]
     for octave, responses in enumerate(maps, start=1):
         stride = 1 << (octave - 1)
         sizes = filter_sizes(octave, INTERVALS)
@@ -459,16 +450,12 @@ def detect_interest_points(table: np.ndarray, maps: list[np.ndarray], threshold:
             ok = np.max(np.abs(offset), axis=1) <= 0.5
             i, j = np.divmod(at[ok], gw)
             size = sizes[k] + offset[ok, 2] * (sizes[k + 1] - sizes[k])
-            points += map(
-                InterestPoint,
-                ((j + offset[ok, 0]) * stride).tolist(),
-                ((i + offset[ok, 1]) * stride).tolist(),
-                (SIGMA_BASE * size / FILTER_BASE).tolist(),
-                v[ok].tolist(),
-                _layer_cells(table, stride, sizes[k], i, j)[1].tolist(),
-            )
-    points.sort(key=lambda p: (-p.response, p.y, p.x, p.scale))
-    return points
+            x, y = (j + offset[ok, 0]) * stride, (i + offset[ok, 1]) * stride
+            sign = _layer_cells(table, stride, sizes[k], i, j)[1]
+            rows.append(np.stack([x, y, SIGMA_BASE * size / FILTER_BASE, v[ok], sign], axis=1))
+    points = np.concatenate(rows)
+    x, y, scale, response = points[:, :4].T
+    return points[np.lexsort((scale, x, y, -response))]  # stable, so equal keys keep detection order
 
 
 def _outer_layer(table: np.ndarray, stride: int, size: int, grid: tuple[int, int], cells: np.ndarray) -> np.ndarray:
@@ -666,27 +653,27 @@ def extract_descriptor(
     return out
 
 
-def extract_features(
-    img: RasterImage, config: Optional[ExtractionConfig] = None
-) -> tuple[list[InterestPoint], list[Descriptor]]:
+def _extract(img: RasterImage, config: Optional[ExtractionConfig] = None) -> Features:
     """Full chain: grayscale, integral, response maps, detection, orientation, descriptors.
 
-    descriptors[i] corresponds to points[i].  With upright configuration the
-    orientation stage is skipped (orientation stays 0).  Every stage reads
-    one table, the int32 wrap of the padded table (module docstring).
+    With upright configuration the orientation stage is skipped (orientation
+    stays 0).  Every stage reads one table, the int32 wrap of the padded
+    table (module docstring).
     """
     config = config or ExtractionConfig()
     table = build_integral(to_grayscale(img)).astype(np.int32)
     points = detect_interest_points(table, build_response_maps(table, config), config.threshold)
-    x, y, scale = np.array([(p.x, p.y, p.scale) for p in points], dtype=np.float64).reshape(-1, 3).T
-    if config.upright:
-        theta = np.zeros(len(points))
-    else:
-        theta = assign_orientation(table, x, y, scale)
-        points = [
-            InterestPoint(p.x, p.y, p.scale, p.response, p.laplacian_sign, t)
-            for p, t in zip(points, theta.tolist())
-        ]
-    vectors = extract_descriptor(table, x, y, scale, theta)
-    descriptors = list(map(Descriptor, vectors, [p.laplacian_sign for p in points]))
-    return points, descriptors
+    x, y, scale, response, sign = points.T
+    theta = np.zeros(len(x)) if config.upright else assign_orientation(table, x, y, scale)
+    return Features(points[:, :2], scale, response, theta, sign, extract_descriptor(table, x, y, scale, theta))
+
+
+def extract_features(
+    img: RasterImage, config: Optional[ExtractionConfig] = None
+) -> tuple[list[InterestPoint], list[Descriptor]]:
+    """`_extract`'s table as per-point objects: descriptors[i] corresponds to
+    points[i], and both carry its Laplacian sign as an int."""
+    f = _extract(img, config)
+    sign = f.sign.tolist()
+    x, y, scale, response, theta = (c.tolist() for c in (f.xy[:, 0], f.xy[:, 1], f.scale, f.response, f.orientation))
+    return list(map(InterestPoint, x, y, scale, response, sign, theta)), list(map(Descriptor, f.desc, sign))

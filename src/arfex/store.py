@@ -37,7 +37,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DuplicateId, NoFeatures, ParseError, VersionMismatch
-from .features import DESCRIPTOR_LENGTH, ExtractionConfig, Features, InterestPoint, extract_features
+from .features import DESCRIPTOR_LENGTH, ExtractionConfig, Features, _extract
 from .geometry import VerificationResult, default_min_inliers, ransac_verify
 from .image import RasterImage
 from .matching import TargetSet, match_sets
@@ -93,16 +93,10 @@ def index_image(db: Database, img: RasterImage, object_id: str, name: str, info:
     """
     if any(r.object_id == object_id for r in db.records):
         raise DuplicateId(f"object id {object_id!r} already indexed")
-    points, descriptors = extract_features(img, db.extraction_config)
-    if not points:
+    features = _extract(img, db.extraction_config)
+    if not len(features.xy):
         raise NoFeatures(f"image for {object_id!r} produced no interest points")
-    record = ObjectRecord(
-        object_id=object_id,
-        name=name,
-        info=info,
-        image_size=(img.width, img.height),
-        features=Features.from_points(points, descriptors),
-    )
+    record = ObjectRecord(object_id, name, info, (img.width, img.height), features)
     return Database(extraction_config=db.extraction_config, records=[*db.records, record])
 
 
@@ -111,7 +105,7 @@ def query_image(
     img: RasterImage,
     ratio: float = 0.7,
     seed: int = 0,
-) -> tuple[QueryResult, list[InterestPoint]]:
+) -> tuple[QueryResult, Features]:
     """Match the query against every record and rank verified candidates.
 
     `ratio` is the matcher's ratio test and `seed`, an int >= 0, seeds each
@@ -121,14 +115,13 @@ def query_image(
     count (fewer than 8) gets no RANSAC, since it cannot verify; it reports
     no model, no inliers and an infinite mean error.
     Ranking: verified desc, inlier count desc, match count desc, id asc.
-    Returns the result plus the query's interest points (for overlay drawing).
+    Returns the result plus the query's features (for overlay drawing).
     """
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
-    points, descriptors = extract_features(img, db.extraction_config)
-    if not points:
+    query = _extract(img, db.extraction_config)
+    if not len(query.xy):
         raise NoFeatures("query image produced no interest points")
-    query = Features.from_points(points, descriptors)
     targets = TargetSet.build([r.features for r in db.records])
     keypoint_xy = np.concatenate([np.zeros((0, 2)), *(r.features.xy for r in db.records)])
     matched, qrow, trow, _ = match_sets(query.desc, query.sign, targets, ratio)
@@ -151,7 +144,7 @@ def query_image(
     verified = [c.object_id for c in ranked if c.verification.verified]
     best = verified[0] if verified else UNRECOGNIZED
     info = next({"name": r.name, "info": r.info} for r in db.records if r.object_id == best) if verified else None
-    return QueryResult(ranked=ranked, best=best, associated_info=info), points
+    return QueryResult(ranked=ranked, best=best, associated_info=info), query
 
 
 # --- persistence --------------------------------------------------------

@@ -331,14 +331,15 @@ def test_query_annotate_circles_the_query_points_of_the_inliers(tmp_path):
     args = ["query", "--db", str(db), "--input", str(query_path), "--output", str(tmp_path / "r.json")]
     assert main([*args, "--annotate", str(annotated), "--seed", "0"]) == 0
     loaded = load_db(db)
-    result, points = query_image(loaded, query, seed=0)
+    result, features = query_image(loaded, query, seed=0)
     best = result.ranked[0]
     record = next(r for r in loaded.records if r.object_id == best.object_id)
     query_rows, record_rows = best.matches[best.verification.inlier_indices].T
     # the model maps each inlier's record point onto its query point
-    query_xy = np.array([(points[q].x, points[q].y) for q in query_rows])
+    query_xy = features.xy[query_rows]
     assert (reprojection_errors(best.verification.model, record.features.xy[record_rows], query_xy) <= 3.0).all()
-    want = draw.recognition_overlay(query, [points[q] for q in query_rows], best.verification.model, record.image_size)
+    model = best.verification.model
+    want = draw.recognition_overlay(query, query_xy, features.scale[query_rows], model, record.image_size)
     assert np.array_equal(read_image(annotated).pixels, want.pixels)
 
 

@@ -148,8 +148,8 @@ def query_digests() -> dict:
     db = database()
     out = {}
     for name, img in queries().items():
-        result, points = query_image(db, img, seed=3)
-        parts = [result.best, result.associated_info, len(points)]
+        result, query = query_image(db, img, seed=3)
+        parts = [result.best, result.associated_info, len(query.xy)]
         for c in result.ranked:
             v = c.verification
             model = v.model.h if v.model is not None else None

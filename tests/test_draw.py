@@ -66,7 +66,7 @@ def test_segments_up_to_three_rasters_outside_match_the_walk(x0, y0, x1, y1):
 def test_huge_object_frame_draws_in_bounded_time():
     img = RasterImage(np.zeros((120, 160, 3), dtype=np.uint8))
     start = time.perf_counter()
-    out = recognition_overlay(img, [], Homography(np.eye(3)), (10**9, 10**9))
+    out = recognition_overlay(img, np.zeros((0, 2)), np.zeros(0), Homography(np.eye(3)), (10**9, 10**9))
     assert time.perf_counter() - start < 1.0
     red = (out.pixels == RED).all(axis=2)
     assert red[0].all() and red[:, 0].all()

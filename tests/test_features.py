@@ -1,6 +1,5 @@
 """Response maps, detection, orientation, and descriptors against direct oracles."""
 
-import dataclasses
 import decimal
 import functools
 import math
@@ -17,7 +16,8 @@ from arfex.features import (
     CELL_BLOCK,
     ORIENTATION_BLOCK,
     ExtractionConfig,
-    InterestPoint,
+    Features,
+    _extract,
     _haar,
     _layer_cells,
     _sectors,
@@ -281,7 +281,7 @@ def test_response_maps_exact_when_the_table_wraps_int32():
             got = map_stacks(table, stride, sizes, s)
             assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
     got = detect_interest_points(wrapped, shifted_maps, 0.0)
-    assert point_bits(got) == point_bits(detect_interest_points(plain, plain_maps, 0.0))
+    assert got.tobytes() == detect_interest_points(plain, plain_maps, 0.0).tobytes()
 
 
 def test_hessian_oracle_rejects_unit_floats(rng):
@@ -319,7 +319,8 @@ def test_laplacian_sign_tracks_blob_polarity():
 
 def test_detect_constant_image_empty():
     table = wrap_of(gray_raster(np.full((64, 64), 99)))
-    assert detect_interest_points(table, build_response_maps(table), 4e-4) == []
+    got = detect_interest_points(table, build_response_maps(table), 4e-4)
+    assert got.dtype == np.float64 and got.shape == (0, 5)
 
 
 def test_detect_single_blob():
@@ -353,7 +354,7 @@ def test_response_map_needs_four_filter_sizes(monkeypatch):
         sizes = filter_sizes(octave, 4)
         assert len(sizes) == 4 and read[2 * octave - 2 : 2 * octave] == [(1 << (octave - 1), s) for s in sizes[1:3]]
     read.clear()
-    assert detect_interest_points(table, maps, 0.0)
+    assert len(detect_interest_points(table, maps, 0.0))
     want = {(1 << (octave - 1), size) for octave in range(1, 5) for size in filter_sizes(octave, 4)}
     assert set(read) == want
 
@@ -371,7 +372,7 @@ def test_response_map_layers_must_fit_the_table():
     ]:
         with pytest.raises(ValueError, match="shape"):
             detect_interest_points(t, maps, 0.0)
-    assert detect_interest_points(table, [first, second], 0.0)
+    assert len(detect_interest_points(table, [first, second], 0.0))
     with pytest.raises(ValueError, match="2-D"):
         detect_interest_points(table.ravel(), [first], 0.0)
 
@@ -384,33 +385,41 @@ def test_nms_soundness_by_reinspection():
     cfg = ExtractionConfig()
     maps = build_response_maps(table, cfg)
     pts = detect_interest_points(table, maps, cfg.threshold)
-    assert pts
-    for p in pts:
+    assert len(pts)
+    for x, y, _, response, sign in pts.tolist():
         hits = 0
         for stride, sizes, responses in octaves(maps):
             stack, signs = map_stacks(table, stride, sizes, responses)
             n, gh, gw = stack.shape
             for k in range(1, n - 1):
-                i = round(p.y / stride)
-                j = round(p.x / stride)
+                i = round(y / stride)
+                j = round(x / stride)
                 if not (1 <= i < gh - 1 and 1 <= j < gw - 1):
                     continue
-                if stack[k, i, j] != p.response:
+                if stack[k, i, j] != response:
                     continue
-                if abs(j * stride - p.x) > 0.5 * stride or abs(i * stride - p.y) > 0.5 * stride:
+                if abs(j * stride - x) > 0.5 * stride or abs(i * stride - y) > 0.5 * stride:
                     continue
                 neighborhood = stack[k - 1 : k + 2, i - 1 : i + 2, j - 1 : j + 2]
                 others = np.delete(neighborhood.ravel(), 13)
-                assert np.all(p.response > others)
-                assert p.response > cfg.threshold
-                assert p.laplacian_sign == signs[k, i, j]
+                assert np.all(response > others)
+                assert response > cfg.threshold
+                assert sign == signs[k, i, j]
                 hits += 1
         assert hits >= 1
 
 
+def sorted_table(rows):
+    """Detection rows (x, y, scale, response, sign) as detection returns
+    them: an (N, 5) table in its order, here by a stable Python sort."""
+    rows = sorted(rows, key=lambda r: (-r[3], r[1], r[0], r[2]))
+    return np.array(rows, dtype=np.float64).reshape(-1, 5)
+
+
 def reference_refine(stacks, stride, sizes, k, i, j):
     """Per-candidate reference: one quadratic step, one 3x3 solve, on the
-    four-layer `stacks` of the octave of `stride` and filter `sizes`."""
+    four-layer `stacks` of the octave of `stride` and filter `sizes`; the
+    point's detection row, or None."""
     responses, signs = stacks
     c = responses[k - 1 : k + 2, i - 1 : i + 2, j - 1 : j + 2]
     dx = (c[1, 1, 2] - c[1, 1, 0]) / 2.0
@@ -433,13 +442,8 @@ def reference_refine(stacks, stride, sizes, k, i, j):
         return None
     step = sizes[k + 1] - sizes[k]
     size = sizes[k] + offset[2] * step
-    return InterestPoint(
-        x=float((j + offset[0]) * stride),
-        y=float((i + offset[1]) * stride),
-        scale=float(1.2 * size / 9),
-        response=float(v),
-        laplacian_sign=int(signs[k, i, j]),
-    )
+    x, y = (j + offset[0]) * stride, (i + offset[1]) * stride
+    return float(x), float(y), float(1.2 * size / 9), float(v), int(signs[k, i, j])
 
 
 def dense_nms_reference(table, maps, threshold, beats=np.greater):
@@ -465,8 +469,7 @@ def dense_nms_reference(table, maps, threshold, beats=np.greater):
                 pt = reference_refine(stacks, stride, sizes, k, int(i), int(j))
                 if pt is not None:
                     points.append(pt)
-    points.sort(key=lambda p: (-p.response, p.y, p.x, p.scale))
-    return points
+    return sorted_table(points)
 
 
 def tied_maps(seed, count, h, w):
@@ -498,15 +501,18 @@ def test_sparse_nms_equals_dense_reference():
     for count, (h, w) in [(1, (3, 3)), (2, (5, 40)), (3, (33, 31)), (4, (64, 48))]:
         table, maps = tied_maps(count, count, h, w)
         for threshold in (0.0, 1e-3, 4e-3):
-            assert detect_interest_points(table, maps, threshold) == dense_nms_reference(table, maps, threshold)
+            want = dense_nms_reference(table, maps, threshold)
+            assert point_bits(detect_interest_points(table, maps, threshold)) == point_bits(want)
     # Ties decide some of these points: `>=` in place of `>` finds others.
     table, maps = tied_maps(4, 4, 64, 48)
-    assert dense_nms_reference(table, maps, 0.0) != dense_nms_reference(table, maps, 0.0, beats=np.greater_equal)
+    assert point_bits(dense_nms_reference(table, maps, 0.0)) != point_bits(
+        dense_nms_reference(table, maps, 0.0, beats=np.greater_equal)
+    )
     for img in (noise_frame(seed=9, side=112), blob_texture(128, 96, 9)):
         table = wrap_of(img)
         maps = build_response_maps(table, ExtractionConfig(octaves=4))
         want = dense_nms_reference(table, maps, 4e-4)
-        assert want and detect_interest_points(table, maps, 4e-4) == want
+        assert len(want) and point_bits(detect_interest_points(table, maps, 4e-4)) == point_bits(want)
 
 
 def gather_nms_reference(table, maps, threshold):
@@ -537,24 +543,19 @@ def gather_nms_reference(table, maps, threshold):
             offset = features._refine(cube)
             ok = np.max(np.abs(offset), axis=1) <= 0.5
             size = sizes[k] + offset[ok, 2] * (sizes[k + 1] - sizes[k])
-            points += map(
-                InterestPoint,
+            points += zip(
                 ((j[ok] + offset[ok, 0]) * stride).tolist(),
                 ((i[ok] + offset[ok, 1]) * stride).tolist(),
                 (1.2 * size / 9).tolist(),
                 v[ok].tolist(),
                 signs[k, i[ok], j[ok]].tolist(),
             )
-    points.sort(key=lambda p: (-p.response, p.y, p.x, p.scale))
-    return points
+    return sorted_table(points)
 
 
-def point_bits(points):
-    """Every field of each point, floats as hex."""
-    return [
-        (p.x.hex(), p.y.hex(), p.scale.hex(), p.response.hex(), p.laplacian_sign, p.orientation.hex())
-        for p in points
-    ]
+def point_bits(table):
+    """Every field of each row of a detection table, as hex."""
+    return [tuple(v.hex() for v in row) for row in table.tolist()]
 
 
 COMPACTING_IMAGES = [
@@ -574,7 +575,7 @@ def test_compacting_nms_bit_identical_to_gather_reference(threshold):
         table = wrap_of(img)
         maps = build_response_maps(table, ExtractionConfig(octaves=4))
         want = gather_nms_reference(table, maps, threshold)
-        assert want
+        assert len(want)
         assert point_bits(detect_interest_points(table, maps, threshold)) == point_bits(want)
     for count, (h, w) in [(1, (3, 3)), (3, (33, 31)), (4, (64, 48))]:
         table, maps = tied_maps(count, count, h, w)
@@ -634,8 +635,8 @@ def test_singular_candidate_beside_regular_one():
     table, sizes = np.zeros((10, 10), dtype=np.int32), filter_sizes(1, 4)
     assert reference_refine(map_stacks(table, 1, sizes, layers), 1, sizes, 1, 2, 2) is None
     got = detect_interest_points(table, [layers], 1.0)
-    assert [(p.x, p.y, p.response) for p in got] == [(6.0, 2.0, 10.0)]
-    assert got == dense_nms_reference(table, [layers], 1.0)
+    assert got[:, [0, 1, 3]].tolist() == [[6.0, 2.0, 10.0]]
+    assert point_bits(got) == point_bits(dense_nms_reference(table, [layers], 1.0))
 
 
 def test_points_sorted_by_response_then_position():
@@ -647,10 +648,6 @@ def test_points_sorted_by_response_then_position():
 def ramp_image(horizontal=True):
     base = np.tile(np.arange(64, dtype=np.uint8) * 3, (64, 1))
     return gray_raster(base if horizontal else base.T)
-
-
-def point_at(x, y, scale):
-    return InterestPoint(x=float(x), y=float(y), scale=float(scale), response=1.0, laplacian_sign=1)
 
 
 def point_arrays(pts):
@@ -873,18 +870,17 @@ def pairwise_sum(values):
     return values[0]
 
 
-def reference_orientation(ii, ip):
+def reference_orientation(ii, x, y, s):
     """Per-point reference: each sample added to its pi/96 sector in sample
     order, then each pi/3 window's 32 sectors summed pairwise."""
-    s = ip.scale
     size = reference_even_size(4.0 * s)
     grid = np.arange(-6, 7)
     ui, vi = np.meshgrid(grid, grid)
     disc = ui * ui + vi * vi <= 36
     ui = ui[disc]
     vi = vi[disc]
-    px = np.floor(ip.x + ui * s + 0.5).astype(np.int64)
-    py = np.floor(ip.y + vi * s + 0.5).astype(np.int64)
+    px = np.floor(x + ui * s + 0.5).astype(np.int64)
+    py = np.floor(y + vi * s + 0.5).astype(np.int64)
     weight = np.array([gaussian_factor(u, 2.5) * gaussian_factor(v, 2.5) for u, v in zip(ui.tolist(), vi.tolist())])
     hx, hy = reference_haar(ii, px, py, size)
     gx = weight * hx
@@ -907,11 +903,9 @@ def reference_orientation(ii, ip):
     return math.atan2(best[2], best[1]) % (2.0 * math.pi)
 
 
-def reference_descriptor(ii, ip, upright):
+def reference_descriptor(ii, x, y, s, theta):
     """Per-point reference: each subregion's 25 samples summed on their own,
     the vector divided by the root of its dot product with itself."""
-    s = ip.scale
-    theta = 0.0 if upright else ip.orientation
     cos_t = math.cos(theta)
     sin_t = math.sin(theta)
     size = reference_even_size(2.0 * s)
@@ -919,8 +913,8 @@ def reference_descriptor(ii, ip, upright):
     u, v = np.meshgrid(idx, idx)
     rx = (u * cos_t - v * sin_t) * s
     ry = (u * sin_t + v * cos_t) * s
-    px = np.floor(ip.x + rx + 0.5).astype(np.int64)
-    py = np.floor(ip.y + ry + 0.5).astype(np.int64)
+    px = np.floor(x + rx + 0.5).astype(np.int64)
+    py = np.floor(y + ry + 0.5).astype(np.int64)
     dx0, dy0 = reference_haar(ii, px, py, size)
     weight = np.array([[gaussian_factor(a, 3.3) * gaussian_factor(b, 3.3) for a in idx] for b in idx])
     dx = weight * (dx0 * cos_t + dy0 * sin_t)
@@ -937,20 +931,29 @@ def reference_descriptor(ii, ip, upright):
     return vec
 
 
-def assert_batched_equals_reference(ii, pts):
+def reference_orientations(ii, x, y, s):
+    """`reference_orientation` of each point (x[i], y[i], s[i]), shape (N,)."""
+    return np.array([reference_orientation(ii, *p) for p in zip(x.tolist(), y.tolist(), s.tolist())], dtype=np.float64)
+
+
+def reference_descriptors(ii, x, y, s, theta):
+    """`reference_descriptor` of each point at theta[i], shape (N, 64)."""
+    points = zip(x.tolist(), y.tolist(), s.tolist(), theta.tolist())
+    return np.array([reference_descriptor(ii, *p) for p in points]).reshape(-1, 64)
+
+
+def assert_batched_equals_reference(ii, x, y, s):
     """Orientation and descriptors agree byte for byte with the per-point
     reference, oriented and upright, for the whole batch and for each point
     computed alone."""
-    x, y, s, _ = point_arrays(pts)
-    alone = [slice(i, i + 1) for i in range(len(pts))]
-    want_theta = np.array([reference_orientation(ii, p) for p in pts], dtype=np.float64)
+    alone = [slice(i, i + 1) for i in range(len(x))]
+    want_theta = reference_orientations(ii, x, y, s)
     assert assign_orientation(ii, x, y, s).tobytes() == want_theta.tobytes()
     for i in alone:
         assert assign_orientation(ii, x[i], y[i], s[i]).tobytes() == want_theta[i].tobytes()
-    oriented = [dataclasses.replace(p, orientation=t) for p, t in zip(pts, want_theta.tolist())]
     for upright in (False, True):
-        want = np.array([reference_descriptor(ii, p, upright) for p in oriented]).reshape(-1, 64)
-        theta = np.zeros(len(pts)) if upright else want_theta
+        theta = np.zeros(len(x)) if upright else want_theta
+        want = reference_descriptors(ii, x, y, s, theta)
         assert extract_descriptor(ii, x, y, s, theta).tobytes() == want.tobytes()
         for i in alone:
             assert extract_descriptor(ii, x[i], y[i], s[i], theta[i]).tobytes() == want[i].tobytes()
@@ -966,17 +969,14 @@ def test_extraction_bit_identical_to_per_point_reference(img, octaves, min_point
     ii = integral_of(img)
     for upright in (False, True):
         cfg = ExtractionConfig(octaves=octaves, upright=upright)
-        pts, descs = extract_features(img, cfg)
-        assert len(pts) >= min_points
+        f = _extract(img, cfg)
+        assert len(f.xy) >= min_points
         detected = detect_interest_points(ii, build_response_maps(ii, cfg), cfg.threshold)
-        assert [dataclasses.replace(p, orientation=0.0) for p in pts] == detected
-        want_theta = [0.0 if upright else reference_orientation(ii, p) for p in detected]
-        got_theta = np.array([p.orientation for p in pts], dtype=np.float64)
-        assert got_theta.tobytes() == np.array(want_theta, dtype=np.float64).tobytes()
-        want = [reference_descriptor(ii, p, upright) for p in pts]
-        got = np.array([d.components for d in descs]).reshape(-1, 64)
-        assert got.tobytes() == np.array(want).reshape(-1, 64).tobytes()
-        assert [d.laplacian_sign for d in descs] == [p.laplacian_sign for p in pts]
+        assert np.column_stack([f.xy, f.scale, f.response, f.sign]).tobytes() == detected.tobytes()
+        x, y, s = detected[:, :3].T
+        theta = np.zeros(len(x)) if upright else reference_orientations(ii, x, y, s)
+        assert f.orientation.tobytes() == theta.tobytes()
+        assert f.desc.tobytes() == reference_descriptors(ii, x, y, s, theta).tobytes()
 
 
 def test_border_clipped_points_bit_identical_to_reference():
@@ -984,12 +984,12 @@ def test_border_clipped_points_bit_identical_to_reference():
     img = blob_texture(96, 80, 8, seed=7)
     ii = integral_of(img)
     pts = [
-        point_at(x, y, s)
+        (x, y, s)
         for x in (0.0, 1.4, 5.5, 47.0, 90.6, 95.0)
         for y in (0.0, 2.5, 40.2, 77.7, 79.0)
         for s in (1.2, 2.6, 7.9)
     ]
-    assert_batched_equals_reference(ii, pts)
+    assert_batched_equals_reference(ii, *np.array(pts, dtype=np.float64).T)
 
 
 @pytest.mark.parametrize(
@@ -999,10 +999,9 @@ def test_border_clipped_points_bit_identical_to_reference():
 )
 def test_block_boundaries_bit_identical_to_reference(n):
     img = noise_frame(seed=2, side=128)
-    ii = integral_of(img)
-    pts, _ = extract_features(img)
-    assert len(pts) >= n
-    assert_batched_equals_reference(ii, pts[:n])
+    f = _extract(img)
+    assert len(f.xy) >= n
+    assert_batched_equals_reference(integral_of(img), f.xy[:n, 0], f.xy[:n, 1], f.scale[:n])
 
 
 def test_extract_features_constant_image_empty():
@@ -1040,21 +1039,41 @@ def test_extraction_memory_is_bounded():
     assert peak < 40 * side * side
 
 
+def field_bytes(f):
+    """Every field of a features table, as (name, dtype, shape, bytes)."""
+    return [(k, str(a.dtype), a.shape, a.tobytes()) for k, a in vars(f).items()]
+
+
 def test_pipeline_equals_manual_stage_composition(rng):
     cfg = ExtractionConfig()
     for seed in range(10):
         img = blob_texture(64, 64, 5, seed=100 + seed, margin=0.12)
-        got_pts, got_descs = extract_features(img, cfg)
         ii = build_integral(to_grayscale(img))
         pts = detect_interest_points(ii, build_response_maps(ii, cfg), cfg.threshold)
-        x, y, s, _ = point_arrays(pts)
+        x, y, s, response, sign = pts.T
         theta = assign_orientation(ii, x, y, s)
-        descs = extract_descriptor(ii, x, y, s, theta)
-        assert got_pts == [dataclasses.replace(p, orientation=t) for p, t in zip(pts, theta.tolist())]
-        assert len(got_descs) == len(descs)
-        for a, b, p in zip(got_descs, descs, pts):
-            assert np.array_equal(a.components, b)
-            assert a.laplacian_sign == p.laplacian_sign
+        want = Features(pts[:, :2], s, response, theta, sign, extract_descriptor(ii, x, y, s, theta))
+        assert field_bytes(_extract(img, cfg)) == field_bytes(want)
+
+
+def test_extract_features_lists_are_the_table_row_for_row():
+    """The one place per-point objects are built: row i of `_extract`'s
+    table is points[i] and descriptors[i], bit for bit, and the Laplacian
+    sign is the int +1 or -1 on both."""
+    for img, cfg in [
+        (blob_texture(160, 128, 12, seed=4), ExtractionConfig()),
+        (noise_frame(seed=9, side=112), ExtractionConfig(octaves=4, threshold=1e-4, upright=True)),
+    ]:
+        f = _extract(img, cfg)
+        points, descriptors = extract_features(img, cfg)
+        assert len(points) == len(descriptors) == len(f.xy) > 0
+        fields = np.array([(p.x, p.y, p.scale, p.response, p.orientation) for p in points])
+        assert fields.tobytes() == np.column_stack([f.xy, f.scale, f.response, f.orientation]).tobytes()
+        assert {type(v) for p in points for v in (p.x, p.y, p.scale, p.response, p.orientation)} == {float}
+        assert np.array([d.components for d in descriptors]).tobytes() == f.desc.tobytes()
+        signs = [(p.laplacian_sign, d.laplacian_sign) for p, d in zip(points, descriptors)]
+        assert {type(v) for pair in signs for v in pair} == {int} and {v for pair in signs for v in pair} == {1, -1}
+        assert [p for p, _ in signs] == [d for _, d in signs] == f.sign.tolist()
 
 
 def test_extraction_is_deterministic():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from arfex import matching
-from arfex.features import Descriptor, Features, InterestPoint
+from arfex.features import Descriptor, Features
 from arfex.matching import (
     LONE_CANDIDATE_MAX_DISTANCE,
     SCREEN_ELEMENTS,
@@ -31,7 +31,9 @@ class Match(NamedTuple):
 
 def features_of(descs):
     """A features table of the descriptors, at points that only carry their signs."""
-    return Features.from_points([InterestPoint(0.0, 0.0, 1.0, 0.0, d.laplacian_sign) for d in descs], descs)
+    n = len(descs)
+    desc = np.array([d.components for d in descs], dtype=np.float64).reshape(n, 64)
+    return Features(np.zeros((n, 2)), np.ones(n), np.zeros(n), np.zeros(n), [d.laplacian_sign for d in descs], desc)
 
 
 def descriptors_of(features):

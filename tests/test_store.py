@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, event, example, given, settings, strategies 
 
 from arfex import draw, store
 from arfex.errors import ArfexError, DuplicateId, NoFeatures, ParseError, VersionMismatch
-from arfex.features import ExtractionConfig, Features, extract_features
+from arfex.features import ExtractionConfig, Features, _extract, extract_features
 from arfex.image import RasterImage
 from arfex.geometry import default_min_inliers, ransac_verify
 from arfex.store import (
@@ -77,12 +77,22 @@ def test_index_flat_image_has_no_features():
 
 def test_query_exact_copy_recognized(small_db):
     img = blob_texture(192, 192, 16, seed=51)
-    result, points = query_image(small_db, img)
+    result, query = query_image(small_db, img)
     assert result.best == "obj1"
     assert result.recognized
     assert result.ranked[0].verification.verified
     assert result.associated_info == {"name": "Object 1", "info": "about object 1"}
-    assert points
+    assert len(query.xy)
+
+
+def test_query_returns_the_query_features_under_the_database_config():
+    config = ExtractionConfig(octaves=2, threshold=1e-4, upright=True)
+    img = blob_texture(192, 192, 16, seed=50)
+    db = index_image(Database(config), img, "obj0", "Object 0", "")
+    query = add_noise(img, 3.0, seed=5)
+    _, got = query_image(db, query)
+    assert feature_bytes(got) == feature_bytes(_extract(query, config))
+    assert feature_bytes(got) != feature_bytes(_extract(query))
 
 
 def test_query_noise_unrecognized(small_db):
@@ -478,7 +488,7 @@ def two_views():
 
 def test_query_equals_per_record_reference(small_db):
     img = two_views()
-    result, points = query_image(small_db, img, seed=3)
+    result, query = query_image(small_db, img, seed=3)
     _, descriptors = extract_features(img, small_db.extraction_config)
     by_id = {c.object_id: c for c in result.ranked}
     assert by_id["obj0"].match_count >= 8 and 4 <= by_id["obj1"].match_count < 8
@@ -493,7 +503,7 @@ def test_query_equals_per_record_reference(small_db):
         ]
         assert got.match_count == len(want)
         src = np.array([rec.features.xy[m.target_index] for m in want]).reshape(-1, 2)
-        dst = np.array([[points[m.query_index].x, points[m.query_index].y] for m in want])
+        dst = np.array([query.xy[m.query_index] for m in want]).reshape(-1, 2)
         if len(want) < default_min_inliers(len(want)):
             assert_below_the_floor(got)
             continue
@@ -539,7 +549,7 @@ def test_record_at_the_verification_floor_goes_through_ransac(monkeypatch):
     # rows match it, at distance 0; 8 rows reach the floor and 7 do not.
     img = blob_texture(192, 192, 16, seed=50)
     config = ExtractionConfig()
-    query = Features.from_points(*extract_features(img, config))
+    query = _extract(img, config)
     rows = np.linspace(0, len(query.xy) - 1, 8).astype(np.intp)
 
     def record(object_id, take):
@@ -559,7 +569,7 @@ def test_record_at_the_verification_floor_goes_through_ransac(monkeypatch):
 
 @pytest.mark.parametrize("seed", [-1, 1.5, True, "1", None])
 def test_query_refuses_a_seed_that_is_not_an_int_of_at_least_zero(small_db, seed, monkeypatch):
-    monkeypatch.setattr(store, "extract_features", None)  # refused before extraction
+    monkeypatch.setattr(store, "_extract", None)  # refused before extraction
     with pytest.raises(ValueError, match="seed"):
         query_image(small_db, noise_image(192, 192, seed=77), seed=seed)
 
@@ -728,7 +738,7 @@ def test_any_document_gives_a_database_or_a_parse_error(db_file, doc):
     save_db(load_db(db_file), db_file)
     assert db_file.read_bytes() == saved
     try:
-        result, points = query_image(db, QUERY_IMAGE)
+        result, query = query_image(db, QUERY_IMAGE)
     except ArfexError as exc:
         event(f"query raised {type(exc).__name__}")
         return
@@ -738,5 +748,5 @@ def test_any_document_gives_a_database_or_a_parse_error(db_file, doc):
     if result.recognized:
         best = result.ranked[0]
         record = next(r for r in db.records if r.object_id == best.object_id)
-        inliers = [points[q] for q in best.matches[best.verification.inlier_indices, 0].tolist()]
-        draw.recognition_overlay(QUERY_IMAGE, inliers, best.verification.model, record.image_size)
+        rows = best.matches[best.verification.inlier_indices, 0]
+        draw.recognition_overlay(QUERY_IMAGE, query.xy[rows], query.scale[rows], best.verification.model, record.image_size)
