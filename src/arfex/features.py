@@ -84,12 +84,20 @@ instead; both give the same bits.  The kept set is the AND of the same 26
 strict comparisons whatever their order, and compaction keeps row-major
 order, so refinement gets the same cells in the same order as from
 comparing every candidate with all 26 neighbours of a four-layer stack.
-The survivors of one layer are refined together: their 3x3x3
-neighbourhoods give 3x3 Hessians that form one (N, 3, 3) stack for one
-`np.linalg.solve`, which runs the same LAPACK solve per matrix as a
-one-matrix call.  One singular matrix makes the whole stack raise, so then
-each candidate is solved on its own and the singular ones are dropped.
-Each kept point's Laplacian sign is one more `_layer_cells` read.
+The survivors of one layer are refined together, by elementwise
+arithmetic alone, so no LAPACK routine sets the bits and a point gets the
+same bits whatever shares its layer.  Each 3x3x3 neighbourhood gives a
+gradient g and a symmetric 3x3 Hessian H, and the offset is -adj(H) g /
+det H, from H's six distinct cofactors.  The nine derivatives are first
+scaled by a power of two, which is exact, so that tiny responses do not
+underflow det H; a det H of 0 gives a non-finite offset, which fails the
+0.5 test.  Each kept point's Laplacian sign is one more `_layer_cells`
+read.  Every layer's points are rows of one (N, 5) table, sorted at the
+end by one stable `np.lexsort`.
+
+`extract_features` is the one place per-point objects are built: it wraps
+the rows of `_extract`'s `Features` table, the form every other caller in
+the package (the store, the CLI, the overlays) reads.
 
 `assign_orientation` and `extract_descriptor` take arrays of points and run
 as array passes over blocks of ORIENTATION_BLOCK and BLOCK points, about
@@ -472,34 +480,44 @@ def _outer_layer(table: np.ndarray, stride: int, size: int, grid: tuple[int, int
 
 def _refine(cube: np.ndarray) -> np.ndarray:
     """Offsets (x, y, scale) of one quadratic step from the centre of each
-    3x3x3 neighbourhood cube[n, layer, row, column], by one stacked solve,
-    or one solve each if any Hessian is singular; NaN where one is."""
+    3x3x3 neighbourhood cube[n, layer, row, column]: -adj(H) g / det H, with
+    H the symmetric 3x3 Hessian and g the gradient; non-finite where det H
+    is 0.
+
+    Each neighbourhood's nine derivatives are first scaled by the power of
+    two that puts the largest in [0.5, 1).  The scaling is exact and leaves
+    the offset as it is, but without it the products of tiny (subnormal)
+    responses underflow det H to 0.
+    """
 
     def at(dk, di, dj):
         return cube[:, 1 + dk, 1 + di, 1 + dj]
 
     v = at(0, 0, 0)
-    dx = (at(0, 0, 1) - at(0, 0, -1)) / 2.0
-    dy = (at(0, 1, 0) - at(0, -1, 0)) / 2.0
-    ds = (at(1, 0, 0) - at(-1, 0, 0)) / 2.0
-    dxx = at(0, 0, 1) - 2 * v + at(0, 0, -1)
-    dyy = at(0, 1, 0) - 2 * v + at(0, -1, 0)
-    dss = at(1, 0, 0) - 2 * v + at(-1, 0, 0)
-    dxy = (at(0, 1, 1) - at(0, 1, -1) - at(0, -1, 1) + at(0, -1, -1)) / 4.0
-    dxs = (at(1, 0, 1) - at(1, 0, -1) - at(-1, 0, 1) + at(-1, 0, -1)) / 4.0
-    dys = (at(1, 1, 0) - at(1, -1, 0) - at(-1, 1, 0) + at(-1, -1, 0)) / 4.0
-    hess = np.stack([dxx, dxy, dxs, dxy, dyy, dys, dxs, dys, dss], axis=-1).reshape(-1, 3, 3)
-    grad = np.stack([dx, dy, ds], axis=-1)
-    try:
-        return -np.linalg.solve(hess, grad[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:
-        offset = np.full(grad.shape, np.nan)  # no solution fails the offset test
-        for n in range(len(grad)):
-            try:
-                offset[n] = -np.linalg.solve(hess[n], grad[n])
-            except np.linalg.LinAlgError:
-                pass
-        return offset
+    derivatives = np.stack([
+        (at(0, 0, 1) - at(0, 0, -1)) / 2.0,
+        (at(0, 1, 0) - at(0, -1, 0)) / 2.0,
+        (at(1, 0, 0) - at(-1, 0, 0)) / 2.0,
+        at(0, 0, 1) - 2 * v + at(0, 0, -1),
+        at(0, 1, 0) - 2 * v + at(0, -1, 0),
+        at(1, 0, 0) - 2 * v + at(-1, 0, 0),
+        (at(0, 1, 1) - at(0, 1, -1) - at(0, -1, 1) + at(0, -1, -1)) / 4.0,
+        (at(1, 0, 1) - at(1, 0, -1) - at(-1, 0, 1) + at(-1, 0, -1)) / 4.0,
+        (at(1, 1, 0) - at(1, -1, 0) - at(-1, 1, 0) + at(-1, -1, 0)) / 4.0,
+    ])
+    _, exponent = np.frexp(np.max(np.abs(derivatives), axis=0))
+    dx, dy, ds, dxx, dyy, dss, dxy, dxs, dys = np.ldexp(derivatives, -exponent)
+    # The cofactors of H; H is symmetric, so adj(H) is too.
+    cxx = dyy * dss - dys * dys
+    cxy = dxs * dys - dxy * dss
+    cxs = dxy * dys - dyy * dxs
+    cyy = dxx * dss - dxs * dxs
+    cys = dxy * dxs - dxx * dys
+    css = dxx * dyy - dxy * dxy
+    det = dxx * cxx + dxy * cxy + dxs * cxs
+    step = np.stack([cxx * dx + cxy * dy + cxs * ds, cxy * dx + cyy * dy + cys * ds, cxs * dx + cys * dy + css * ds], 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return -step / det[:, None]
 
 
 def _haar(table: np.ndarray, xs, ys, size) -> np.ndarray:

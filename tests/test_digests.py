@@ -9,12 +9,15 @@ that moved; print the table of the current code with
 
     PYTHONPATH=src:tests python tests/test_digests.py
 
-The bits rest on numpy and LAPACK (the stacked `solve` in refinement, the
-`lstsq` of homography estimation).  The table was made with NUMPY_VERSION;
-on another numpy, a mismatch is a finding about cross-platform
-determinism, reported in the failure message.  On x86-64 the table also
-holds when numpy dispatches only its baseline kernels
-(`test_digests_hold_under_numpy_baseline_kernels`).
+The bits rest on numpy.  Extraction calls no LAPACK routine (refinement
+is a closed-form solve), but the query answers also rest on LAPACK: the
+`solve` and `lstsq` of homography estimation.  The table was made with
+NUMPY_VERSION; on another numpy, a mismatch is a finding about
+cross-platform determinism, reported in the failure message.  On x86-64
+the table also holds when numpy dispatches only its baseline kernels
+(`test_digests_hold_under_numpy_baseline_kernels`) and, but for the query
+answers, under OpenBLAS's older kernels
+(`test_digests_hold_under_older_openblas_kernels`).
 """
 
 import hashlib
@@ -25,6 +28,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from numpy._core._multiarray_umath import __cpu_features__
 
 from arfex.blobs import binarize, detect_blobs
 from arfex.cli import main
@@ -40,15 +44,15 @@ DIGESTS = {
     "extract/texture/default": "9b54e83bccc793075c704badb10e09dfb3165df12b074918d5b63ea33668ba0f",
     "extract/texture/upright": "803133469758bb251ad86f2d240bb8d848e811a39cac439a9f8b7055036413fd",
     "extract/texture/octaves1": "2198dd7a8c9ae90ef6447cf1193c39b4f8adba9590dc24720c2ce5f552c2eda1",
-    "extract/texture/octaves4": "ecca0fb104595bb82ebbac8ff67d6e1586523eb4ce50874ce1b75becfe2b0eb4",
-    "extract/view/default": "50f05b25869946e86f5fbe6aac40828454397582e3a70061d41214bf89738427",
-    "extract/view/upright": "10d1d263706b6261e5b86abe82edcc2c6914e9a316dac949006f6458619d8962",
-    "extract/view/octaves1": "159f555c961b72383a413b0a40e466d72f7e17e4d86493ee9a2dfcbe990f34e8",
-    "extract/view/octaves4": "e158e95810130faeb641cdf6a936744a13c7b3426be407b02541f78573698c07",
-    "extract/noise/default": "d58b42288e925c6d98111b8ca9f3b0cce9d718892722678de4c5d549ac04c878",
-    "extract/noise/upright": "98badd675c43320bafa07147d88c0058b27bcb314fc7a663273890a8744f55bd",
-    "extract/noise/octaves1": "cff8ca3c1c4d76fad6689f73aa01316b02e12495606651203a39165b263ae623",
-    "extract/noise/octaves4": "74d5e8b98916c881b31412bfb476410cf1c996566f3d7a09d3c0c49385b59236",
+    "extract/texture/octaves4": "ee44e5c8641cd87f229f01fd4c392c062687647782395c6d275233b2775195da",
+    "extract/view/default": "c13ed478212caaebfe806d02b88340cde031b9f1a75b0a6552ec4aecb5ba201a",
+    "extract/view/upright": "5cd98742df29bfc8ae9892f1870dd8a93448b3e677bf0dc0e711e4b4cc47379d",
+    "extract/view/octaves1": "07262132633216af59331c9331907469fa93aa84c730e19446f81f40c8edbfdb",
+    "extract/view/octaves4": "b61421f7e070f99b29dde29fc5aa10d40ec361b1fc5c6904b18a2e93d4c85241",
+    "extract/noise/default": "2cb1557425a85f9667cdbc850292ce7d6dbe559b58096e64adfc773bb9648dcc",
+    "extract/noise/upright": "96b131b4c0d04ad2d473592ceab07d9b450a21d6e027f06c3206fd548c78d41b",
+    "extract/noise/octaves1": "2be4268287c83cd232618e1e50eb51bcaf154482817d4a1ff247eb0ea29c5e7d",
+    "extract/noise/octaves4": "e6becc7e56b97c513b97fabc428955ba922a66afe2631fb1b4cef75f2b34b6bb",
     "blobs/texture/min1": "5a75cd1c48747d06809a7c2462a1922be0aea9b639489ea514a80ae6b90572b0",
     "blobs/texture/min60": "f5b464a1ab19ed8253cf6b2cb7775ab37ef53e811c9d74a0ab7182a80573dd05",
     "blobs/texture-black/min1": "812fe848375aeffb1e474519055012b7cb1e91a499c3ad5a486e4b4d267bbc30",
@@ -56,13 +60,13 @@ DIGESTS = {
     "blobs/random/min1": "474eb3daa296f7527de199cd6736aa18e6570ac4fdea4fb636128e7260139462",
     "blobs/random/min60": "2620c5c47ab5dff4aace4f73ac5ce8e1d4d9ad664d80dc1ec2dfdef51b5fd138",
     "query/view": "b6bcba511fb30628e6b7ff7f3a77dbfee0802c16428a72c32ee2b4a1ba9892f6",
-    "query/pair": "70f439e21b1d2a00e5e5450ab57857e884268733eafcaf0c79e1c74a5648afdb",
+    "query/pair": "24e0c2406286744d1c89355f4fcf3b6e47e973b8b86bc66e87b53a4ff36aa659",
     "query/noise": "db27a631745b1b9c4bba74250172086ffac24c43644a0f22fbaff982252c2996",
-    "cli/extract": "8107e3a5c71807732b88435cbc77f1fbd3b010c1076c8c2168b1368a76bef68b",
+    "cli/extract": "bc2b2025b52ae1ab3b282475821fdc71f15d4a2d8af94157ed2de02ed4d9f5b9",
     "cli/extract-octaves4-upright": "1b11fb8f2e15dbacfefb2253600d2f0d79fc1829636fc76806be6c99d2c44e75",
     "cli/blobs": "de7ed74ab00cbd14929d04307425c5d6ce67a5adc19bb73897d5df63fe4f10ae",
     "cli/index-1": "3257cfcac30d4a18b0c86bfb449d28fb9cdd01693eafba24a975519eee51d5fd",
-    "cli/index-2": "806828fcac4c7571fa2d0047b7e0c813529e7c0eb6ed4fccb4ff4b67872840b9",
+    "cli/index-2": "6ca1fecb9136389970f2b386c5e13b293472c69506e94c59dff22ae64972c350",
     "cli/query-annotate": "86dc3df2830d827249233acd4b7f40e2b49be85f651cdb7b5913fee2a4b9a407",
     "cli/annotate": "c496718a5617daffbf70ac176bf9574b23f74150c40fd01ce7aa4ceecc9c622e",
 }
@@ -219,6 +223,17 @@ json.dump({{"on": on, "table": table}}, sys.stdout)
 """
 
 
+def run_child(workdir, **env) -> tuple[dict, str]:
+    """CHILD's report and its stderr, run in `workdir` with `env` added to
+    the environment."""
+    here = Path(__file__).parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path, **env)
+    run = subprocess.run([sys.executable, "-c", CHILD], cwd=workdir, env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout), run.stderr
+
+
 def test_digests_hold_under_numpy_baseline_kernels(tmp_path):
     """A child process with numpy's AVX2 and AVX-512 kernels switched off
     (NPY_DISABLE_CPU_FEATURES) reproduces the extraction, query and CLI
@@ -229,16 +244,33 @@ def test_digests_hold_under_numpy_baseline_kernels(tmp_path):
     match no feature and the setting does nothing: the child then
     recomputes the table under numpy's usual kernels, like the tests above.
     """
-    here = Path(__file__).parent
-    path = os.pathsep.join([str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")])
-    env = dict(os.environ, PYTHONPATH=path, NPY_DISABLE_CPU_FEATURES=" ".join(SIMD_GROUPS))
-    run = subprocess.run([sys.executable, "-c", CHILD], cwd=tmp_path, env=env, capture_output=True, text=True)
-    assert run.returncode == 0, run.stderr
-    child = json.loads(run.stdout)
+    child, _ = run_child(tmp_path, NPY_DISABLE_CPU_FEATURES=" ".join(SIMD_GROUPS))
     assert child["on"] == [], f"NPY_DISABLE_CPU_FEATURES left these on: {child['on']}"
     want = {k: v for k, v in DIGESTS.items() if not k.startswith("blobs/")}
     moved = sorted(k for k in child["table"].keys() | want.keys() if child["table"].get(k) != want.get(k))
     assert not moved, f"digests moved under numpy {np.__version__}'s baseline kernels: {moved}"
+
+
+def test_digests_hold_under_older_openblas_kernels(tmp_path):
+    """A child process with OpenBLAS forced to its Prescott kernels
+    (OPENBLAS_CORETYPE), and to its Haswell ones when the CPU has AVX2,
+    reproduces every extraction digest and every CLI digest but
+    `cli/query-annotate`.
+
+    The `query/*` digests and `cli/query-annotate` are left out by name:
+    homography estimation still sets their bits with LAPACK's `solve` and
+    `lstsq`, and they move under these kernels.  Only OpenBLAS's x86-64
+    builds read the variable; elsewhere, or under another BLAS, it does
+    nothing and the child recomputes the table under the usual kernels.
+    The child runs with OPENBLAS_VERBOSE=2, so a failure names the core
+    OpenBLAS took.
+    """
+    cores = ["Prescott"] + (["Haswell"] if __cpu_features__.get("AVX2") else [])
+    want = {k: v for k, v in DIGESTS.items() if k.startswith(("extract/", "cli/")) and k != "cli/query-annotate"}
+    for core in cores:
+        child, log = run_child(tmp_path, OPENBLAS_CORETYPE=core, OPENBLAS_VERBOSE="2")
+        moved = sorted(k for k in want if child["table"].get(k) != want[k])
+        assert not moved, f"digests moved under OPENBLAS_CORETYPE={core} ({log.strip()}): {moved}"
 
 
 if __name__ == "__main__":

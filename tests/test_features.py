@@ -417,33 +417,44 @@ def sorted_table(rows):
 
 
 def reference_refine(stacks, stride, sizes, k, i, j):
-    """Per-candidate reference: one quadratic step, one 3x3 solve, on the
-    four-layer `stacks` of the octave of `stride` and filter `sizes`; the
-    point's detection row, or None."""
+    """Per-candidate reference: one quadratic step on the four-layer `stacks`
+    of the octave of `stride` and filter `sizes`, solved in Python floats as
+    -adj(H) g / det H after scaling the nine derivatives by the power of two
+    that puts the largest in [0.5, 1); the point's detection row, or None."""
     responses, signs = stacks
-    c = responses[k - 1 : k + 2, i - 1 : i + 2, j - 1 : j + 2]
-    dx = (c[1, 1, 2] - c[1, 1, 0]) / 2.0
-    dy = (c[1, 2, 1] - c[1, 0, 1]) / 2.0
-    ds = (c[2, 1, 1] - c[0, 1, 1]) / 2.0
-    v = c[1, 1, 1]
-    dxx = c[1, 1, 2] - 2 * v + c[1, 1, 0]
-    dyy = c[1, 2, 1] - 2 * v + c[1, 0, 1]
-    dss = c[2, 1, 1] - 2 * v + c[0, 1, 1]
-    dxy = (c[1, 2, 2] - c[1, 2, 0] - c[1, 0, 2] + c[1, 0, 0]) / 4.0
-    dxs = (c[2, 1, 2] - c[2, 1, 0] - c[0, 1, 2] + c[0, 1, 0]) / 4.0
-    dys = (c[2, 2, 1] - c[2, 0, 1] - c[0, 2, 1] + c[0, 0, 1]) / 4.0
-    hess = np.array([[dxx, dxy, dxs], [dxy, dyy, dys], [dxs, dys, dss]])
-    grad = np.array([dx, dy, ds])
-    try:
-        offset = -np.linalg.solve(hess, grad)
-    except np.linalg.LinAlgError:
+    c = responses[k - 1 : k + 2, i - 1 : i + 2, j - 1 : j + 2].tolist()
+    v = c[1][1][1]
+    derivatives = [
+        (c[1][1][2] - c[1][1][0]) / 2.0,
+        (c[1][2][1] - c[1][0][1]) / 2.0,
+        (c[2][1][1] - c[0][1][1]) / 2.0,
+        c[1][1][2] - 2 * v + c[1][1][0],
+        c[1][2][1] - 2 * v + c[1][0][1],
+        c[2][1][1] - 2 * v + c[0][1][1],
+        (c[1][2][2] - c[1][2][0] - c[1][0][2] + c[1][0][0]) / 4.0,
+        (c[2][1][2] - c[2][1][0] - c[0][1][2] + c[0][1][0]) / 4.0,
+        (c[2][2][1] - c[2][0][1] - c[0][2][1] + c[0][0][1]) / 4.0,
+    ]
+    _, e = math.frexp(max(abs(d) for d in derivatives))
+    dx, dy, ds, dxx, dyy, dss, dxy, dxs, dys = (math.ldexp(d, -e) for d in derivatives)
+    hess = [[dxx, dxy, dxs], [dxy, dyy, dys], [dxs, dys, dss]]
+    # cof[r][q], the (r, q) cofactor, from the cyclic rows and columns after r and q.
+    cof = [
+        [
+            hess[(r + 1) % 3][(q + 1) % 3] * hess[(r + 2) % 3][(q + 2) % 3]
+            - hess[(r + 1) % 3][(q + 2) % 3] * hess[(r + 2) % 3][(q + 1) % 3]
+            for q in range(3)
+        ]
+        for r in range(3)
+    ]
+    det = hess[0][0] * cof[0][0] + hess[0][1] * cof[0][1] + hess[0][2] * cof[0][2]
+    if det == 0.0:
         return None
-    if np.max(np.abs(offset)) > 0.5:
+    offset = [-(cof[0][r] * dx + cof[1][r] * dy + cof[2][r] * ds) / det for r in range(3)]
+    if not all(abs(o) <= 0.5 for o in offset):
         return None
-    step = sizes[k + 1] - sizes[k]
-    size = sizes[k] + offset[2] * step
-    x, y = (j + offset[0]) * stride, (i + offset[1]) * stride
-    return float(x), float(y), float(1.2 * size / 9), float(v), int(signs[k, i, j])
+    size = sizes[k] + offset[2] * (sizes[k + 1] - sizes[k])
+    return (j + offset[0]) * stride, (i + offset[1]) * stride, 1.2 * size / 9, v, int(signs[k, i, j])
 
 
 def dense_nms_reference(table, maps, threshold, beats=np.greater):
@@ -603,9 +614,8 @@ def test_outer_layer_read_by_cell_or_dense_fill_gives_the_same_bits(monkeypatch)
 
 
 def test_refine_drops_only_the_singular_neighbourhood():
-    """One singular Hessian in a stack falls back to one solve per
-    neighbourhood: the regular one keeps its offset, the singular one gets
-    NaN, whatever else shares the stack."""
+    """A singular Hessian gives its own neighbourhood a non-finite offset:
+    the regular one keeps its offset, whatever else shares the stack."""
     regular = np.zeros((3, 3, 3))
     regular[1] = 9.0 * np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
     regular[1, 1, 1] = 10.0
@@ -616,6 +626,8 @@ def test_refine_drops_only_the_singular_neighbourhood():
     singular[1, [0, 0, 2, 2], [0, 2, 0, 2]] = [9.0, 5.0, 5.0, 9.0]
     alone = features._refine(regular[None])
     assert np.array_equal(alone, [[0.0, 0.0, 4.5 / 11.0]])
+    for e in (-1070, -600, 600):  # the same cube scaled exactly: subnormal, tiny and huge responses
+        assert features._refine(np.ldexp(regular, e)[None]).tobytes() == alone.tobytes()
     assert np.isnan(features._refine(singular[None])).all()
     for cube, row in ((np.stack([singular, regular]), 1), (np.stack([regular, singular, regular]), 0)):
         got = features._refine(cube)
