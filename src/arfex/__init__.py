@@ -39,7 +39,7 @@ from .geometry import (
     ransac_verify,
     reprojection_errors,
 )
-from .image import RasterImage, box_level_sums, box_sums, build_integral, to_grayscale
+from .image import RasterImage, build_integral, to_grayscale
 from .image_io import read_image, write_ppm
 from .store import (
     Database,
@@ -82,8 +82,6 @@ __all__ = [
     "VersionMismatch",
     "assign_orientation",
     "binarize",
-    "box_level_sums",
-    "box_sums",
     "build_integral",
     "build_response_maps",
     "detect_blobs",

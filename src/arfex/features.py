@@ -9,8 +9,8 @@ configuration give byte-identical output.
 The stages that read the image take the integral image as the plain
 (h + 1, w + 1) int64 padded table P of `image.build_integral` or its int32
 wrap, read the image's width and height from its shape, and give the same
-bits from either (below).  `extract_features` wraps P to int32 once and
-hands that one table to every stage.
+bits from either (below).  `_extract` wraps P to int32 once and hands
+that one table to every stage.
 
 The scale space is one (2, gh, gw) float64 array per octave, in octave
 order.  Octave o (1-based) samples every 2^(o-1) pixels: grid cell (i, j)

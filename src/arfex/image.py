@@ -1,4 +1,4 @@
-"""Raster images, grayscale conversion, integral images, and box sums.
+"""Raster images, grayscale conversion and integral images.
 
 Gray levels and integral images are plain arrays.  `to_grayscale` gives the
 (h, w) uint8 level array; `build_integral` gives its zero-padded inclusive
@@ -9,12 +9,11 @@ images and are divided by 255 only at lookup time, so box sums of flat
 regions cancel to exactly zero.  Width and height are read from the table's
 shape.
 
-Rectangular luminance sums cost O(1) via the four-corner identity on P.
-Haar responses, for orientation and descriptors, gather eight corners per
-sample from P with each index clamped into it; response maps take strip
-differences of strided row and column slices of an int32 copy of it, one
-row band at a time (see `features`).  `box_level_sums` clips any rectangles
-to the image, and `box_sums` is its unit-scaled form.
+Rectangular luminance sums cost O(1) via the four-corner identity on P,
+and `features` takes them all itself: Haar responses, for orientation and
+descriptors, gather eight corners per sample from P with each index
+clamped into it; response maps take strip differences of strided row and
+column slices of an int32 copy of it, one row band at a time.
 
 All functions are pure: none writes to its inputs.
 """
@@ -97,41 +96,3 @@ def build_integral(levels: np.ndarray) -> np.ndarray:
     np.cumsum(levels, axis=0, dtype=np.int64, out=p[1:, 1:])
     np.cumsum(p[1:, 1:], axis=1, out=p[1:, 1:])
     return p
-
-
-def box_level_sums(table: np.ndarray, x0, y0, x1, y1) -> np.ndarray:
-    """Vectorized clipped rectangle sums over integer levels (exact int64),
-    from the padded table of `build_integral`.
-
-    Linear combinations of boxes (Hessian/Haar filters) should be formed on
-    these integer sums and divided by 255 once, so flat regions cancel to
-    exactly zero.
-    """
-    height, width = table.shape[0] - 1, table.shape[1] - 1
-    x0 = np.maximum(np.asarray(x0, dtype=np.int64), 0)
-    y0 = np.maximum(np.asarray(y0, dtype=np.int64), 0)
-    x1 = np.minimum(np.asarray(x1, dtype=np.int64), width - 1)
-    y1 = np.minimum(np.asarray(y1, dtype=np.int64), height - 1)
-    x0, y0, x1, y1 = np.broadcast_arrays(x0, y0, x1, y1)
-    empty = (x0 > x1) | (y0 > y1)
-    # Clamp empty rectangles to a valid cell so the gather stays in bounds.
-    cx0 = np.where(empty, 0, x0)
-    cy0 = np.where(empty, 0, y0)
-    cx1 = np.where(empty, 0, x1)
-    cy1 = np.where(empty, 0, y1)
-    s = (
-        table[cy1 + 1, cx1 + 1]
-        - table[cy0, cx1 + 1]
-        - table[cy1 + 1, cx0]
-        + table[cy0, cx0]
-    )
-    return np.where(empty, 0, s)
-
-
-def box_sums(table: np.ndarray, x0, y0, x1, y1) -> np.ndarray:
-    """Sums of unit luminance over inclusive rectangles [x0..x1] x [y0..y1].
-
-    Coordinate arrays (or scalars) in, float64 sums out.  Each rectangle is
-    clipped to the image first; one that is empty after clipping sums to 0.
-    """
-    return box_level_sums(table, x0, y0, x1, y1) / 255.0

@@ -16,7 +16,8 @@ import scipy.ndimage
 from arfex.cli import main
 from arfex.features import ExtractionConfig, _layer_cells, build_response_maps, extract_features, filter_sizes
 from arfex.geometry import Homography, ransac_verify
-from arfex.image import RasterImage, box_sums, build_integral, to_grayscale
+from arfex.image import RasterImage, build_integral, to_grayscale
+from boxes import box_sums
 from arfex.image_io import write_ppm
 from arfex.blobs import detect_blobs
 from synthetic import (

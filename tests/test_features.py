@@ -29,7 +29,8 @@ from arfex.features import (
     extract_features,
     filter_sizes,
 )
-from arfex.image import RasterImage, box_level_sums, build_integral, to_grayscale
+from arfex.image import RasterImage, build_integral, to_grayscale
+from boxes import box_level_sums
 from synthetic import apply_gain_offset, blob_texture, similarity_map, warp_similarity
 from conftest import gray_raster, random_raster
 from oracles import hessian_response_at, slice_box_sum

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from arfex.image import RasterImage, box_sums, build_integral, to_grayscale
+from arfex.image import RasterImage, build_integral, to_grayscale
+from boxes import box_sums
 from conftest import random_gray, random_raster
 from oracles import naive_box_sum, slice_box_sum
 
