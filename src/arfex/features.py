@@ -480,15 +480,8 @@ def _outer_layer(table: np.ndarray, stride: int, size: int, grid: tuple[int, int
 
 def _refine(cube: np.ndarray) -> np.ndarray:
     """Offsets (x, y, scale) of one quadratic step from the centre of each
-    3x3x3 neighbourhood cube[n, layer, row, column]: -adj(H) g / det H, with
-    H the symmetric 3x3 Hessian and g the gradient; non-finite where det H
-    is 0.
-
-    Each neighbourhood's nine derivatives are first scaled by the power of
-    two that puts the largest in [0.5, 1).  The scaling is exact and leaves
-    the offset as it is, but without it the products of tiny (subnormal)
-    responses underflow det H to 0.
-    """
+    3x3x3 neighbourhood cube[n, layer, row, column]: -adj(H) g / det H of
+    its Hessian H and gradient g, non-finite where det H is 0."""
 
     def at(dk, di, dj):
         return cube[:, 1 + dk, 1 + di, 1 + dj]
@@ -505,6 +498,8 @@ def _refine(cube: np.ndarray) -> np.ndarray:
         (at(1, 0, 1) - at(1, 0, -1) - at(-1, 0, 1) + at(-1, 0, -1)) / 4.0,
         (at(1, 1, 0) - at(1, -1, 0) - at(-1, 1, 0) + at(-1, -1, 0)) / 4.0,
     ])
+    # Scaled exactly, the largest into [0.5, 1): the offset is the same, but
+    # tiny (subnormal) responses no longer underflow det H to 0.
     _, exponent = np.frexp(np.max(np.abs(derivatives), axis=0))
     dx, dy, ds, dxx, dyy, dss, dxy, dxs, dys = np.ldexp(derivatives, -exponent)
     # The cofactors of H; H is symmetric, so adj(H) is too.

@@ -749,4 +749,5 @@ def test_any_document_gives_a_database_or_a_parse_error(db_file, doc):
         best = result.ranked[0]
         record = next(r for r in db.records if r.object_id == best.object_id)
         rows = best.matches[best.verification.inlier_indices, 0]
-        draw.recognition_overlay(QUERY_IMAGE, query.xy[rows], query.scale[rows], best.verification.model, record.image_size)
+        model = best.verification.model
+        draw.recognition_overlay(QUERY_IMAGE, query.xy[rows], query.scale[rows], model, record.image_size)
