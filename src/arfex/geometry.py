@@ -1,10 +1,13 @@
 """Planar homography estimation and RANSAC geometric verification.
 
 The model is a planar homography fit by DLT on the 8-unknown system
-(h33 = 1), with coordinates pre-scaled toward [0, 1] to bound conditioning.
-RANSAC (Fischler & Bolles, CACM 1981) draws 4-point samples, adapts its
-iteration count to the best consensus so far, and polishes the winner with
-bounded least-squares refits.
+(h33 = 1), with coordinates pre-scaled toward [0, 1] to bound conditioning
+(Hartley & Zisserman, *Multiple View Geometry*, 4.1).  Every fit, of 4
+pairs or more, solves the system's normal equations by one fixed-order
+elimination in elementwise numpy, so no BLAS or LAPACK kernel sets a
+model's bits.  RANSAC (Fischler & Bolles, CACM 1981) draws 4-point
+samples, adapts its iteration count to the best consensus so far, and
+polishes the winner with bounded least-squares refits.
 
 Degeneracy rule.  A final model is verified only if, besides reaching the
 inlier count, it maps the object as a camera can: the local Jacobian J(p)
@@ -13,7 +16,11 @@ centroid its singular values differ by a factor of at most MAX_ANISOTROPY.
 With h33 = 1, A = h[:2, :2], v = h[2, :2] and w(p) = v.p + 1, the Jacobian
 is J(p) = (A - H(p) v^T) / w(p) and det J(p) = det H / w(p)^3, so the
 orientation test is det H > 0 and w > 0 at every inlier (no inlier lies
-beyond the model's line at infinity).  The upper-left block A alone is the
+beyond the model's line at infinity).  w is affine, so w > 0 at the
+inliers' centroid c too, and det H > 0 is read as det J(c) > 0.  The
+singular values s0 >= s1 of J(c) satisfy s0^2 + s1^2 = |J|_F^2 and
+s0 s1 = |det J|, so s0 <= K s1 is |J|_F^2 <= (K + 1/K) det J, with no svd
+(K = MAX_ANISOTROPY).  The upper-left block A alone is the
 Jacobian only at the origin of an affine model; under perspective it
 depends on where the object sits in the frame.  A camera view of a planar
 object stretches it far less than MAX_ANISOTROPY (over 192 true views of the
@@ -35,6 +42,12 @@ from .errors import DegenerateConfiguration, PointAtInfinity, SingularSystem
 
 _COLLINEAR_TOL = 1e-9
 _DENOM_TOL = 1e-12
+# A pivot of the normal equations is the squared distance of its column of
+# the system from the span of the columns before it, so its ratio to its
+# own diagonal entry is a scale-free dependency test.  Rounding leaves
+# exactly dependent columns (collinear, repeated or two-cluster sources)
+# near 1e-14; the tolerance stays four decades above that.
+_PIVOT_TOL = 1e-10
 
 SAMPLE_SIZE = 4  # pairs in a minimal homography sample
 MAX_ITERATIONS = 2000
@@ -100,11 +113,17 @@ def _check_collinear(src: np.ndarray) -> None:
 
 
 def estimate_homography(src, dst) -> Homography:
-    """DLT: exact 8x8 solve for 4 pairs, least squares for more; h33 = 1.
+    """DLT on the 8-unknown system (h33 = 1), one solve for 4 pairs and more.
 
-    Collinearity of source points is checked (area test, 1e-9) for the
-    minimal 4-pair case; larger systems surface degeneracy as SingularSystem
-    via rank deficiency.
+    The normal equations of the scaled system are solved by Gauss-Jordan
+    elimination in a fixed order, written with elementwise numpy, so no BLAS
+    or LAPACK kernel sets the model's bits.  They are symmetric positive
+    semi-definite, so the elimination needs no row exchange; a pivot at or
+    below _PIVOT_TOL of its own diagonal entry means the system is singular
+    or numerically rank deficient, and raises SingularSystem.  Collinearity
+    of source points is checked (area test, 1e-9) for the minimal 4-pair
+    case.  A model that is not invertible, or whose unscaled entries
+    overflow, raises SingularSystem too.
     """
     src = _as_points(src)
     dst = _as_points(dst)
@@ -117,58 +136,57 @@ def estimate_homography(src, dst) -> Homography:
     sn = src / s_src
     dn = dst / s_dst
     n = len(sn)
-    a = np.zeros((2 * n, 8))
-    b = np.zeros(2 * n)
+    a = np.zeros((2 * n, 9))  # the system's 8 columns, then its right-hand side
     a[0::2, 0] = sn[:, 0]
     a[0::2, 1] = sn[:, 1]
     a[0::2, 2] = 1.0
     a[0::2, 6] = -sn[:, 0] * dn[:, 0]
     a[0::2, 7] = -sn[:, 1] * dn[:, 0]
-    b[0::2] = dn[:, 0]
+    a[0::2, 8] = dn[:, 0]
     a[1::2, 3] = sn[:, 0]
     a[1::2, 4] = sn[:, 1]
     a[1::2, 5] = 1.0
     a[1::2, 6] = -sn[:, 0] * dn[:, 1]
     a[1::2, 7] = -sn[:, 1] * dn[:, 1]
-    b[1::2] = dn[:, 1]
-    if n == 4:
-        try:
-            sol = np.linalg.solve(a, b)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystem(str(exc)) from exc
-    else:
-        sol, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
-        if rank < 8:
-            raise SingularSystem(f"rank-deficient system (rank {rank})")
-    hn = np.array(
-        [
-            [sol[0], sol[1], sol[2]],
-            [sol[3], sol[4], sol[5]],
-            [sol[6], sol[7], 1.0],
-        ]
-    )
-    h = np.diag([s_dst, s_dst, 1.0]) @ hn @ np.diag([1.0 / s_src, 1.0 / s_src, 1.0])
-    if abs(h[2, 2]) <= _DENOM_TOL:
-        raise SingularSystem("h33 vanished during unscaling")
-    h /= h[2, 2]
-    if abs(np.linalg.det(h)) <= _DENOM_TOL:
+    a[1::2, 8] = dn[:, 1]
+    aug = np.einsum("ki,kj->ij", a[:, :8], a)  # the normal equations, augmented
+    floor = _PIVOT_TOL * aug.diagonal()
+    for k in range(8):
+        pivot = aug[k, k]
+        if not pivot > floor[k]:
+            raise SingularSystem(f"pivot {k} is {float(pivot)!r}, at or below {_PIVOT_TOL} of its diagonal")
+        row = aug[k] / pivot
+        aug -= aug[:, k : k + 1] * row
+        aug[k] = row
+    hn = np.append(aug[:, 8], 1.0).reshape(3, 3)
+    # Python floats: the determinant of the scaled model, times that of the
+    # unscaling, without numpy's overflow warnings (a NaN fails the test).
+    (h11, h12, h13), (h21, h22, h23), (h31, h32, _) = hn.tolist()
+    det = h11 * (h22 - h23 * h32) - h12 * (h21 - h23 * h31) + h13 * (h21 * h32 - h22 * h31)
+    ratio = s_dst / s_src
+    if not abs(det * ratio * ratio) > _DENOM_TOL:
         raise SingularSystem("estimated matrix is not invertible")
+    with np.errstate(over="ignore"):
+        h = hn * np.array([[s_dst], [s_dst], [1.0]]) * np.array([1.0 / s_src, 1.0 / s_src, 1.0])
+    if not np.isfinite(h).all():
+        raise SingularSystem("estimated matrix overflows float64")
     return Homography(h)
 
 
 def reprojection_errors(hom: Homography, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """Euclidean distance between projected src and dst; inf where the
-    projective denominator underflows."""
+    projective denominator underflows or the arithmetic overflows."""
     src = _as_points(src)
     dst = _as_points(dst)
     h = hom.h
-    den = h[2, 0] * src[:, 0] + h[2, 1] * src[:, 1] + h[2, 2]
-    bad = np.abs(den) <= _DENOM_TOL
-    safe = np.where(bad, 1.0, den)
-    px = (h[0, 0] * src[:, 0] + h[0, 1] * src[:, 1] + h[0, 2]) / safe
-    py = (h[1, 0] * src[:, 0] + h[1, 1] * src[:, 1] + h[1, 2]) / safe
-    err = np.hypot(px - dst[:, 0], py - dst[:, 1])
-    err[bad] = np.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        den = h[2, 0] * src[:, 0] + h[2, 1] * src[:, 1] + h[2, 2]
+        bad = np.abs(den) <= _DENOM_TOL
+        safe = np.where(bad, 1.0, den)
+        px = (h[0, 0] * src[:, 0] + h[0, 1] * src[:, 1] + h[0, 2]) / safe
+        py = (h[1, 0] * src[:, 0] + h[1, 1] * src[:, 1] + h[1, 2]) / safe
+        err = np.hypot(px - dst[:, 0], py - dst[:, 1])
+    err[bad | np.isnan(err)] = np.inf
     return err
 
 
@@ -176,13 +194,16 @@ def _plausible_view(hom: Homography, pts: np.ndarray) -> bool:
     """The degeneracy rule (module docstring) at the record points `pts`."""
     h = hom.h
     a, v = h[:2, :2], h[2, :2]
-    if not (np.linalg.det(h) > 0.0 and np.all(pts @ v + h[2, 2] > 0.0)):
+    if not np.all(pts @ v + h[2, 2] > 0.0):
         return False
     c = pts.mean(axis=0)
     wc = c @ v + h[2, 2]
     jac = (a - np.outer((a @ c + h[:2, 2]) / wc, v)) / wc
-    s = np.linalg.svd(jac, compute_uv=False)
-    return bool(s[0] <= MAX_ANISOTROPY * s[1])
+    # A power of two brings the largest entry into [0.5, 1) exactly, so the
+    # Python-float squares and products below neither overflow nor warn.
+    (p, q), (r, s) = np.ldexp(jac, -math.frexp(float(np.max(np.abs(jac))))[1]).tolist()
+    det = p * s - q * r
+    return det > 0.0 and p * p + q * q + r * r + s * s <= (MAX_ANISOTROPY + 1.0 / MAX_ANISOTROPY) * det
 
 
 def _distinct_rows(pts: np.ndarray) -> int:

@@ -9,14 +9,13 @@ that moved; print the table of the current code with
 
     PYTHONPATH=src:tests python tests/test_digests.py
 
-The bits rest on numpy.  Extraction calls no LAPACK routine (refinement
-is a closed-form solve), but the query answers also rest on LAPACK: the
-`solve` and `lstsq` of homography estimation.  The table was made with
-NUMPY_VERSION; on another numpy, a mismatch is a finding about
-cross-platform determinism, reported in the failure message.  On x86-64
-the table also holds when numpy dispatches only its baseline kernels
-(`test_digests_hold_under_numpy_baseline_kernels`) and, but for the query
-answers, under OpenBLAS's older kernels
+The bits rest on numpy.  No BLAS or LAPACK routine sets them: refinement
+and homography estimation are elimination written with elementwise numpy.
+The table was made with NUMPY_VERSION; on another numpy, a mismatch is a
+finding about cross-platform determinism, reported in the failure
+message.  On x86-64 the table also holds when numpy dispatches only its
+baseline kernels (`test_digests_hold_under_numpy_baseline_kernels`) and
+under OpenBLAS's older kernels
 (`test_digests_hold_under_older_openblas_kernels`).
 """
 
@@ -59,15 +58,15 @@ DIGESTS = {
     "blobs/texture-black/min60": "7821bcfb75bc1806e535eaf7183c2a19c93d41d4994a3603cd7548b0c833988e",
     "blobs/random/min1": "474eb3daa296f7527de199cd6736aa18e6570ac4fdea4fb636128e7260139462",
     "blobs/random/min60": "2620c5c47ab5dff4aace4f73ac5ce8e1d4d9ad664d80dc1ec2dfdef51b5fd138",
-    "query/view": "b6bcba511fb30628e6b7ff7f3a77dbfee0802c16428a72c32ee2b4a1ba9892f6",
-    "query/pair": "24e0c2406286744d1c89355f4fcf3b6e47e973b8b86bc66e87b53a4ff36aa659",
+    "query/view": "d9e204dd2496c6d05b935a2a6680298ee88e1a4e56af97ad1d4d6910169ea135",
+    "query/pair": "cb5a64ff87a72fee74c11e3fb82dec990c7b9ee0e8495f31c8753e346f48ff16",
     "query/noise": "db27a631745b1b9c4bba74250172086ffac24c43644a0f22fbaff982252c2996",
     "cli/extract": "bc2b2025b52ae1ab3b282475821fdc71f15d4a2d8af94157ed2de02ed4d9f5b9",
     "cli/extract-octaves4-upright": "1b11fb8f2e15dbacfefb2253600d2f0d79fc1829636fc76806be6c99d2c44e75",
     "cli/blobs": "de7ed74ab00cbd14929d04307425c5d6ce67a5adc19bb73897d5df63fe4f10ae",
     "cli/index-1": "3257cfcac30d4a18b0c86bfb449d28fb9cdd01693eafba24a975519eee51d5fd",
     "cli/index-2": "6ca1fecb9136389970f2b386c5e13b293472c69506e94c59dff22ae64972c350",
-    "cli/query-annotate": "86dc3df2830d827249233acd4b7f40e2b49be85f651cdb7b5913fee2a4b9a407",
+    "cli/query-annotate": "aa5b131ab69fd8135c8603f3371fb3fa08f1a587612abfb7468e105516956019",
     "cli/annotate": "c496718a5617daffbf70ac176bf9574b23f74150c40fd01ce7aa4ceecc9c622e",
 }
 
@@ -254,19 +253,15 @@ def test_digests_hold_under_numpy_baseline_kernels(tmp_path):
 def test_digests_hold_under_older_openblas_kernels(tmp_path):
     """A child process with OpenBLAS forced to its Prescott kernels
     (OPENBLAS_CORETYPE), and to its Haswell ones when the CPU has AVX2,
-    reproduces every extraction digest and every CLI digest but
-    `cli/query-annotate`.
+    reproduces every extraction, query and CLI digest.
 
-    The `query/*` digests and `cli/query-annotate` are left out by name:
-    homography estimation still sets their bits with LAPACK's `solve` and
-    `lstsq`, and they move under these kernels.  Only OpenBLAS's x86-64
-    builds read the variable; elsewhere, or under another BLAS, it does
-    nothing and the child recomputes the table under the usual kernels.
-    The child runs with OPENBLAS_VERBOSE=2, so a failure names the core
-    OpenBLAS took.
+    Only OpenBLAS's x86-64 builds read the variable; elsewhere, or under
+    another BLAS, it does nothing and the child recomputes the table under
+    the usual kernels.  The child runs with OPENBLAS_VERBOSE=2, so a
+    failure names the core OpenBLAS took.
     """
     cores = ["Prescott"] + (["Haswell"] if __cpu_features__.get("AVX2") else [])
-    want = {k: v for k, v in DIGESTS.items() if k.startswith(("extract/", "cli/")) and k != "cli/query-annotate"}
+    want = {k: v for k, v in DIGESTS.items() if not k.startswith("blobs/")}
     for core in cores:
         child, log = run_child(tmp_path, OPENBLAS_CORETYPE=core, OPENBLAS_VERBOSE="2")
         moved = sorted(k for k in want if child["table"].get(k) != want[k])

@@ -129,6 +129,135 @@ def test_huge_sources_give_the_same_answers_without_a_warning():
         estimate_homography(src[:4], dst[:4])
     result = ransac_verify(src, dst)
     assert not result.verified and result.model is None
+    # Destinations near 1e200: det H is near 1e400 and overflows, but the
+    # model is finite, so it is returned, without a warning.
+    scale = np.array([[1e200], [1e200], [1.0]])
+    for pts in (SQUARE, dst):
+        model = estimate_homography(pts, pts * 1e200)
+        assert np.allclose(model.h / scale, np.eye(3), atol=1e-9)
+    result = ransac_verify(dst, dst * 1e200)
+    assert result.model is None or np.isfinite(result.model.h).all()
+    # A projection that overflows is infinitely far from its destination.
+    far = reprojection_errors(Homography(np.diag([1e300, 1e300, 1.0])), [[1e10, 1.0], [1.0, 1.0]], [[0.0, 0.0]] * 2)
+    assert far[0] == np.inf and np.isfinite(far[1])
+
+
+def dlt_system(src, dst):
+    """estimate_homography's scaled 8-unknown system A h = b, and its scales."""
+    src, dst = np.asarray(src, dtype=np.float64), np.asarray(dst, dtype=np.float64)
+    s_src, s_dst = max(np.abs(src).max(), 1e-12), max(np.abs(dst).max(), 1e-12)
+    (x, y), (u, v) = (src / s_src).T, (dst / s_dst).T
+    one, zero = np.ones_like(x), np.zeros_like(x)
+    rows_u = np.stack([x, y, one, zero, zero, zero, -x * u, -y * u], axis=1)
+    rows_v = np.stack([zero, zero, zero, x, y, one, -x * v, -y * v], axis=1)
+    return np.stack([rows_u, rows_v], axis=1).reshape(-1, 8), (dst / s_dst).reshape(-1), s_src, s_dst
+
+
+def lapack_homography(src, dst) -> np.ndarray:
+    """The same system solved by LAPACK: `solve` for 4 pairs, `lstsq` for
+    more.  The reference for the elimination."""
+    a, b, s_src, s_dst = dlt_system(src, dst)
+    sol = np.linalg.solve(a, b) if len(a) == 8 else np.linalg.lstsq(a, b, rcond=None)[0]
+    hn = np.append(sol, 1.0).reshape(3, 3)
+    return np.diag([s_dst, s_dst, 1.0]) @ hn @ np.diag([1.0 / s_src, 1.0 / s_src, 1.0])
+
+
+GRID = np.stack(np.meshgrid(np.linspace(0, 200, 9), np.linspace(0, 200, 9)), axis=-1).reshape(-1, 2)
+
+
+@pytest.mark.parametrize("n", [4, 30])
+def test_elimination_agrees_with_lapack(n):
+    """On well-conditioned sets, the model maps a 9x9 grid over the 200 px
+    box within 1e-8 px of the LAPACK solution's, and its h33 is exactly 1.
+    The 4 sources are the corners of a square, each moved by up to 30 px;
+    the 30 fill the box.  The destinations carry 0.5 px of noise, so the
+    30-pair fit is a true least-squares one."""
+    rng = np.random.default_rng(40 + n)
+    corners = np.array([[20.0, 20.0], [180.0, 20.0], [180.0, 180.0], [20.0, 180.0]])
+    for _ in range(200):
+        truth = random_well_conditioned_h(rng)
+        src = corners + rng.uniform(-30, 30, size=(4, 2)) if n == 4 else rng.uniform(0, 200, size=(n, 2))
+        dst = apply_h(truth, src) + rng.normal(0, 0.5, size=(n, 2))
+        got = estimate_homography(src, dst).h
+        assert got[2, 2] == 1.0
+        assert np.abs(apply_h(got, GRID) - apply_h(lapack_homography(src, dst), GRID)).max() <= 1e-8
+
+
+RANK_DEFICIENT = {
+    "collinear": np.stack([np.linspace(0, 200, 10), 0.5 * np.linspace(0, 200, 10) + 10.0], axis=1),
+    "one source repeated": np.repeat([[37.0, 81.0]], 10, axis=0),
+    "two clusters": np.repeat([[20.0, 30.0], [150.0, 170.0]], 5, axis=0),
+}
+
+
+@pytest.mark.parametrize("name", RANK_DEFICIENT)
+@pytest.mark.parametrize("dst_kind", ["random", "shifted"])
+def test_rank_deficient_sets_raise_singular_system(name, dst_kind):
+    """Sets whose system lstsq's rank test refuses raise SingularSystem
+    (10 pairs, so the 4-pair collinearity test is not what refuses them)."""
+    src = RANK_DEFICIENT[name]
+    dst = np.random.default_rng(6).uniform(0, 200, size=(10, 2)) if dst_kind == "random" else src + 3.0
+    assert np.linalg.matrix_rank(dlt_system(src, dst)[0]) < 8
+    with pytest.raises(SingularSystem):
+        estimate_homography(src, dst)
+
+
+def svd_plausible_view(hom, pts) -> bool:
+    """The degeneracy rule by LAPACK's det of H and svd of J at the
+    centroid: the reference for `_plausible_view`'s closed form."""
+    h = hom.h
+    a, v = h[:2, :2], h[2, :2]
+    with np.errstate(all="ignore"):
+        if not (np.linalg.det(h) > 0.0 and np.all(pts @ v + h[2, 2] > 0.0)):
+            return False
+        c = pts.mean(axis=0)
+        wc = c @ v + h[2, 2]
+        jac = (a - np.outer((a @ c + h[:2, 2]) / wc, v)) / wc
+        if not np.isfinite(jac).all():
+            return False
+        s = np.linalg.svd(jac, compute_uv=False)
+    return bool(s[0] <= MAX_ANISOTROPY * s[1])
+
+
+def rotation(theta):
+    return np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+
+
+def test_plausible_view_equals_the_svd_ratio_test():
+    """The closed form decides as the svd ratio test does, on affine models
+    whose Jacobian J is a given 2x2 and on perspective ones.  J's singular
+    values are built with ratios within 1e-9 (relative) of MAX_ANISOTROPY:
+    the decisions agree from 1e-14 on.  Closer than about 2e-15, J's own
+    rounding decides, and on such ratios the two tests were seen to differ."""
+    rng = np.random.default_rng(12)
+    pts = rng.uniform(0, 200, size=(10, 2))
+    ratios = [MAX_ANISOTROPY * (1 + sign * d) for d in np.logspace(-14, -9, 11) for sign in (1, -1)]
+    ratios += list(10.0 ** rng.uniform(0, 2, size=40))
+    jacobians = []
+    for ratio in ratios:
+        for scale in (1e-150, 1e-3, 1.0, 1e3, 1e150):
+            s1 = scale * 10.0 ** rng.uniform(-1, 1)
+            mirror = np.diag([1.0, rng.choice([1.0, -1.0])])
+            jacobians.append(rotation(rng.uniform(-3, 3)) @ np.diag([s1 * ratio, s1]) @ mirror @ rotation(rng.uniform(-3, 3)))
+    jacobians += [np.outer(rng.normal(size=2), rng.normal(size=2)) for _ in range(20)]  # singular
+    jacobians += [np.zeros((2, 2)), np.array([[np.nan, 0.0], [0.0, 1.0]]), np.array([[1.0, 0.0], [0.0, np.nan]])]
+    models = []
+    for jac in jacobians:
+        h = np.eye(3)
+        h[:2, :2] = jac
+        h[:2, 2] = rng.uniform(-50, 50, size=2)
+        models.append(h)
+    for _ in range(300):  # perspective: J varies across the frame
+        h = random_well_conditioned_h(rng)
+        h[2, :2] = rng.uniform(-8e-3, 8e-3, size=2)
+        h[:2, :2] = rng.normal(size=(2, 2))
+        models.append(h)
+    decisions = []
+    for h in models:
+        want = svd_plausible_view(Homography(h), pts)
+        assert geometry._plausible_view(Homography(h), pts) is want, h
+        decisions.append(want)
+    assert 0 < sum(decisions) < len(decisions)
 
 
 def numpy_scalar_collinear(src) -> bool:
