@@ -2,12 +2,10 @@
 
 The model is a planar homography fit by DLT on the 8-unknown system
 (h33 = 1), with coordinates pre-scaled toward [0, 1] to bound conditioning
-(Hartley & Zisserman, *Multiple View Geometry*, 4.1).  Every fit, of 4
-pairs or more, solves the system's normal equations by one fixed-order
-elimination in elementwise numpy, so no BLAS or LAPACK kernel sets a
-model's bits.  RANSAC (Fischler & Bolles, CACM 1981) draws 4-point
-samples, adapts its iteration count to the best consensus so far, and
-polishes the winner with bounded least-squares refits.
+(Hartley & Zisserman, *Multiple View Geometry*, 4.1); no BLAS or LAPACK
+kernel sets a model's bits.  RANSAC (Fischler & Bolles, CACM 1981) draws
+4-point samples, adapts its iteration count to the best consensus so far,
+and polishes the winner with bounded least-squares refits.
 
 Degeneracy rule.  A final model is verified only if, besides reaching the
 inlier count, it maps the object as a camera can: the local Jacobian J(p)
@@ -16,18 +14,17 @@ centroid its singular values differ by a factor of at most MAX_ANISOTROPY.
 With h33 = 1, A = h[:2, :2], v = h[2, :2] and w(p) = v.p + 1, the Jacobian
 is J(p) = (A - H(p) v^T) / w(p) and det J(p) = det H / w(p)^3, so the
 orientation test is det H > 0 and w > 0 at every inlier (no inlier lies
-beyond the model's line at infinity).  w is affine, so w > 0 at the
-inliers' centroid c too, and det H > 0 is read as det J(c) > 0.  The
-singular values s0 >= s1 of J(c) satisfy s0^2 + s1^2 = |J|_F^2 and
-s0 s1 = |det J|, so s0 <= K s1 is |J|_F^2 <= (K + 1/K) det J, with no svd
-(K = MAX_ANISOTROPY).  The upper-left block A alone is the
-Jacobian only at the origin of an affine model; under perspective it
-depends on where the object sits in the frame.  A camera view of a planar
-object stretches it far less than MAX_ANISOTROPY (over 192 true views of the
-benchmark's query workload the ratio stayed below 1.03); a model that folds
-or flattens the object instead fits a handful of clustered matches by
-chance, as when a never-indexed texture got 8 inliers under a model with
-ratio 382.
+beyond the model's line at infinity).  Then w > 0 at the inliers' centroid
+c too, so det H > 0 is det J(c) > 0.  The singular values s0 >= s1 of J(c)
+have s0^2 + s1^2 = |J|_F^2 and s0 s1 = |det J|, so s0 <= K s1 is
+|J|_F^2 <= (K + 1/K) det J, with K = MAX_ANISOTROPY.  The upper-left block
+A alone is the Jacobian only at the origin of an affine model; under
+perspective it depends on where the object sits in the frame.  A camera
+view of a planar object stretches it far less than MAX_ANISOTROPY (over 192
+true views of the benchmark's query workload the ratio stayed below 1.03);
+a model that folds or flattens the object instead fits a handful of
+clustered matches by chance, as when a never-indexed texture got 8 inliers
+under a model with ratio 382.
 """
 
 from __future__ import annotations
@@ -42,12 +39,7 @@ from .errors import DegenerateConfiguration, PointAtInfinity, SingularSystem
 
 _COLLINEAR_TOL = 1e-9
 _DENOM_TOL = 1e-12
-# A pivot of the normal equations is the squared distance of its column of
-# the system from the span of the columns before it, so its ratio to its
-# own diagonal entry is a scale-free dependency test.  Rounding leaves
-# exactly dependent columns (collinear, repeated or two-cluster sources)
-# near 1e-14; the tolerance stays four decades above that.
-_PIVOT_TOL = 1e-10
+_PIVOT_TOL = 1e-10  # of a pivot's diagonal entry; see estimate_homography
 
 SAMPLE_SIZE = 4  # pairs in a minimal homography sample
 MAX_ITERATIONS = 2000
@@ -113,17 +105,16 @@ def _check_collinear(src: np.ndarray) -> None:
 
 
 def estimate_homography(src, dst) -> Homography:
-    """DLT on the 8-unknown system (h33 = 1), one solve for 4 pairs and more.
+    """DLT: least squares on the scaled 8-unknown system (h33 = 1).
 
-    The normal equations of the scaled system are solved by Gauss-Jordan
-    elimination in a fixed order, written with elementwise numpy, so no BLAS
-    or LAPACK kernel sets the model's bits.  They are symmetric positive
-    semi-definite, so the elimination needs no row exchange; a pivot at or
-    below _PIVOT_TOL of its own diagonal entry means the system is singular
-    or numerically rank deficient, and raises SingularSystem.  Collinearity
-    of source points is checked (area test, 1e-9) for the minimal 4-pair
-    case.  A model that is not invertible, or whose unscaled entries
-    overflow, raises SingularSystem too.
+    One Gauss-Jordan elimination of its normal equations, in elementwise
+    numpy and a fixed order, serves 4 pairs and more; they are positive
+    semi-definite, so no row is exchanged.  Pivot k is the squared distance
+    of column k from the span of the columns before it.  At or below
+    _PIVOT_TOL of the column's squared norm (rounding leaves exactly
+    dependent columns near 1e-14) the system is rank deficient: that, a
+    model that is not invertible and one that overflows raise SingularSystem.
+    Source collinearity is checked (area test, 1e-9) for 4 pairs.
     """
     src = _as_points(src)
     dst = _as_points(dst)
@@ -159,8 +150,7 @@ def estimate_homography(src, dst) -> Homography:
         aug -= aug[:, k : k + 1] * row
         aug[k] = row
     hn = np.append(aug[:, 8], 1.0).reshape(3, 3)
-    # Python floats: the determinant of the scaled model, times that of the
-    # unscaling, without numpy's overflow warnings (a NaN fails the test).
+    # det H from the scaled model's, in Python floats: no overflow warning, and NaN fails.
     (h11, h12, h13), (h21, h22, h23), (h31, h32, _) = hn.tolist()
     det = h11 * (h22 - h23 * h32) - h12 * (h21 - h23 * h31) + h13 * (h21 * h32 - h22 * h31)
     ratio = s_dst / s_src
@@ -199,8 +189,7 @@ def _plausible_view(hom: Homography, pts: np.ndarray) -> bool:
     c = pts.mean(axis=0)
     wc = c @ v + h[2, 2]
     jac = (a - np.outer((a @ c + h[:2, 2]) / wc, v)) / wc
-    # A power of two brings the largest entry into [0.5, 1) exactly, so the
-    # Python-float squares and products below neither overflow nor warn.
+    # Scaled exactly by a power of two, so the Python-float products cannot overflow.
     (p, q), (r, s) = np.ldexp(jac, -math.frexp(float(np.max(np.abs(jac))))[1]).tolist()
     det = p * s - q * r
     return det > 0.0 and p * p + q * q + r * r + s * s <= (MAX_ANISOTROPY + 1.0 / MAX_ANISOTROPY) * det
@@ -273,56 +262,40 @@ def ransac_verify(src, dst, seed: int = 0) -> VerificationResult:
     if best_model is None:
         return VerificationResult(None, [], math.inf, False)
 
-    # Local optimization: least-squares refits pull in marginal inliers the
-    # noisy 4-point hypothesis missed.  Candidate A iterates the refit at the
-    # inlier threshold; candidate B first polishes at a widened threshold
-    # (2x, 1.5x) before tightening.  Both are bounded and deterministic; the
-    # better consensus wins.  Each model travels with its reprojection errors,
-    # from which its inliers and their mean error are read.
-    def tighten(model, err):
-        mask = err <= INLIER_THRESHOLD
-        for _ in range(10):
-            consensus = np.flatnonzero(mask)
-            if len(consensus) < SAMPLE_SIZE:
-                break
-            try:
-                refit = estimate_homography(src[consensus], dst[consensus])
-            except (DegenerateConfiguration, SingularSystem):
-                break
-            refit_err = reprojection_errors(refit, src, dst)
-            new_mask = refit_err <= INLIER_THRESHOLD
-            if int(new_mask.sum()) < int(mask.sum()):
-                break
-            converged = bool(np.array_equal(new_mask, mask))
-            model, err, mask = refit, refit_err, new_mask
-            if converged:
-                break
-        return model, err
-
-    def widened(model, err):
-        for factor in (2.0, 1.5):
-            wide = np.flatnonzero(err <= factor * INLIER_THRESHOLD)
-            if len(wide) < SAMPLE_SIZE:
-                continue
-            try:
-                model = estimate_homography(src[wide], dst[wide])
-            except (DegenerateConfiguration, SingularSystem):
-                continue
-            err = reprojection_errors(model, src, dst)
-        return model, err
-
-    def inliers_of(err):
-        inliers = np.flatnonzero(err <= INLIER_THRESHOLD)
-        return inliers, float(err[inliers].mean()) if len(inliers) else math.inf
-
-    model_a, err_a = tighten(best_model, best_err)
-    model_b, err_b = tighten(*widened(best_model, best_err))
-    inliers_a, mean_a = inliers_of(err_a)
-    inliers_b, mean_b = inliers_of(err_b)
-    if (len(inliers_b), -mean_b) > (len(inliers_a), -mean_a):
-        model, inliers, mean_err = model_b, inliers_b, mean_b
-    else:
-        model, inliers, mean_err = model_a, inliers_a, mean_a
+    # Local optimization (LO-RANSAC; Chum, Matas & Kittler, DAGM 2003):
+    # least-squares refits pull in marginal inliers the noisy 4-point
+    # hypothesis missed.  The winner is refit at widened thresholds (2x,
+    # 1.5x), then at the inlier threshold until its consensus stops changing
+    # or shrinks, at most 10 times.  Each model travels with its errors.
+    model, err = best_model, best_err
+    for factor in (2.0, 1.5):
+        wide = np.flatnonzero(err <= factor * INLIER_THRESHOLD)
+        if len(wide) < SAMPLE_SIZE:
+            continue
+        try:
+            model = estimate_homography(src[wide], dst[wide])
+        except (DegenerateConfiguration, SingularSystem):
+            continue
+        err = reprojection_errors(model, src, dst)
+    mask = err <= INLIER_THRESHOLD
+    for _ in range(10):
+        consensus = np.flatnonzero(mask)
+        if len(consensus) < SAMPLE_SIZE:
+            break
+        try:
+            refit = estimate_homography(src[consensus], dst[consensus])
+        except (DegenerateConfiguration, SingularSystem):
+            break
+        refit_err = reprojection_errors(refit, src, dst)
+        new_mask = refit_err <= INLIER_THRESHOLD
+        if int(new_mask.sum()) < int(mask.sum()):
+            break
+        converged = bool(np.array_equal(new_mask, mask))
+        model, err, mask = refit, refit_err, new_mask
+        if converged:
+            break
+    inliers = np.flatnonzero(mask)
+    mean_err = float(err[inliers].mean()) if len(inliers) else math.inf
 
     verified = len(inliers) >= min_inliers and _plausible_view(model, src[inliers])
     return VerificationResult(model if verified else None, inliers.tolist(), mean_err, verified)
