@@ -22,7 +22,7 @@ class DegenerateConfiguration(ArfexError):
 
 
 class SingularSystem(ArfexError):
-    """Linear system for the model estimate is singular or rank deficient."""
+    """The model estimate's system is rank deficient, or its model is singular or overflows."""
 
 
 class DuplicateId(ArfexError):

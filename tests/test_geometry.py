@@ -137,8 +137,11 @@ def test_huge_sources_give_the_same_answers_without_a_warning():
         assert np.allclose(model.h / scale, np.eye(3), atol=1e-9)
     result = ransac_verify(dst, dst * 1e200)
     assert result.model is None or np.isfinite(result.model.h).all()
-    # A projection that overflows is infinitely far from its destination.
-    far = reprojection_errors(Homography(np.diag([1e300, 1e300, 1.0])), [[1e10, 1.0], [1.0, 1.0]], [[0.0, 0.0]] * 2)
+    with pytest.raises(SingularSystem):  # a scale of 1.7e309 overflows float64
+        estimate_homography(SQUARE * 1e-3, SQUARE * 1.7e306)
+    # A projection that overflows (here to inf - inf) is infinitely far from its destination.
+    wide = Homography(np.array([[1e300, -1e300, 0.0], [-1e300, 1e300, 0.0], [0.0, 0.0, 1.0]]))
+    far = reprojection_errors(wide, [[1e10, 1e10], [1.0, 1.0]], [[0.0, 0.0]] * 2)
     assert far[0] == np.inf and np.isfinite(far[1])
 
 
@@ -193,12 +196,13 @@ RANK_DEFICIENT = {
 @pytest.mark.parametrize("name", RANK_DEFICIENT)
 @pytest.mark.parametrize("dst_kind", ["random", "shifted"])
 def test_rank_deficient_sets_raise_singular_system(name, dst_kind):
-    """Sets whose system lstsq's rank test refuses raise SingularSystem
-    (10 pairs, so the 4-pair collinearity test is not what refuses them)."""
+    """Sets whose system lstsq's rank test refuses fail the elimination's
+    pivot test (10 pairs, so the 4-pair collinearity test is not what
+    refuses them)."""
     src = RANK_DEFICIENT[name]
     dst = np.random.default_rng(6).uniform(0, 200, size=(10, 2)) if dst_kind == "random" else src + 3.0
     assert np.linalg.matrix_rank(dlt_system(src, dst)[0]) < 8
-    with pytest.raises(SingularSystem):
+    with pytest.raises(SingularSystem, match="pivot"):
         estimate_homography(src, dst)
 
 
@@ -213,7 +217,7 @@ def svd_plausible_view(hom, pts) -> bool:
         c = pts.mean(axis=0)
         wc = c @ v + h[2, 2]
         jac = (a - np.outer((a @ c + h[:2, 2]) / wc, v)) / wc
-        if not np.isfinite(jac).all():
+        if not np.isfinite(jac).all():  # svd raises on NaN; the rule refuses such a J
             return False
         s = np.linalg.svd(jac, compute_uv=False)
     return bool(s[0] <= MAX_ANISOTROPY * s[1])
@@ -235,10 +239,11 @@ def test_plausible_view_equals_the_svd_ratio_test():
     ratios += list(10.0 ** rng.uniform(0, 2, size=40))
     jacobians = []
     for ratio in ratios:
-        for scale in (1e-150, 1e-3, 1.0, 1e3, 1e150):
+        for scale in (1e-150, 1e-3, 1.0, 1e3, 1e200):
             s1 = scale * 10.0 ** rng.uniform(-1, 1)
             mirror = np.diag([1.0, rng.choice([1.0, -1.0])])
-            jacobians.append(rotation(rng.uniform(-3, 3)) @ np.diag([s1 * ratio, s1]) @ mirror @ rotation(rng.uniform(-3, 3)))
+            turn, turn_back = rotation(rng.uniform(-3, 3)), rotation(rng.uniform(-3, 3))
+            jacobians.append(turn @ np.diag([s1 * ratio, s1]) @ mirror @ turn_back)
     jacobians += [np.outer(rng.normal(size=2), rng.normal(size=2)) for _ in range(20)]  # singular
     jacobians += [np.zeros((2, 2)), np.array([[np.nan, 0.0], [0.0, 1.0]]), np.array([[1.0, 0.0], [0.0, np.nan]])]
     models = []
